@@ -13,7 +13,7 @@ The whole deployment is described by one declarative
 :func:`~repro.service.build_server`: with ``--shards N`` (N > 1) that is a
 **sharded fleet** (N shard processes behind a session-hashing router with an
 admission limit and a control plane on a second port), otherwise a single
-threaded or asyncio server.
+server — the same class every shard runs.
 
 With ``--online`` the server keeps *learning while it serves*: every decision
 is recorded into a replay buffer, a background trainer runs REINFORCE updates
@@ -87,8 +87,6 @@ def main() -> None:
                         help="control-plane port for the fleet (0 = pick one)")
     parser.add_argument("--max-sessions", type=int, default=None,
                         help="fleet admission limit (concurrent sessions)")
-    parser.add_argument("--asyncio", action="store_true",
-                        help="use the asyncio transport for a single server")
     parser.add_argument("--online", action="store_true",
                         help="learn online: background REINFORCE over served "
                              "decisions, checkpointed + hot-swapped with "
@@ -114,7 +112,6 @@ def main() -> None:
 
     agent = build_serving_agent(args)
     config = ServingConfig(
-        transport="asyncio" if args.asyncio else "threaded",
         num_shards=args.shards,
         host=args.host,
         port=args.port,
@@ -138,9 +135,8 @@ def main() -> None:
         print(f"Control plane (health/stats/reconfigure) on "
               f"{control_host}:{control_port}")
     else:
-        transport = "asyncio" if args.asyncio else "threaded"
         print(f"Policy server listening on {host}:{port} "
-              f"({transport} transport, {mode} inference, {slo})")
+              f"({mode} inference, {slo})")
 
     manager = None
     store_tmp = None

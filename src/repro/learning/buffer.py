@@ -65,8 +65,8 @@ class EpisodeRecord:
 class ExperienceCollector:
     """A ``decision_tap`` that records every answered request.
 
-    Thread-safe: the threaded server's dispatch thread appends while the
-    learning manager drains.  The deque is bounded so a manager that stops
+    Thread-safe: the server's loop thread appends while the learning manager
+    drains.  The deque is bounded so a manager that stops
     draining cannot grow the serving process without bound (oldest steps are
     dropped first).
     """

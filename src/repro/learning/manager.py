@@ -109,7 +109,7 @@ class OnlineLearningManager:
     ``target`` is either a fleet (anything with ``drain_experience`` /
     ``install_policy`` / ``shard_stats``, i.e.
     :class:`~repro.service.fleet.ServingFleet`) or an in-process broker
-    owner: a :class:`~repro.service.server.ServerCore` subclass or a bare
+    owner: a :class:`~repro.service.server.PolicyServer` or a bare
     :class:`~repro.service.batcher.RequestBroker` (the differential
     harness).  In-process targets get an experience collector chained onto
     their ``decision_tap`` (preserving any tap already installed, e.g. the

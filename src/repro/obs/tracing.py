@@ -123,8 +123,8 @@ class Span:
 class SpanStore:
     """Bounded per-process span storage keyed by trace ID, LRU-evicted.
 
-    Thread-safe: the threaded server's dispatch thread, connection handler
-    threads and the asyncio loop can all file spans concurrently.
+    Thread-safe: a server's loop thread files spans while other threads
+    (control-plane scrapes, tests) read them.
     """
 
     def __init__(self, max_traces: int = 256, max_spans_per_trace: int = 64):

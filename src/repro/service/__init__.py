@@ -13,7 +13,7 @@ session's registered fallback heuristic (any name in the scheduler registry)
 so clusters keep scheduling.
 
 Beyond the single-process server, the package scales out as a **sharded
-fleet**: N :class:`AsyncPolicyServer` shard processes (each with its own
+fleet**: N :class:`PolicyServer` shard processes (each with its own
 agent + broker) behind a :class:`ShardRouter` front that hashes sessions to
 shards, applies admission control under overload, and exposes a control-plane
 endpoint (health / per-shard SLO stats / live reconfiguration).
@@ -28,8 +28,8 @@ Layers (see ``docs/ARCHITECTURE.md``, "Serving layer"):
 * :mod:`~repro.service.session`  — per-cluster shadow job DAGs + policy state;
 * :mod:`~repro.service.batcher`  — cross-session batching, the adaptive batch
   window and the SLO breaker;
-* :mod:`~repro.service.server` / :mod:`~repro.service.aioserver` — the
-  threaded and asyncio transports over one :class:`ServerCore`;
+* :mod:`~repro.service.server`   — the one server: sessions, handlers and the
+  dispatch coroutine on one asyncio loop;
 * :mod:`~repro.service.router` / :mod:`~repro.service.fleet` — the sharded
   fleet: session-hashing router, admission control, control plane, shard
   process management;
@@ -38,7 +38,6 @@ Layers (see ``docs/ARCHITECTURE.md``, "Serving layer"):
 * :mod:`~repro.service.loadgen`  — the synthetic multi-session load generator.
 """
 
-from .aioserver import AsyncPolicyServer
 from .batcher import (
     AdaptiveBatchWindow,
     CircuitBreaker,
@@ -58,12 +57,11 @@ from .protocol import (
     write_message,
 )
 from .router import ShardRouter, ShardState, shard_for_session
-from .server import PolicyServer, ServerCore
+from .server import PolicyServer
 from .session import SessionState
 
 __all__ = [
     "AdaptiveBatchWindow",
-    "AsyncPolicyServer",
     "CircuitBreaker",
     "ControlClient",
     "DecisionRequest",
@@ -85,6 +83,5 @@ __all__ = [
     "read_message",
     "write_message",
     "PolicyServer",
-    "ServerCore",
     "SessionState",
 ]

@@ -189,9 +189,9 @@ class DecisionRequest:
     session: SessionState
     observation: Observation
     request_id: Optional[int] = None
-    # Traced requests carry the transport layer's open span (the parent under
-    # which the broker files its own work); untraced requests leave it None
-    # and the broker never touches the tracing subsystem.
+    # Traced requests carry the server's open ``server.decide`` span (the
+    # parent under which the broker files its own work); untraced requests
+    # leave it None and the broker never touches the tracing subsystem.
     span: Optional[object] = None
 
 
@@ -306,7 +306,7 @@ class RequestBroker:
 
     # ----------------------------------------------------------------- policy
     def _broker_span(self, request: DecisionRequest, name: str):
-        """Child span under the transport's request span (None when untraced)."""
+        """Child span under the server's request span (None when untraced)."""
         parent = request.span
         if parent is None:
             return None

@@ -1,10 +1,9 @@
 """Client side of the policy service: wire clients and an episode driver.
 
 :class:`PolicyClient` is the raw synchronous protocol client (one session per
-connection) — it speaks the identical protocol to a single
-:class:`~repro.service.server.PolicyServer`, an
-:class:`~repro.service.aioserver.AsyncPolicyServer` shard, or a
-:class:`~repro.service.router.ShardRouter` front.  :class:`ControlClient`
+connection) — it speaks the identical protocol to a
+:class:`~repro.service.server.PolicyServer` (standalone or a fleet shard) and
+to a :class:`~repro.service.router.ShardRouter` front.  :class:`ControlClient`
 talks to the router's control plane (health, fleet stats, live
 reconfiguration).  :func:`drive_episode` is the reference *consumer*: it runs
 a local :class:`~repro.simulator.SchedulingEnvironment` as the "cluster",
@@ -83,9 +82,8 @@ class PolicyClient(_LineClient):
     def __init__(self, host: str, port: int, timeout: Optional[float] = 30.0):
         super().__init__(host, port, timeout=timeout)
         self.session_id: Optional[str] = None
-        # Filled in by hello()'s welcome: the negotiated protocol version and
-        # the newest serving policy version seen on any reply (None against a
-        # protocol-1 server, which never sends either field).
+        # Filled in by hello()'s welcome: the protocol version and the newest
+        # serving policy version seen on any reply.
         self.protocol: Optional[int] = None
         self.policy_version: Optional[int] = None
 
@@ -110,8 +108,8 @@ class PolicyClient(_LineClient):
             payload["fallback"] = fallback
         reply = self.request(payload)
         self.session_id = reply["session_id"]
-        self.protocol = reply.get("protocol")
-        self.policy_version = reply.get("policy_version")
+        self.protocol = reply["protocol"]
+        self.policy_version = reply["policy_version"]
         return reply
 
     def decide(
@@ -122,7 +120,7 @@ class PolicyClient(_LineClient):
     ) -> dict:
         """One scheduling decision for ``observation`` (an ``action`` reply).
 
-        With ``trace=True`` (protocol 3) the decision is traced end-to-end:
+        With ``trace=True`` the decision is traced end-to-end:
         a ``client.decide`` span is minted here, its context rides the wire
         so every hop (router, shard, broker, model stages) files child spans,
         and after the reply the finished client span is reported back to the
@@ -147,18 +145,12 @@ class PolicyClient(_LineClient):
             )
             payload["trace"] = span.context()
         reply = self.request(payload)
-        if "policy_version" in reply:
-            self.policy_version = reply["policy_version"]
+        self.policy_version = reply["policy_version"]
         if span is not None:
             span.set_tag("source", reply.get("source"))
             span.finish()
             # File the client half of the trace where the rest of it lives.
-            try:
-                self.request(
-                    {"type": "trace_report", "spans": [span.to_dict()]}
-                )
-            except ProtocolError:
-                pass  # pre-v3 server: the trace is just server-side
+            self.request({"type": "trace_report", "spans": [span.to_dict()]})
             reply = dict(reply)
             reply["trace_id"] = span.trace_id
         return reply

@@ -1,18 +1,15 @@
 """One construction story for every serving topology.
 
-Before this module, the three server classes grew overlapping-but-divergent
-keyword sets and every caller (examples, the test factory, CI smoke scripts)
-hand-assembled its own kwarg dict.  :class:`ServingConfig` is the single
-declarative description — transport, shard count, admission limit, SLO
-window, batch window, kernel backend, checkpoint store path — and
-:func:`build_server` turns it into the right topology:
+:class:`ServingConfig` is the single declarative description of a deployment
+— shard count, admission limit, SLO window, batch window, kernel backend,
+checkpoint store path — so no caller (examples, the test factory, CI smoke
+scripts) hand-assembles a kwarg dict, and :func:`build_server` turns it into
+the right topology:
 
-* ``num_shards == 1`` → one in-process server (``transport`` picks the
-  threaded :class:`~repro.service.server.PolicyServer` or the asyncio
-  :class:`~repro.service.aioserver.AsyncPolicyServer`);
-* ``num_shards > 1`` → a :class:`~repro.service.fleet.ServingFleet` (shard
-  processes always run the asyncio transport; ``transport`` only governs the
-  single-process case).
+* ``num_shards == 1`` → one in-process
+  :class:`~repro.service.server.PolicyServer`;
+* ``num_shards > 1`` → a :class:`~repro.service.fleet.ServingFleet` whose
+  shard processes each run the same :class:`PolicyServer`.
 
 The agent can be passed in directly or loaded from ``checkpoint_dir`` (a
 :class:`~repro.core.checkpoints.CheckpointStore` directory); setting
@@ -31,15 +28,12 @@ from ..core.checkpoints import CheckpointStore, agent_spec, build_agent
 
 __all__ = ["ServingConfig", "build_server"]
 
-_TRANSPORTS = ("threaded", "asyncio")
-
 
 @dataclass
 class ServingConfig:
     """Declarative description of a policy-serving deployment."""
 
     # Topology.
-    transport: str = "threaded"
     num_shards: int = 1
     host: str = "127.0.0.1"
     port: int = 0
@@ -71,15 +65,11 @@ class ServingConfig:
     trace_capacity: int = 256
 
     def __post_init__(self) -> None:
-        if self.transport not in _TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; known: {_TRANSPORTS}"
-            )
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
 
     def server_kwargs(self) -> dict:
-        """The per-server keyword set shared by both transports and shards."""
+        """The per-server keyword set shared by a single server and shards."""
         return {
             "fallback": self.fallback,
             "slo_ms": self.slo_ms,
@@ -121,14 +111,12 @@ class ServingConfig:
 
 def build_server(
     config: ServingConfig, agent: Optional[DecimaAgent] = None
-) -> Union["PolicyServer", "AsyncPolicyServer", "ServingFleet"]:
+) -> Union["PolicyServer", "ServingFleet"]:
     """Construct (but do not start) the deployment ``config`` describes.
 
-    Returns a :class:`PolicyServer`, :class:`AsyncPolicyServer` or
-    :class:`ServingFleet`; all three share the ``start()/stop()`` and
-    context-manager lifecycle.
+    Returns a :class:`PolicyServer` or :class:`ServingFleet`; both share the
+    ``start()/stop()`` and context-manager lifecycle.
     """
-    from .aioserver import AsyncPolicyServer
     from .fleet import ServingFleet
     from .server import PolicyServer
 
@@ -145,7 +133,6 @@ def build_server(
             collect_experience=config.collect_experience,
             **config.server_kwargs(),
         )
-    server_class = PolicyServer if config.transport == "threaded" else AsyncPolicyServer
-    return server_class(
+    return PolicyServer(
         agent, host=config.host, port=config.port, **config.server_kwargs()
     )

@@ -1,7 +1,7 @@
 """The serving fleet: N shard processes behind one router front.
 
-A *shard* is one OS process running an
-:class:`~repro.service.aioserver.AsyncPolicyServer` with its **own** agent
+A *shard* is one OS process running a
+:class:`~repro.service.server.PolicyServer` with its **own** agent
 (rebuilt from a picklable :class:`~repro.core.checkpoints.AgentSpec` + state
 dict, the same mechanism the rollout worker pool uses) and its own request
 broker — so shards share nothing and scale with cores, not threads.
@@ -43,7 +43,7 @@ def _shard_main(
     After the ready handshake the pipe becomes the shard's command channel
     (the online-learning control path):
 
-    * ``"stop"`` — shut down (legacy token, also the teardown path);
+    * ``("stop",)`` — shut down;
     * ``("install", state, version)`` — stage a policy hot-swap, ack with
       ``("installed", version)`` (the swap applies at the next decision);
     * ``("stats",)`` — reply ``("stats", {...})`` with the broker snapshot;
@@ -51,10 +51,10 @@ def _shard_main(
       steps collected since the last drain (empty unless the shard was
       started with ``collect_experience``).
     """
-    from .aioserver import AsyncPolicyServer
+    from .server import PolicyServer
 
     agent = build_agent(spec, state)
-    server = AsyncPolicyServer(agent, host=host, port=0, **server_kwargs)
+    server = PolicyServer(agent, host=host, port=0, **server_kwargs)
     collector = None
     if collect_experience:
         from ..learning.buffer import ExperienceCollector
@@ -73,9 +73,9 @@ def _shard_main(
                 command = connection.recv()
             except (EOFError, OSError):
                 break  # parent died
-            if command == "stop":
-                break
             kind = command[0] if isinstance(command, tuple) and command else None
+            if kind == "stop":
+                break
             try:
                 if kind == "install":
                     _, new_state, version = command
@@ -218,7 +218,7 @@ class ServingFleet:
             self.router = None
         for connection in self._connections:
             try:
-                connection.send("stop")
+                connection.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass  # shard already dead (e.g. fault-injection killed it)
         for process in self.processes:

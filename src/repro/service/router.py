@@ -23,9 +23,10 @@ per-request front that:
   (``metrics`` / ``trace`` / ``flight``) fan out over every shard to return
   one fleet-wide registry scrape, span set or flight dump.
 
-Like :class:`~repro.service.aioserver.AsyncPolicyServer`, the router runs
-its event loop in a background thread so the blocking ``start()/stop()``
-lifecycle matches the rest of the serving stack.
+Like :class:`~repro.service.server.PolicyServer`, the router runs its event
+loop in a background thread so the blocking ``start()/stop()`` lifecycle
+matches the rest of the serving stack, and every stream it opens or accepts
+is bounded by :data:`~repro.service.protocol.MAX_FRAME_BYTES`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,14 @@ from ..obs import (
     log_event,
     render_prometheus,
 )
-from .protocol import ProtocolError, decode_frame, encode_message
+from .protocol import (
+    MAX_FRAME_BYTES,
+    ProtocolError,
+    error_frame,
+    next_frame,
+    read_frame,
+    write_frame,
+)
 
 __all__ = ["ShardRouter", "ShardState", "shard_for_session"]
 
@@ -148,6 +156,7 @@ class ShardRouter:
         self._loop_thread: Optional[threading.Thread] = None
         self._data_server: Optional[asyncio.AbstractServer] = None
         self._control_server: Optional[asyncio.AbstractServer] = None
+        self._handlers: set = set()  # live client/control connection tasks
         self._address: Optional[tuple] = None
         self._control_address: Optional[tuple] = None
         self._running = False
@@ -175,16 +184,16 @@ class ShardRouter:
         self._loop_thread.start()
         future = asyncio.run_coroutine_threadsafe(self._start_serving(), self._loop)
         self._address, self._control_address = future.result(timeout=10.0)
-        self._running = True
         return self._address
 
     async def _start_serving(self):
         self._data_server = await asyncio.start_server(
-            self._handle_client, self.host, self.port
+            self._handle_client, self.host, self.port, limit=MAX_FRAME_BYTES
         )
         self._control_server = await asyncio.start_server(
-            self._handle_control, self.host, self.control_port
+            self._handle_control, self.host, self.control_port, limit=MAX_FRAME_BYTES
         )
+        self._running = True  # before the loop can run any connection handler
         return (
             self._data_server.sockets[0].getsockname()[:2],
             self._control_server.sockets[0].getsockname()[:2],
@@ -207,10 +216,25 @@ class ShardRouter:
             self._loop_thread = None
 
     async def _shutdown(self) -> None:
-        for server in (self._data_server, self._control_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        servers = (self._data_server, self._control_server)
+        for server in servers:
+            server.close()  # stop accepting; open connections are ours to end
+        handlers = list(self._handlers)
+        for task in handlers:
+            task.cancel()  # its cleanup closes the client and shard streams
+        await asyncio.gather(*handlers, return_exceptions=True)
+        for server in servers:  # last: on Python >= 3.12 this waits for them
+            await server.wait_closed()
+
+    def _accept(self, writer: asyncio.StreamWriter) -> bool:
+        """Track this connection's handler task so ``stop()`` can end it."""
+        if not self._running:  # accepted while stop() was closing the listeners
+            writer.close()
+            return False
+        task = asyncio.current_task()
+        self._handlers.add(task)
+        task.add_done_callback(self._handlers.discard)
+        return True
 
     def __enter__(self) -> "ShardRouter":
         self.start()
@@ -220,10 +244,6 @@ class ShardRouter:
         self.stop()
 
     # --------------------------------------------------------------- data path
-    async def _write(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
-        await writer.drain()
-
     def _pick_shard(self, session_id: str) -> Optional[ShardState]:
         """Preferred shard by hash; walk forward past unhealthy/draining ones."""
         preferred = shard_for_session(session_id, len(self.shards))
@@ -319,7 +339,9 @@ class ShardRouter:
                 return None, None, None
             try:
                 reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(shard.host, shard.port),
+                    asyncio.open_connection(
+                        shard.host, shard.port, limit=MAX_FRAME_BYTES
+                    ),
                     timeout=self.connect_timeout,
                 )
                 return shard, reader, writer
@@ -331,22 +353,19 @@ class ShardRouter:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if not self._accept(writer):
+            return
         shard: Optional[ShardState] = None
         shard_reader = shard_writer = None
         admitted = False
         try:
             # The first frame must open the session: everything the router
             # does (admission, placement) keys off the hello.
-            line = await reader.readline()
-            if not line:
-                return
-            try:
-                message = decode_frame(line)
-            except ProtocolError as error:
-                await self._write(writer, {"type": "error", "message": str(error)})
+            message = await next_frame(reader, writer, self.flight, listener="data")
+            if message is None:
                 return
             if message["type"] != "hello":
-                await self._write(
+                await write_frame(
                     writer,
                     {"type": "error",
                      "message": "the router requires 'hello' as the first frame"},
@@ -370,7 +389,7 @@ class ShardRouter:
                     active_sessions=self._active_sessions,
                     max_sessions=self.max_sessions,
                 )
-                await self._write(
+                await write_frame(
                     writer,
                     {
                         "type": "error",
@@ -390,7 +409,7 @@ class ShardRouter:
             shard, shard_reader, shard_writer = await self._connect_shard(session_id)
             if shard is None:
                 self.flight.record("no_healthy_shards", session_id=session_id)
-                await self._write(
+                await write_frame(
                     writer,
                     {"type": "error", "code": "no_healthy_shards",
                      "message": "no healthy shard can accept this session"},
@@ -402,18 +421,13 @@ class ShardRouter:
             reply = await self._forward(shard, shard_writer, shard_reader,
                                         writer, message)
             if reply is None or reply.get("type") != "welcome":
-                return
+                return  # a refused hello (whatever the code) ends the connection
             self.counters.routed_sessions += 1
             # Steady state: strict request/response relay.
             while True:
-                line = await reader.readline()
-                if not line:
+                message = await next_frame(reader, writer, self.flight, listener="data")
+                if message is None:
                     return
-                try:
-                    message = decode_frame(line)
-                except ProtocolError as error:
-                    await self._write(writer, {"type": "error", "message": str(error)})
-                    continue
                 # Traced decide: add the router hop to the chain.  The span
                 # continues the client's context, and the frame forwarded to
                 # the shard carries *this* span as the parent — so the
@@ -436,8 +450,8 @@ class ShardRouter:
                     span.finish()
                 if reply is None or message["type"] == "bye":
                     return
-        except (ConnectionError, OSError):
-            return
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            return  # the peer vanished, or stop() cancelled this handler
         finally:
             if admitted:
                 self._active_sessions -= 1
@@ -445,10 +459,7 @@ class ShardRouter:
                 shard.active_sessions -= 1
             for peer in (shard_writer, writer):
                 if peer is not None:
-                    try:
-                        peer.close()
-                    except Exception:  # noqa: BLE001 - best-effort teardown
-                        pass
+                    peer.close()
 
     async def _forward(
         self, shard, shard_writer, shard_reader, client_writer, message: dict
@@ -459,16 +470,14 @@ class ShardRouter:
         failure to the client (the caller must end the session).
         """
         try:
-            shard_writer.write(encode_message(message))
-            await shard_writer.drain()
-            line = await shard_reader.readline()
-            if not line:
+            await write_frame(shard_writer, message)
+            reply = await read_frame(shard_reader)
+            if reply is None:
                 raise ConnectionResetError("shard closed the connection")
-            reply = decode_frame(line)
         except (ConnectionError, OSError, ProtocolError):
             self._mark_failed(shard)
             try:
-                await self._write(
+                await write_frame(
                     client_writer,
                     {
                         "type": "error",
@@ -483,98 +492,64 @@ class ShardRouter:
                 pass
             return None
         self.counters.forwarded_frames += 1
-        client_writer.write(encode_message(reply))
-        await client_writer.drain()
+        await write_frame(client_writer, reply)
         return reply
 
     # ------------------------------------------------------------ control plane
-    async def _probe_shard(self, shard: ShardState) -> bool:
-        """One liveness probe: connect, ask for stats, expect a stats reply."""
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port),
-                timeout=self.probe_timeout,
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            return False
-        try:
-            writer.write(encode_message({"type": "stats"}))
-            await writer.drain()
-            line = await asyncio.wait_for(reader.readline(), timeout=self.probe_timeout)
-            if not line:
-                return False
-            return decode_frame(line).get("type") == "stats"
-        except (ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
-            return False
-        finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
-
-    async def _shard_stats(self, shard: ShardState) -> dict:
-        entry = shard.describe()
-        if not shard.healthy:
-            entry["ok"] = False
-            return entry
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port),
-                timeout=self.probe_timeout,
-            )
-            try:
-                writer.write(encode_message({"type": "stats"}))
-                await writer.drain()
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.probe_timeout
-                )
-                reply = decode_frame(line) if line else {}
-            finally:
-                try:
-                    writer.close()
-                except Exception:  # noqa: BLE001
-                    pass
-        except (ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
-            self._mark_failed(shard)
-            entry.update(shard.describe())
-            entry["ok"] = False
-            return entry
-        entry["ok"] = reply.get("type") == "stats"
-        entry["broker"] = reply.get("broker")
-        entry["batch_window"] = reply.get("batch_window")
-        entry["num_sessions"] = reply.get("num_sessions")
-        return entry
-
     async def _shard_request(
         self, shard: ShardState, payload: dict
     ) -> Optional[dict]:
-        """One request/reply against a shard's data plane; None if unreachable.
+        """One request/reply on a fresh connection to a shard's data plane.
 
-        Used by the control plane's fleet-wide metrics/trace/flight fan-out.
-        Unlike :meth:`_shard_stats` it does not demote the shard on failure —
-        an observability query should never change placement state.
+        Returns the reply, or ``None`` when the shard cannot be reached within
+        ``probe_timeout`` or answers with anything but the request's own type.
+        Placement state is never touched here: each caller decides what a
+        failure means.
         """
-        if not shard.healthy:
-            return None
         try:
             reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(shard.host, shard.port),
+                asyncio.open_connection(shard.host, shard.port, limit=MAX_FRAME_BYTES),
                 timeout=self.probe_timeout,
             )
             try:
-                writer.write(encode_message(payload))
-                await writer.drain()
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.probe_timeout
+                await write_frame(writer, payload)
+                reply = await asyncio.wait_for(
+                    read_frame(reader), timeout=self.probe_timeout
                 )
-                return decode_frame(line) if line else None
             finally:
-                try:
-                    writer.close()
-                except Exception:  # noqa: BLE001 - best-effort teardown
-                    pass
+                writer.close()
         except (ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
             return None
+        if reply is None or reply["type"] != payload["type"]:
+            return None
+        return reply
+
+    async def _fan_out(self, payload: dict) -> list:
+        """Every shard's reply (or ``None``) to an observability query.
+
+        Shards marked unhealthy are not asked, and a failed request demotes
+        nothing — an observability query should never change placement state.
+        """
+
+        async def ask(shard: ShardState) -> Optional[dict]:
+            return await self._shard_request(shard, payload) if shard.healthy else None
+
+        return await asyncio.gather(*(ask(shard) for shard in self.shards))
+
+    async def _shard_stats(self, shard: ShardState) -> dict:
+        """One shard's ``stats`` entry; a shard that fails to answer is demoted."""
+        reply = None
+        if shard.healthy:
+            reply = await self._shard_request(shard, {"type": "stats"})
+            if reply is None:
+                self._mark_failed(shard)
+        entry = shard.describe()
+        entry["ok"] = reply is not None
+        if reply is not None:
+            entry["broker"] = reply.get("broker")
+            entry["batch_window"] = reply.get("batch_window")
+            entry["num_sessions"] = reply.get("num_sessions")
+        return entry
 
     async def _metrics_payload(self, message: dict) -> dict:
         """Fleet-wide ``metrics``: the router's registry plus every shard's.
@@ -587,16 +562,11 @@ class ShardRouter:
         format_name = str(message.get("format", "json"))
         if format_name not in ("json", "prometheus"):
             raise ProtocolError(f"unknown metrics format {format_name!r}")
-        replies = await asyncio.gather(
-            *(
-                self._shard_request(shard, {"type": "metrics", "format": "json"})
-                for shard in self.shards
-            )
-        )
+        replies = await self._fan_out({"type": "metrics", "format": "json"})
         shard_snapshots = [
             (shard.index, reply.get("metrics", {}))
             for shard, reply in zip(self.shards, replies)
-            if reply is not None and reply.get("type") == "metrics"
+            if reply is not None
         ]
         if format_name == "prometheus":
             parts = [
@@ -635,17 +605,9 @@ class ShardRouter:
         if not trace_id:
             raise ProtocolError("trace request needs a trace_id")
         trace_id = str(trace_id)
-        replies = await asyncio.gather(
-            *(
-                self._shard_request(
-                    shard, {"type": "trace", "trace_id": trace_id}
-                )
-                for shard in self.shards
-            )
-        )
         spans = self.spans.get(trace_id)
-        for reply in replies:
-            if reply is not None and reply.get("type") == "trace":
+        for reply in await self._fan_out({"type": "trace", "trace_id": trace_id}):
+            if reply is not None:
                 spans.extend(reply.get("spans", []))
         spans.sort(key=lambda span: span.get("start_time", 0.0))
         return {"type": "trace", "trace_id": trace_id, "spans": spans}
@@ -653,39 +615,32 @@ class ShardRouter:
     async def _flight_payload(self, message: dict) -> dict:
         """Fleet-wide ``flight``: dump the router's ring and every shard's."""
         reason = str(message.get("reason", "on_demand"))
-        replies = await asyncio.gather(
-            *(
-                self._shard_request(
-                    shard, {"type": "flight", "reason": reason}
-                )
-                for shard in self.shards
-            )
-        )
+        replies = await self._fan_out({"type": "flight", "reason": reason})
         return {
             "type": "flight",
             "router": self.flight.dump(reason),
             "shards": [
                 {
                     "index": shard.index,
-                    "recorder": (
-                        reply.get("recorder")
-                        if reply is not None and reply.get("type") == "flight"
-                        else None
-                    ),
+                    "recorder": None if reply is None else reply.get("recorder"),
                 }
                 for shard, reply in zip(self.shards, replies)
             ],
         }
 
-    def _health_payload(self, probes) -> dict:
+    async def _health_payload(self) -> dict:
+        """Probe every shard, healthy or not, with a ``stats`` request."""
+        probes = await asyncio.gather(
+            *(self._shard_request(shard, {"type": "stats"}) for shard in self.shards)
+        )
         shards = []
-        for shard, alive in zip(self.shards, probes):
+        for shard, probe in zip(self.shards, probes):
             # A probe is evidence either way: revive shards that came back
             # only via explicit reconfigure (operators decide), but always
             # demote dead ones.
-            if not alive:
+            if probe is None:
                 shard.healthy = False
-            shards.append({**shard.describe(), "probe_ok": bool(alive)})
+            shards.append({**shard.describe(), "probe_ok": probe is not None})
         return {
             "type": "health",
             "shards": shards,
@@ -723,75 +678,67 @@ class ShardRouter:
         log_event(_logger, "reconfigure", changed=changed)
         return {"type": "reconfigured", "changed": changed}
 
+    async def _stats_payload(self) -> dict:
+        payload = {
+            "type": "stats",
+            "router": {
+                **self.counters.describe(),
+                "active_sessions": self._active_sessions,
+                "max_sessions": self.max_sessions,
+            },
+            "shards": list(
+                await asyncio.gather(
+                    *(self._shard_stats(shard) for shard in self.shards)
+                )
+            ),
+        }
+        if self.learning_info is not None:
+            payload["learning"] = dict(self.learning_info)
+        return payload
+
+    async def _control_reply(self, message: dict) -> dict:
+        kind = message["type"]
+        if kind == "health":
+            return await self._health_payload()
+        if kind == "stats":
+            return await self._stats_payload()
+        if kind == "reconfigure":
+            return self._apply_reconfigure(message)
+        if kind == "metrics":
+            return await self._metrics_payload(message)
+        if kind == "trace":
+            return await self._trace_payload(message)
+        if kind == "flight":
+            return await self._flight_payload(message)
+        if kind == "bye":
+            return {"type": "goodbye"}
+        raise ProtocolError(f"unknown control request {kind!r}")
+
     async def _handle_control(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if not self._accept(writer):
+            return
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                message = await next_frame(
+                    reader, writer, self.flight, listener="control"
+                )
+                if message is None:
                     return
                 try:
-                    message = decode_frame(line)
+                    reply = await self._control_reply(message)
                 except ProtocolError as error:
-                    await self._write(writer, {"type": "error", "message": str(error)})
-                    continue
-                kind = message["type"]
-                try:
-                    if kind == "health":
-                        probes = await asyncio.gather(
-                            *(self._probe_shard(shard) for shard in self.shards)
-                        )
-                        await self._write(writer, self._health_payload(probes))
-                    elif kind == "stats":
-                        shard_stats = await asyncio.gather(
-                            *(self._shard_stats(shard) for shard in self.shards)
-                        )
-                        payload = {
-                            "type": "stats",
-                            "router": {
-                                **self.counters.describe(),
-                                "active_sessions": self._active_sessions,
-                                "max_sessions": self.max_sessions,
-                            },
-                            "shards": list(shard_stats),
-                        }
-                        if self.learning_info is not None:
-                            payload["learning"] = dict(self.learning_info)
-                        await self._write(writer, payload)
-                    elif kind == "reconfigure":
-                        await self._write(writer, self._apply_reconfigure(message))
-                    elif kind == "metrics":
-                        await self._write(
-                            writer, await self._metrics_payload(message)
-                        )
-                    elif kind == "trace":
-                        await self._write(writer, await self._trace_payload(message))
-                    elif kind == "flight":
-                        await self._write(
-                            writer, await self._flight_payload(message)
-                        )
-                    elif kind == "bye":
-                        await self._write(writer, {"type": "goodbye"})
-                        return
-                    else:
-                        await self._write(
-                            writer,
-                            {"type": "error",
-                             "message": f"unknown control request {kind!r}"},
-                        )
-                except ProtocolError as error:
-                    await self._write(writer, {"type": "error", "message": str(error)})
+                    reply = error_frame(error)
                 except (KeyError, TypeError, ValueError) as error:
-                    await self._write(
-                        writer,
-                        {"type": "error",
-                         "message": f"malformed {kind!r} payload: {error!r}"},
-                    )
-        except (ConnectionError, OSError):
-            return
+                    reply = {
+                        "type": "error",
+                        "message": f"malformed {message['type']!r} payload: {error!r}",
+                    }
+                await write_frame(writer, reply)
+                if reply["type"] == "goodbye":
+                    return
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            return  # the peer vanished, or stop() cancelled this handler
         finally:
-            try:
-                writer.close()
-            except Exception:  # noqa: BLE001 - best-effort teardown
-                pass
+            writer.close()

@@ -1,32 +1,30 @@
 """The policy server: a long-lived TCP service hosting one Decima agent.
 
-Two transports share one :class:`ServerCore` (sessions, broker, adaptive
-batch window, protocol handlers):
+:class:`PolicyServer` is the one server of the serving stack — a single
+in-process deployment and every fleet shard run this class.  One asyncio event
+loop (on a background thread, so ``start()/stop()`` block like the rest of the
+stack) multiplexes every client connection plus the dispatch coroutine:
+connection handlers reconcile ``decide`` snapshots into the session's shadow
+DAGs, park a future on the dispatch queue and await it; the dispatcher
+coalesces whatever is pending into one broker batch, holding it open for the
+adaptive window (:class:`~repro.service.batcher.AdaptiveBatchWindow`: near
+zero with a lone session, a few milliseconds when dozens are streaming).  The
+broker's GNN forward runs inline on the loop — it *is* the work; while it
+runs, arriving frames queue in the socket buffers and form the next batch.
 
-* :class:`PolicyServer` — the original threaded transport: one **accept**
-  thread, one **connection** thread per client, one **dispatch** thread
-  coalescing pending requests into broker batches;
-* :class:`~repro.service.aioserver.AsyncPolicyServer` — the asyncio
-  transport: a single event loop multiplexes every connection plus the
-  dispatch coroutine, so a shard process serves hundreds of sessions on two
-  threads (the loop and the caller) instead of one thread per connection.
-
-Both answer ``decide`` requests strictly sequentially per connection, so a
-session's shadow state is never touched concurrently; and because every
-session's decisions depend only on its own rng stream, graph cache and
-observations, the batch composition the dispatcher happens to form has no
-effect on any session's action sequence.  The coalescing window adapts to
-offered load (:class:`~repro.service.batcher.AdaptiveBatchWindow`): near
-zero with a lone session, a few milliseconds when dozens of sessions are
-streaming requests.
+A connection is answered strictly sequentially, so a session's shadow state
+is never touched concurrently; and because every session's decisions depend
+only on its own rng stream, graph cache and observations, the batch
+composition the dispatcher happens to form has no effect on any session's
+action sequence.  Every reader is bounded by
+:data:`~repro.service.protocol.MAX_FRAME_BYTES`; an over-bound frame gets a
+``frame_too_large`` error frame and the connection is closed.
 """
 
 from __future__ import annotations
 
-import queue
-import socket
+import asyncio
 import threading
-import time
 from typing import Optional
 
 from ..core.agent import DecimaAgent, StageTimings
@@ -40,10 +38,17 @@ from .batcher import (
     DecisionResult,
     RequestBroker,
 )
-from .protocol import PROTOCOL_VERSION, ProtocolError, read_message, write_message
+from .protocol import (
+    MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
+    ProtocolError,
+    error_frame,
+    next_frame,
+    write_frame,
+)
 from .session import SessionState
 
-__all__ = ["PolicyServer", "ServerCore"]
+__all__ = ["PolicyServer"]
 
 _QUEUE_SENTINEL = None
 
@@ -66,26 +71,14 @@ def _gauge_value(help: str, value: float) -> dict:
     return _gauge_family(help, [{"labels": {}, "value": float(value)}])
 
 
-class _PendingRequest:
-    """A decide request parked on the dispatch queue until it is answered."""
+class PolicyServer:
+    """Serve scheduling decisions for many concurrent cluster sessions.
 
-    __slots__ = ("request", "result", "error", "done")
-
-    def __init__(self, request: DecisionRequest):
-        self.request = request
-        self.result: Optional[DecisionResult] = None
-        self.error: Optional[str] = None
-        self.done = threading.Event()
-
-
-class ServerCore:
-    """Transport-independent half of a policy server.
-
-    Owns the request broker, the session registry and the protocol-level
-    handlers (open/close sessions, reconcile ``decide`` snapshots, build
-    reply payloads).  Transports add sockets and a dispatch loop on top; the
-    dispatch loop asks :meth:`window_seconds` how long to hold a batch open
-    and reports each dispatched batch back through :meth:`observe_batch`.
+    Owns the request broker, the session registry, the protocol handlers
+    (open/close sessions, reconcile ``decide`` snapshots, build reply
+    payloads) and the event loop that runs them: one reader coroutine per
+    connection plus one dispatch coroutine, which is what lets a single
+    process hold hundreds of concurrent sessions.
     """
 
     def __init__(
@@ -150,6 +143,88 @@ class ServerCore:
         self.metrics.register_collector(self._collect_metrics)
         if breaker is not None:
             breaker.on_open = self._on_breaker_open
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._loop_thread: Optional[threading.Thread] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._queue: Optional[asyncio.Queue] = None
+        # Same-session requests deferred to the next batch (the broker needs
+        # distinct sessions per batch).
+        self._requeue: list = []
+        self._dispatch_task: Optional[asyncio.Task] = None
+        self._connections: dict = {}  # live handler task -> its StreamWriter
+        self._address: Optional[tuple] = None
+        self._running = False
+
+    # -------------------------------------------------------------- lifecycle
+    @property
+    def address(self) -> tuple:
+        """The bound ``(host, port)`` — resolves port 0 after :meth:`start`."""
+        if self._address is None:
+            raise RuntimeError("server is not started")
+        return self._address
+
+    def start(self) -> tuple:
+        """Spin up the loop thread, bind and start serving."""
+        if self._running:
+            raise RuntimeError("server already started")
+        self._loop = asyncio.new_event_loop()
+        self._loop_thread = threading.Thread(
+            target=self._loop.run_forever, name="policy-server-loop", daemon=True
+        )
+        self._loop_thread.start()
+        future = asyncio.run_coroutine_threadsafe(self._start_serving(), self._loop)
+        self._address = future.result(timeout=10.0)
+        return self._address
+
+    async def _start_serving(self) -> tuple:
+        self._queue = asyncio.Queue()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
+        )
+        self._dispatch_task = asyncio.create_task(self._dispatch_loop())
+        self._running = True  # before the loop can run any connection handler
+        return self._server.sockets[0].getsockname()[:2]
+
+    def stop(self) -> None:
+        """Stop serving, answer parked requests with errors, join the loop."""
+        if not self._running:
+            return
+        self._running = False
+        assert self._loop is not None
+        future = asyncio.run_coroutine_threadsafe(self._shutdown(), self._loop)
+        try:
+            future.result(timeout=10.0)
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            if self._loop_thread is not None:
+                self._loop_thread.join(timeout=5.0)
+            self._loop.close()
+            self._loop = None
+            self._loop_thread = None
+
+    async def _shutdown(self) -> None:
+        assert self._server is not None and self._queue is not None
+        self._server.close()  # stop accepting; open connections are ours to end
+        self._queue.put_nowait(_QUEUE_SENTINEL)
+        try:
+            await asyncio.wait_for(self._dispatch_task, timeout=5.0)
+        except asyncio.TimeoutError:
+            pass  # wait_for cancelled it; its finally failed what was parked
+        # Handlers have written the replies resolved above; end every open
+        # connection while the loop is still alive to run their cleanup.
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=5.0)
+        # Last: from Python 3.12 this waits for every accepted connection.
+        await self._server.wait_closed()
+
+    def __enter__(self) -> "PolicyServer":
+        self.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
 
     # ------------------------------------------------------------ observability
     def _collect_metrics(self) -> dict:
@@ -322,22 +397,12 @@ class ServerCore:
             "stats": self.flight.stats(),
         }
 
-    def finish_request(
-        self, request: DecisionRequest, result: DecisionResult
-    ) -> None:
-        """Close a traced request's ``server.decide`` span (no-op untraced)."""
-        span = request.span
-        if span is not None:
-            span.set_tag("source", result.source)
-            span.set_tag("policy_version", result.policy_version)
-            span.finish()
-
     # ---------------------------------------------------------------- hot-swap
     def install_policy(self, state: dict, version: int) -> None:
         """Stage refreshed weights for an atomic hot-swap.
 
         Delegates to the broker: the swap is applied at the top of the next
-        decision round on the dispatch thread/coroutine, so no in-flight
+        decision round on the dispatch coroutine, so no in-flight
         forward ever sees mixed weights and no session is dropped.
         """
         self.broker.install(state, version)
@@ -345,17 +410,6 @@ class ServerCore:
     @property
     def policy_version(self) -> int:
         return self.broker.policy_version
-
-    # ------------------------------------------------------------- batch window
-    def window_seconds(self) -> float:
-        """How long the dispatcher should hold the current batch open."""
-        if self.adaptive_window is not None:
-            return self.adaptive_window.seconds()
-        return self.batch_window_s
-
-    def observe_batch(self, batch_size: int) -> None:
-        if self.adaptive_window is not None:
-            self.adaptive_window.observe(batch_size)
 
     def num_live_sessions(self) -> int:
         with self._sessions_lock:
@@ -369,6 +423,12 @@ class ServerCore:
             # self.sessions (its id blocked until restart); refuse instead.
             raise ProtocolError(
                 f"session {existing.session_id!r} is already open on this connection"
+            )
+        if message.get("protocol") != PROTOCOL_VERSION:
+            raise ProtocolError(
+                f"unsupported protocol {message.get('protocol')!r}: this server "
+                f"speaks protocol {PROTOCOL_VERSION}",
+                code="unsupported_protocol",
             )
         with self._sessions_lock:
             self._session_counter += 1
@@ -402,8 +462,6 @@ class ServerCore:
             num_executors=num_executors,
             fallback=fallback_name,
         )
-        # Version negotiation: a hello without "protocol" is a v1 client.
-        client_protocol = int(message.get("protocol", 1))
         welcome = {
             "type": "welcome",
             "session_id": session_id,
@@ -412,7 +470,7 @@ class ServerCore:
             "fallback": fallback_name,
             "batched": self.broker.batched,
             "greedy": self.broker.greedy,
-            "protocol": min(client_protocol, PROTOCOL_VERSION),
+            "protocol": PROTOCOL_VERSION,
             "policy_version": self.broker.policy_version,
         }
         return session, welcome
@@ -451,9 +509,9 @@ class ServerCore:
             observation=observation,
             request_id=message.get("request_id"),
         )
-        # A traced decide carries {"trace": {"trace_id", "span_id"}} (v3
-        # protocol, optional): open this hop's span under the caller's.  The
-        # untraced hot path pays one dict lookup.
+        # A traced decide carries {"trace": {"trace_id", "span_id"}}: open
+        # this hop's span under the caller's.  The untraced hot path pays one
+        # dict lookup.
         trace = message.get("trace")
         if trace:
             request.span = self.spans.span(
@@ -490,270 +548,173 @@ class ServerCore:
             payload["session"] = session.stats()
         return payload
 
-
-class PolicyServer(ServerCore):
-    """Serve scheduling decisions for many concurrent cluster sessions.
-
-    The threaded transport: one accept thread, one connection thread per
-    client, one dispatch thread.  (For hundreds of sessions per process use
-    :class:`~repro.service.aioserver.AsyncPolicyServer`, which multiplexes
-    the same :class:`ServerCore` on an event loop.)
-    """
-
-    def __init__(self, agent: DecimaAgent, **kwargs):
-        super().__init__(agent, **kwargs)
-        self._queue: "queue.Queue" = queue.Queue()
-        self._requeue: list = []  # same-session requests deferred to the next batch
-        self._listener: Optional[socket.socket] = None
-        self._threads: list[threading.Thread] = []
-        self._connections: set = set()
-        self._connections_lock = threading.Lock()
-        self._running = False
-
-    # -------------------------------------------------------------- lifecycle
-    @property
-    def address(self) -> tuple:
-        """The bound ``(host, port)`` — resolves port 0 after :meth:`start`."""
-        if self._listener is None:
-            raise RuntimeError("server is not started")
-        return self._listener.getsockname()[:2]
-
-    def start(self) -> tuple:
-        """Bind, listen and spin up the accept + dispatch threads."""
-        if self._running:
-            raise RuntimeError("server already started")
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(64)
-        # Closing a socket does not reliably unblock accept() on every
-        # platform; a short timeout lets the accept loop notice stop().
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._running = True
-        for target, name in (
-            (self._accept_loop, "policy-server-accept"),
-            (self._dispatch_loop, "policy-server-dispatch"),
-        ):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        return self.address
-
-    def stop(self) -> None:
-        """Stop accepting, unblock the dispatcher and close every connection."""
-        if not self._running:
-            return
-        self._running = False
-        self._queue.put(_QUEUE_SENTINEL)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._connections_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                connection.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads.clear()
-
-    def __enter__(self) -> "PolicyServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ---------------------------------------------------------------- accept
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while self._running:
-            try:
-                connection, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed by stop()
-            connection.settimeout(None)
-            with self._connections_lock:
-                self._connections.add(connection)
-            thread = threading.Thread(
-                target=self._connection_loop,
-                args=(connection,),
-                name="policy-server-conn",
-                daemon=True,
-            )
-            thread.start()
-
     # ------------------------------------------------------------- connection
-    def _connection_loop(self, connection: socket.socket) -> None:
-        stream = connection.makefile("rwb")
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        if not self._running:  # accepted while stop() was closing the listener
+            writer.close()
+            return
         session: Optional[SessionState] = None
+        self._connections[asyncio.current_task()] = writer
         try:
             while True:
-                try:
-                    message = read_message(stream)
-                except ProtocolError as error:
-                    write_message(stream, {"type": "error", "message": str(error)})
-                    continue
-                except (OSError, ValueError):
-                    return  # connection torn down (possibly by stop())
+                message = await next_frame(
+                    reader,
+                    writer,
+                    self.flight,
+                    service=self.service_name,
+                    session_id=None if session is None else session.session_id,
+                )
                 if message is None:
                     return
                 kind = message["type"]
                 try:
                     if kind == "hello":
-                        session = self._handle_hello(stream, message, session)
+                        session = await self._handle_hello(writer, session, message)
                     elif kind == "decide":
-                        self._handle_decide(stream, session, message)
-                    elif kind == "stats":
-                        write_message(stream, self.stats_payload(session))
-                    elif kind == "metrics":
-                        write_message(stream, self.metrics_payload(message))
-                    elif kind == "trace":
-                        write_message(stream, self.trace_payload(message))
-                    elif kind == "trace_report":
-                        write_message(stream, self.record_spans(message))
-                    elif kind == "flight":
-                        write_message(stream, self.flight_payload(message))
+                        await self._handle_decide(writer, session, message)
                     elif kind == "bye":
-                        write_message(stream, {"type": "goodbye"})
+                        await write_frame(writer, {"type": "goodbye"})
                         return
                     else:
-                        write_message(
-                            stream,
-                            {"type": "error", "message": f"unknown request type {kind!r}"},
-                        )
+                        await write_frame(writer, self._answer(session, message))
                 except ProtocolError as error:
-                    write_message(stream, {"type": "error", "message": str(error)})
+                    await write_frame(writer, error_frame(error))
                 except (KeyError, TypeError, ValueError) as error:
                     # Malformed payload (missing fields, wrong types): answer
                     # with an error frame and keep the connection usable, as
                     # the protocol contract promises.
-                    write_message(
-                        stream,
+                    await write_frame(
+                        writer,
                         {"type": "error",
                          "message": f"malformed {kind!r} payload: {error!r}"},
                     )
-                except (BrokenPipeError, OSError):
-                    return
+        except (ConnectionError, OSError):
+            return  # the client vanished mid-exchange
         finally:
-            stream.close()
-            try:
-                connection.close()
-            except OSError:
-                pass
-            with self._connections_lock:
-                self._connections.discard(connection)
+            writer.close()
             self.deregister_session(session)
+            del self._connections[asyncio.current_task()]
 
-    def _handle_hello(
-        self, stream, message: dict, existing: Optional[SessionState]
+    def _answer(self, session: Optional[SessionState], message: dict) -> dict:
+        """The reply to a request that is answered without the dispatcher."""
+        kind = message["type"]
+        if kind == "stats":
+            return self.stats_payload(session)
+        if kind == "metrics":
+            return self.metrics_payload(message)
+        if kind == "trace":
+            return self.trace_payload(message)
+        if kind == "trace_report":
+            return self.record_spans(message)
+        if kind == "flight":
+            return self.flight_payload(message)
+        raise ProtocolError(f"unknown request type {kind!r}")
+
+    async def _handle_hello(
+        self, writer, existing: Optional[SessionState], message: dict
     ) -> SessionState:
         session, welcome = self.open_session(message, existing)
         try:
-            write_message(stream, welcome)
-        except (BrokenPipeError, OSError):
+            await write_frame(writer, welcome)
+        except (ConnectionError, OSError):
             # The client vanished before seeing the welcome: deregister, or
-            # the id would stay blocked (the connection loop's cleanup only
-            # knows about sessions it returned).
+            # the id would stay blocked (the connection's cleanup only knows
+            # about sessions this method returned).
             self.deregister_session(session)
             raise
         return session
 
-    def _handle_decide(
-        self, stream, session: Optional[SessionState], message: dict
+    async def _handle_decide(
+        self, writer, session: Optional[SessionState], message: dict
     ) -> None:
-        pending = _PendingRequest(self.build_request(session, message))
-        self._queue.put(pending)
-        # Bounded wait: if the request raced stop() (enqueued after the
-        # dispatch loop drained its sentinel and exited), nothing will ever
-        # answer it — fail it instead of hanging this connection thread.
-        while not pending.done.wait(timeout=0.5):
-            if not self._running:
-                pending.error = "server shutting down"
-                break
-        if pending.error is not None:
-            write_message(stream, {"type": "error", "message": pending.error})
-            return
-        result = pending.result
-        assert result is not None
-        self.finish_request(pending.request, result)
-        write_message(stream, self.action_reply(session, message, result))
+        request = self.build_request(session, message)
+        if not self._running:
+            # Raced stop(): the dispatcher may already have exited, and
+            # nothing would ever answer a request parked now.
+            raise ProtocolError("server shutting down")
+        assert self._loop is not None and self._queue is not None
+        future: "asyncio.Future[DecisionResult]" = self._loop.create_future()
+        self._queue.put_nowait((request, future))
+        result = await future  # raises the dispatcher's ProtocolError on failure
+        if request.span is not None:  # traced: close this hop's server.decide span
+            request.span.set_tag("source", result.source)
+            request.span.set_tag("policy_version", result.policy_version)
+            request.span.finish()
+        await write_frame(writer, self.action_reply(session, message, result))
 
     # --------------------------------------------------------------- dispatch
-    def _drain_batch(self, first: "_PendingRequest") -> list:
+    async def _fill_batch(self, batch: list) -> None:
         """Coalesce pending requests: up to ``max_batch_size`` distinct sessions.
 
-        After the first request lands we wait at most :meth:`window_seconds`
-        for more sessions to show up — long enough for concurrently blocked
-        clients to coalesce, far below any reasonable decision SLO.
+        After the first request lands we wait at most the batch window (the
+        adaptive one when enabled) for more sessions to show up — long enough
+        for concurrently blocked clients to coalesce, far below any reasonable
+        decision SLO.
         """
-        batch = [first]
-        sessions = {id(first.request.session)}
-        deadline = time.perf_counter() + self.window_seconds()
+        assert self._queue is not None
+        sessions = {id(request.session) for request, _ in batch}
+        loop = asyncio.get_running_loop()
+        window = self.adaptive_window
+        deadline = loop.time() + (
+            self.batch_window_s if window is None else window.seconds()
+        )
         # Once every live session has a request in the batch, no further
         # request can arrive (the protocol is synchronous per session) —
         # don't make a lone client sit out the full window.
         max_size = min(self.max_batch_size, max(self.num_live_sessions(), 1))
         while len(batch) < max_size:
-            remaining = deadline - time.perf_counter()
+            remaining = deadline - loop.time()
             try:
-                item = (
-                    self._queue.get_nowait()
-                    if remaining <= 0
-                    else self._queue.get(timeout=remaining)
-                )
-            except queue.Empty:
+                if remaining <= 0:
+                    item = self._queue.get_nowait()
+                else:
+                    item = await asyncio.wait_for(self._queue.get(), timeout=remaining)
+            except (asyncio.QueueEmpty, asyncio.TimeoutError):
                 break
             if item is _QUEUE_SENTINEL:
-                self._queue.put(_QUEUE_SENTINEL)  # keep the stop signal visible
+                self._queue.put_nowait(_QUEUE_SENTINEL)  # keep the stop signal visible
                 break
-            if id(item.request.session) in sessions:
-                # One in-flight request per session: answer it in the next
-                # batch (cannot happen with well-behaved synchronous clients).
-                self._requeue.append(item)
+            if id(item[0].session) in sessions:
+                self._requeue.append(item)  # one in-flight request per session
                 continue
-            sessions.add(id(item.request.session))
+            sessions.add(id(item[0].session))
             batch.append(item)
-        return batch
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            if self._requeue:
-                item = self._requeue.pop(0)
-            else:
-                item = self._queue.get()
-            if item is _QUEUE_SENTINEL:
-                # Unblock anything still parked.
-                while True:
-                    try:
-                        pending = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if pending is _QUEUE_SENTINEL:
-                        continue
-                    pending.error = "server shutting down"
-                    pending.done.set()
-                return
-            batch = self._drain_batch(item)
-            self.observe_batch(len(batch))
-            try:
-                results = self.broker.decide([pending.request for pending in batch])
-            except Exception as error:  # noqa: BLE001 - must answer every request
-                for pending in batch:
-                    pending.error = f"decision failed: {error!r}"
-                    pending.done.set()
-                continue
-            for pending, result in zip(batch, results):
-                pending.result = result
-                pending.done.set()
+    async def _dispatch_loop(self) -> None:
+        assert self._queue is not None
+        batch: list = []
+        try:
+            while True:
+                if self._requeue:
+                    item = self._requeue.pop(0)
+                else:
+                    item = await self._queue.get()
+                if item is _QUEUE_SENTINEL:
+                    return
+                batch = [item]
+                await self._fill_batch(batch)
+                if self.adaptive_window is not None:
+                    self.adaptive_window.observe(len(batch))
+                try:
+                    results = self.broker.decide([request for request, _ in batch])
+                except Exception as error:  # noqa: BLE001 - must answer every request
+                    self._fail(batch, f"decision failed: {error!r}")
+                    continue
+                for (_, future), result in zip(batch, results):
+                    if not future.done():
+                        future.set_result(result)
+        finally:
+            # However the dispatcher ends (stop signal, cancellation), nothing
+            # may stay parked: fail the batch being coalesced and the deferred
+            # requests.  (Nothing is queued behind the stop signal: once
+            # ``_running`` is false, ``_handle_decide`` parks no more.)
+            self._fail(batch + self._requeue, "server shutting down")
+            self._requeue = []
+
+    @staticmethod
+    def _fail(batch: list, reason: str) -> None:
+        for _, future in batch:
+            if not future.done():
+                future.set_exception(ProtocolError(reason))

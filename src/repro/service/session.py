@@ -261,15 +261,11 @@ class SessionState:
             "graph_rebuilds": self.graph_cache.num_rebuilds,
             "graph_delta_refreshes": self.graph_cache.num_delta_refreshes,
             "graph_full_refreshes": self.graph_cache.num_full_refreshes,
-            # Canonical latency schema: milliseconds under "latency_ms", the
-            # same key and unit the broker and loadgen report, so every layer
-            # of the stack reads one schema (the metrics registry's
-            # decision_latency_ms series is the aggregated form).
+            # Milliseconds under "latency_ms": the same key and unit the
+            # broker and loadgen report, so every layer of the stack reads one
+            # schema (the metrics registry's decision_latency_ms series is the
+            # aggregated form).
             "latency_ms": latency_histogram(
                 [seconds * 1000.0 for seconds in self.latencies]
             ),
-            # Deprecated since PR 9: seconds under "latency".  Kept one
-            # release so existing dashboards/scripts keep reading; prefer
-            # "latency_ms".
-            "latency": latency_histogram(self.latencies),
         }

@@ -44,37 +44,29 @@ def free_port():
         return probe.getsockname()[1]
 
 
-@pytest.fixture(params=["threaded", "asyncio"])
-def server_factory(request):
-    """Start a policy server on either transport; always stopped at teardown.
+@pytest.fixture
+def server_factory():
+    """Start a policy server (or fleet); always stopped at teardown.
 
-    Parametrised over both transports so every socket-level test exercises
-    the threaded :class:`PolicyServer` *and* the asyncio
-    :class:`AsyncPolicyServer` — they share one :class:`ServerCore`, and this
-    fixture is what pins their wire behaviour to each other.  The factory
-    binds ``port=0`` (the OS picks a free port; read ``server.address``) and
-    registers the server for teardown even if the test body raises.
+    The factory binds ``port=0`` (the OS picks a free port; read
+    ``server.address``) and registers the server for teardown even if the
+    test body raises.
 
     Servers are built through the declarative :class:`ServingConfig` /
     :func:`build_server` path — the same construction story the examples and
     CI smoke scripts use — so kwargs are config fields, not raw server
-    kwargs.  ``factory.server_class`` stays available for tests that need
-    direct construction (e.g. to assert constructor-time validation).
+    kwargs (``num_shards=2`` yields a fleet).
     """
-    from repro.service import AsyncPolicyServer, PolicyServer, ServingConfig, build_server
+    from repro.service import ServingConfig, build_server
 
-    server_class = PolicyServer if request.param == "threaded" else AsyncPolicyServer
     started = []
 
     def factory(agent, **kwargs):
-        config = ServingConfig(transport=request.param, **kwargs)
-        server = build_server(config, agent=agent)
+        server = build_server(ServingConfig(**kwargs), agent=agent)
         server.start()
         started.append(server)
         return server
 
-    factory.transport = request.param
-    factory.server_class = server_class
     yield factory
     for server in reversed(started):
         server.stop()

@@ -5,7 +5,7 @@ What the observability layer guarantees *in situ* (issue 9):
 * **metrics scrape** — one data-plane ``metrics`` request returns every core
   series (decision counts, policy version, feature-refresh mix, per-stage
   timings, the decision-latency histogram) as JSON and as Prometheus text,
-  on both transports, and the fleet control plane merges router + per-shard
+  on the data plane, and the fleet control plane merges router + per-shard
   registries with ``shard="N"`` labels;
 * **trace propagation** — a single traced decision reconstructs end-to-end
   from one trace id: ``client.decide → server.decide → broker.decide →
@@ -14,8 +14,8 @@ What the observability layer guarantees *in situ* (issue 9):
 * **flight recorder** — an injected shard kill auto-dumps the router's ring
   (reason ``shard_death``) and an SLO-guard rollback auto-dumps the server's
   (reason ``slo_guard_rollback``), both as JSON artifacts on disk;
-* **schema unification** — the session stats carry the canonical
-  ``latency_ms`` histogram next to the deprecated seconds-based ``latency``.
+* **schema unification** — the session stats carry one latency histogram,
+  ``latency_ms``, in the unit every other layer reports.
 """
 
 import json
@@ -139,11 +139,8 @@ class TestMetricsEndpoint:
             stats = client.stats()
         session = stats["session"]
         assert session["latency_ms"]["count"] == 4
-        # Deprecated seconds-based key still present for old dashboards.
-        assert session["latency"]["count"] == 4
-        assert session["latency"]["p50"] == pytest.approx(
-            session["latency_ms"]["p50"] / 1000.0
-        )
+        assert session["latency_ms"]["p50"] > 0.0
+        assert "latency" not in session  # one key, one unit: milliseconds
 
 
 # ---------------------------------------------------------- trace propagation

@@ -6,7 +6,7 @@ What the serving loop's learning layer guarantees (issue 8):
   an atomic ``latest.json`` the legacy ``load_latest`` still reads, bounded
   retention;
 * :class:`ServingConfig` / :func:`build_server` — one construction story for
-  every topology (threaded / asyncio / fleet), agent sourcing from a store;
+  every topology (single server / fleet), agent sourcing from a store;
 * broker hot-swap — installs stage under a lock and apply between decision
   rounds: versions are strictly monotonic, per-session version sequences
   never decrease, and no session is dropped by a swap;
@@ -16,8 +16,8 @@ What the serving loop's learning layer guarantees (issue 8):
   to frozen serving, and an SLO regression on a freshly installed version
   triggers automatic rollback to the last good checkpoint under a *new*
   monotonic version;
-* protocol v2 — ``hello`` negotiation keeps old clients working while new
-  clients see ``policy_version`` on welcome and every action reply.
+* the wire — a ``hello`` must name the one protocol version, and clients see
+  ``policy_version`` on welcome and every action reply.
 """
 
 import numpy as np
@@ -43,8 +43,10 @@ from repro.learning import (
     RolloutGuard,
 )
 from repro.service import (
+    ControlClient,
     DecisionRequest,
     PolicyClient,
+    ProtocolError,
     ServingConfig,
     SessionState,
     build_server,
@@ -178,25 +180,22 @@ class TestCheckpointStore:
 
 # ------------------------------------------------------------- serving config
 class TestServingConfigFactory:
-    def test_transport_selection(self):
-        from repro.service import AsyncPolicyServer, PolicyServer, ServingFleet
+    def test_topology_selection(self):
+        from repro.service import PolicyServer, ServingFleet
 
         agent = tiny_agent()
+        assert isinstance(build_server(ServingConfig(), agent=agent), PolicyServer)
         assert isinstance(
-            build_server(ServingConfig(transport="threaded"), agent=agent),
-            PolicyServer,
-        )
-        assert isinstance(
-            build_server(ServingConfig(transport="asyncio"), agent=agent),
-            AsyncPolicyServer,
+            build_server(ServingConfig(num_shards=1), agent=agent), PolicyServer
         )
         fleet = build_server(ServingConfig(num_shards=2), agent=agent)
         assert isinstance(fleet, ServingFleet)
         assert fleet.num_shards == 2
+        # One server, so nothing to select: the field is gone, not ignored.
+        with pytest.raises(TypeError):
+            ServingConfig(**{"transport": "asyncio"})
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            ServingConfig(transport="carrier_pigeon")
         with pytest.raises(ValueError, match="num_shards"):
             ServingConfig(num_shards=0)
 
@@ -476,7 +475,7 @@ class TestManagerLoop:
 
 # ------------------------------------------------------------- wire protocol
 class TestProtocolVersioning:
-    def test_hello_negotiates_and_replies_carry_policy_version(self, server_factory):
+    def test_welcome_and_replies_carry_protocol_and_policy_version(self, server_factory):
         from repro.service.protocol import PROTOCOL_VERSION
 
         server = server_factory(tiny_agent(seed=0, total_executors=8))
@@ -491,19 +490,34 @@ class TestProtocolVersioning:
             assert reply["policy_version"] == 1
             assert client.policy_version == 1
 
-    def test_legacy_hello_without_protocol_still_works(self, server_factory):
+    @pytest.mark.parametrize("fields", [{}, {"protocol": 2}, {"protocol": "3"}])
+    def test_hello_without_the_protocol_is_rejected(self, server_factory, fields):
         server = server_factory(tiny_agent(seed=0, total_executors=8))
-        host, port = server.address
         env, observation = make_tpch_env(num_jobs=1, num_executors=8, seed=0)
-        with PolicyClient(host, port) as client:
-            # A pre-versioning client sends no "protocol" field; the server
-            # negotiates down to protocol 1 and keeps serving it.
-            welcome = client.request(
-                {"type": "hello", "seed": 0, "num_executors": 8}
-            )
-            assert welcome["type"] == "welcome"
-            assert welcome["protocol"] == 1
-            client.session_id = welcome["session_id"]
+        with PolicyClient(*server.address) as client:
+            with pytest.raises(ProtocolError, match="unsupported protocol") as failure:
+                client.request({"type": "hello", "num_executors": 8, **fields})
+            assert failure.value.code == "unsupported_protocol"
+            assert server.num_live_sessions() == 0
+            # The connection stays usable: a proper hello on it is served.
+            client.hello(num_executors=8)
+            assert client.decide(observation)["type"] == "action"
+
+    def test_router_ends_the_connection_after_a_refused_hello(self, server_factory):
+        fleet = server_factory(tiny_agent(seed=0, total_executors=8), num_shards=2)
+        env, observation = make_tpch_env(num_jobs=1, num_executors=8, seed=0)
+        with PolicyClient(*fleet.address) as client:
+            with pytest.raises(ProtocolError, match="unsupported protocol") as failure:
+                client.request({"type": "hello", "num_executors": 8})
+            assert failure.value.code == "unsupported_protocol"
+            # Like every hello the fleet refuses, this one ended the connection.
+            with pytest.raises((ProtocolError, OSError)):
+                client.hello(num_executors=8)
+        with ControlClient(*fleet.control_address) as control:
+            assert control.stats()["router"]["active_sessions"] == 0  # slot released
+            assert [s["num_sessions"] for s in control.stats()["shards"]] == [0, 0]
+        with PolicyClient(*fleet.address) as client:  # a new connection is served
+            client.hello(num_executors=8)
             assert client.decide(observation)["type"] == "action"
 
     def test_hot_swap_visible_to_wire_clients(self, server_factory):

@@ -610,13 +610,7 @@ class TestSLOFallback:
 
 # ------------------------------------------------------------ socket transport
 class TestPolicyServerEndToEnd:
-    """Socket-level behaviour, parametrised over BOTH transports.
-
-    ``server_factory`` (tests/conftest.py) runs every test here against the
-    threaded :class:`PolicyServer` and the asyncio
-    :class:`AsyncPolicyServer`; the two share one :class:`ServerCore`, and
-    these tests pin their wire behaviour to each other.
-    """
+    """Socket-level behaviour of the one :class:`PolicyServer`."""
 
     def test_two_concurrent_sessions_full_episodes(self, server_factory):
         agent = DecimaAgent(total_executors=8, config=DecimaConfig(seed=0))
@@ -787,7 +781,7 @@ class TestPolicyServerEndToEnd:
     def test_unknown_fallback_rejected(self, server_factory):
         agent = DecimaAgent(total_executors=6, config=DecimaConfig(seed=0))
         with pytest.raises(KeyError, match="unknown fallback"):
-            server_factory.server_class(agent, fallback="not_a_scheduler")
+            PolicyServer(agent, fallback="not_a_scheduler")
         server = server_factory(agent)
         host, port = server.address
         with PolicyClient(host, port) as client:
