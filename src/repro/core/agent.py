@@ -8,7 +8,6 @@ log-probability and entropy tensors for REINFORCE training.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -38,17 +37,6 @@ from .policy import PolicyConfig, PolicyNetwork
 
 __all__ = ["DecimaConfig", "StepInfo", "StageTimings", "DecimaAgent"]
 
-_KERNEL_BACKENDS = ("numpy", "numba", "tensor")
-
-
-def _default_kernel_backend() -> str:
-    """Process-wide default, overridable via ``DECIMA_KERNEL_BACKEND``.
-
-    Lets operators (and CI's kernel-backend drift checks) flip every agent in
-    a process to the compiled kernels without touching call sites.
-    """
-    return os.environ.get("DECIMA_KERNEL_BACKEND", "numpy")
-
 
 @dataclass
 class DecimaConfig:
@@ -70,13 +58,6 @@ class DecimaConfig:
     # is kept as the numerical-equivalence oracle.
     sparse_message_passing: bool = True
     use_graph_cache: bool = True
-    # Inference kernel backend: "numpy" (default) runs the arena-buffered
-    # data path on the numpy reference kernels; "numba" swaps in the
-    # JIT-compiled kernels when the optional dependency is installed (numpy
-    # fallback otherwise); "tensor" disables the data path entirely and runs
-    # inference through the autograd ops — kept as the equivalence oracle
-    # (differential pair ``inference_kernels_vs_tensor``).
-    kernel_backend: str = field(default_factory=_default_kernel_backend)
     # Number of discrete parallelism-limit levels; ``None`` uses one level per
     # executor (the paper's encoding) capped at 64 levels for very large clusters.
     num_limit_levels: Optional[int] = None
@@ -92,10 +73,13 @@ class DecimaConfig:
 
 @dataclass
 class StepInfo:
-    """Training byproducts of one action."""
+    """Training byproducts of one action (summed over its heads with ``+``)."""
 
     log_prob: Tensor
     entropy: Tensor
+
+    def __add__(self, other: "StepInfo") -> "StepInfo":
+        return StepInfo(self.log_prob + other.log_prob, self.entropy + other.entropy)
 
 
 class StageTimings:
@@ -197,7 +181,12 @@ class _StageClock:
 
 
 class DecimaAgent(Module, Scheduler):
-    """Learned scheduling policy (the paper's primary contribution)."""
+    """Learned scheduling policy (the paper's primary contribution).
+
+    There is one way to decide: :meth:`act` is :meth:`act_batch` of one
+    observation, and ``act_batch`` is features → merge → :meth:`_forward` →
+    :meth:`_select` (see ``docs/ARCHITECTURE.md``, "One decision path").
+    """
 
     name = "decima"
 
@@ -206,11 +195,6 @@ class DecimaAgent(Module, Scheduler):
             raise ValueError("total_executors must be positive")
         self.config = config or DecimaConfig()
         self.total_executors = int(total_executors)
-        if self.config.kernel_backend not in _KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.config.kernel_backend!r}; "
-                f"expected one of {_KERNEL_BACKENDS}"
-            )
         rng = np.random.default_rng(self.config.seed)
         self.gnn = GraphNeuralNetwork(
             GNNConfig(
@@ -220,13 +204,6 @@ class DecimaAgent(Module, Scheduler):
                 max_message_passing_depth=self.config.max_message_passing_depth,
                 two_level_aggregation=self.config.two_level_aggregation,
                 sparse_message_passing=self.config.sparse_message_passing,
-                # "tensor" never reaches the GNN data path (the fast-path gate
-                # below turns it off), so the GNN-level backend stays "numpy".
-                kernel_backend=(
-                    "numpy"
-                    if self.config.kernel_backend == "tensor"
-                    else self.config.kernel_backend
-                ),
             ),
             rng,
         )
@@ -256,10 +233,13 @@ class DecimaAgent(Module, Scheduler):
         # Cumulative per-stage wall time of every act()/act_batch() decision.
         self.stage_timings = StageTimings()
         # Instrumentation seam for the verification harness: when set, every
-        # serial decision calls ``logits_tap(node_logits_row_data)`` with this
-        # observation's (plain numpy) node-logit rows before selection, so a
-        # trace recorder can digest the numbers behind each decision.  The
-        # ``None`` default costs one identity check per act() call.
+        # decision calls ``logits_tap(node_logits_row_data)`` once per
+        # observation — a batch of one and a batch of N alike — with that
+        # observation's own row slice of the (plain numpy) node logits, before
+        # its stage is selected, so a trace recorder can digest the numbers
+        # behind each decision.  While a tap is set the data path scores every
+        # row instead of only the schedulable ones.  The ``None`` default
+        # costs one identity check per observation.
         self.logits_tap = None
 
     # ---------------------------------------------------------------- helpers
@@ -343,19 +323,6 @@ class DecimaAgent(Module, Scheduler):
             observation, self.config.feature, interarrival_hint=self.interarrival_hint
         )
 
-    def _use_data_path(self, training: bool) -> bool:
-        """True when inference may run the arena-buffered data path.
-
-        Training must stay on the autograd ops (gradients), the dense oracle
-        has no data-path implementation, and ``kernel_backend="tensor"``
-        explicitly requests the autograd ops as the equivalence reference.
-        """
-        return (
-            not training
-            and self.config.sparse_message_passing
-            and self.config.kernel_backend != "tensor"
-        )
-
     def act(
         self,
         observation: Observation,
@@ -367,55 +334,23 @@ class DecimaAgent(Module, Scheduler):
     ) -> tuple[Optional[Action], Optional[StepInfo]]:
         """Pick a (stage, parallelism limit[, executor class]) action.
 
-        When ``training`` is true the returned :class:`StepInfo` carries the
-        log-probability and entropy tensors connected to the parameter graph.
-        At inference the forward runs on the arena-buffered data path (delta
-        features, workspace-owned scratch, optional compiled kernels) — the
-        numbers, and therefore the decisions, match the autograd path.
+        This is :meth:`act_batch` of one observation (a single component
+        passes through the merge untouched).  When ``training`` is true the
+        returned :class:`StepInfo` carries the log-probability and entropy
+        tensors connected to the parameter graph.
 
         ``span`` (a :class:`repro.obs.tracing.Span`, or None) is the traced
         parent of this decision; when set, the four stage timings are also
         filed as its child spans.
         """
-        if not observation.schedulable_nodes:
-            return None, None
-        fast = self._use_data_path(training)
-        clock = self.stage_timings.clock((span,) if span is not None else ())
-        graph = self.build_features(
-            observation, graph_cache=graph_cache, reuse_buffers=fast
-        )
-        clock.mark()
-        if fast:
-            node_emb, job_emb, global_emb = self.gnn.forward_data(graph)
-            embeddings = GraphEmbeddings(
-                node_embeddings=Tensor(node_emb),
-                job_embeddings=Tensor(job_emb),
-                global_embedding=Tensor(global_emb),
-            )
-            clock.mark()
-            # A trace recorder's tap digests the full logit vector, so only
-            # the untapped hot path restricts scoring to the schedulable rows.
-            rows = (
-                None
-                if self.logits_tap is not None
-                else np.flatnonzero(graph.schedulable_mask)
-            )
-            node_logits = Tensor(
-                self.policy.node_logits_data(
-                    graph, node_emb, job_emb, global_emb, self.gnn.workspace, rows=rows
-                )
-            )
-        else:
-            embeddings = self.gnn(graph)
-            clock.mark()
-            node_logits = self.policy.node_logits(graph, embeddings)
-        clock.mark()
-        result = self.act_on_graph(
-            graph, embeddings, node_logits, observation, rng=rng, greedy=greedy,
+        return self.act_batch(
+            [observation],
+            rngs=[rng if rng is not None else self._eval_rng],
+            greedy=greedy,
             training=training,
-        )
-        clock.finish()
-        return result
+            graph_caches=[graph_cache],
+            spans=None if span is None else [span],
+        )[0]
 
     def score_action(
         self,
@@ -442,10 +377,7 @@ class DecimaAgent(Module, Scheduler):
         embeddings = self.gnn(graph)
         node_logits = self.policy.node_logits(graph, embeddings)
         node_mask = graph.schedulable_mask
-        global_row = next(
-            (row for row, candidate in enumerate(graph.nodes) if candidate is node),
-            None,
-        )
+        global_row = graph.node_index.get(id(node))
         if global_row is None or not node_mask[global_row]:
             raise ValueError("node is not a schedulable node of this observation")
         node_log_probs = masked_log_softmax(node_logits, node_mask)
@@ -453,184 +385,24 @@ class DecimaAgent(Module, Scheduler):
         entropy = entropy_from_log_probs(node_log_probs, node_mask)
         if self.config.use_parallelism_control:
             job_index = int(graph.job_ids[global_row])
-            job = graph.jobs[job_index]
-            limits = self.candidate_limits(job)
+            limits = self.candidate_limits(graph.jobs[job_index])
             matches = np.flatnonzero(limits == int(parallelism_limit))
             if matches.size == 0:
                 raise ValueError(
                     f"limit {parallelism_limit} is not a candidate for this job "
                     f"(candidates: {limits.tolist()})"
                 )
-            limit_inputs = self._limit_inputs(limits)
-            limit_logits = self.policy.limit_logits(
-                graph, embeddings, job_index, limit_inputs
+            limit_logits = self.policy.limit_logits_rows(
+                graph,
+                embeddings,
+                np.full(len(limits), job_index, dtype=np.intp),
+                self._limit_inputs(limits),
             )
             limit_mask = np.ones(len(limits), dtype=bool)
             limit_log_probs = masked_log_softmax(limit_logits, limit_mask)
             log_prob = log_prob + limit_log_probs[int(matches[0])]
             entropy = entropy + entropy_from_log_probs(limit_log_probs, limit_mask)
         return log_prob, entropy
-
-    def _select_stage(
-        self,
-        graph: GraphFeatures,
-        node_logits,
-        node_rows: slice,
-        rng: np.random.Generator,
-        greedy: bool,
-        training: bool,
-    ):
-        """Stage selection (masked softmax over schedulable nodes, Eq. 2).
-
-        Operates on one observation's row range of a (possibly merged) node
-        logit vector; returns ``(node, job_index, log_prob, entropy)`` with
-        ``job_index`` a *global* job row, or ``None`` if nothing is
-        schedulable in the range.  The log-prob/entropy tensors are only
-        assembled when ``training`` — inference skips that autograd
-        bookkeeping entirely (the choice itself only needs the data).
-        """
-        node_mask = graph.schedulable_mask[node_rows]
-        if not node_mask.any():
-            return None
-        if not training:
-            # Inference: identical numbers via the graph-free softmax kernel
-            # (the numpy backend IS masked_log_softmax_data; the numba one
-            # differs only in summation order of exactly-zero terms).
-            log_probs = self.gnn.kernels.masked_log_softmax(
-                node_logits.data[node_rows], node_mask
-            )
-            node_row = self._choose(log_probs, node_mask, rng, greedy)
-            global_row = node_rows.start + node_row
-            return graph.nodes[global_row], int(graph.job_ids[global_row]), None, None
-        node_log_probs = masked_log_softmax(node_logits[node_rows], node_mask)
-        node_row = self._choose(node_log_probs.data, node_mask, rng, greedy)
-        global_row = node_rows.start + node_row
-        node = graph.nodes[global_row]
-        job_index = int(graph.job_ids[global_row])
-        log_prob = node_log_probs[node_row]
-        entropy = entropy_from_log_probs(node_log_probs, node_mask)
-        return node, job_index, log_prob, entropy
-
-    def _select_limit(
-        self, limit_logits, limits: np.ndarray, rng, greedy: bool, training: bool
-    ):
-        """Pick a parallelism limit from its logits; returns (limit, lp, ent).
-
-        ``limit_logits`` is a Tensor when training (the log-prob must stay on
-        the autograd graph) and may be a plain ndarray at inference.
-        """
-        limit_mask = np.ones(len(limits), dtype=bool)
-        if not training:
-            data = (
-                limit_logits.data if isinstance(limit_logits, Tensor) else limit_logits
-            )
-            log_probs = masked_log_softmax_data(data, limit_mask)
-            limit_row = self._choose(log_probs, limit_mask, rng, greedy)
-            return int(limits[limit_row]), None, None
-        limit_log_probs = masked_log_softmax(limit_logits, limit_mask)
-        limit_row = self._choose(limit_log_probs.data, limit_mask, rng, greedy)
-        return (
-            int(limits[limit_row]),
-            limit_log_probs[limit_row],
-            entropy_from_log_probs(limit_log_probs, limit_mask),
-        )
-
-    def _select_class(
-        self,
-        graph: GraphFeatures,
-        embeddings,
-        job_index: int,
-        node: Node,
-        observation: Observation,
-        rng,
-        greedy: bool,
-        training: bool,
-    ):
-        """Executor-class selection (multi-resource only); ``None`` when n/a."""
-        if not (self.config.multi_resource and observation.executor_classes):
-            return None
-        classes = [
-            cls
-            for cls in observation.executor_classes
-            if cls.fits(node) and observation.free_executors_by_class.get(cls, 0) > 0
-        ]
-        if not classes:
-            return None
-        class_logits = self.policy.class_logits(graph, embeddings, job_index, classes)
-        class_mask = np.ones(len(classes), dtype=bool)
-        if not training:
-            log_probs = masked_log_softmax_data(class_logits.data, class_mask)
-            class_row = self._choose(log_probs, class_mask, rng, greedy)
-            return classes[class_row], None, None
-        class_log_probs = masked_log_softmax(class_logits, class_mask)
-        class_row = self._choose(class_log_probs.data, class_mask, rng, greedy)
-        return (
-            classes[class_row],
-            class_log_probs[class_row],
-            entropy_from_log_probs(class_log_probs, class_mask),
-        )
-
-    def act_on_graph(
-        self,
-        graph: GraphFeatures,
-        embeddings,
-        node_logits,
-        observation: Observation,
-        rng: Optional[np.random.Generator] = None,
-        greedy: bool = False,
-        training: bool = False,
-        node_rows: Optional[slice] = None,
-    ) -> tuple[Optional[Action], Optional[StepInfo]]:
-        """Select an action from a prebuilt forward pass.
-
-        ``graph`` / ``embeddings`` / ``node_logits`` may cover *more* than this
-        observation: when they come from a cross-session mega-graph, pass
-        ``node_rows`` to restrict the decision to one session's node-row range
-        (job and global rows follow from the graph's own segment ids).  The
-        stage softmax, limit head and class head then see exactly the rows a
-        per-session forward pass would have produced, which is what makes
-        batched decisions match serial ones at fixed seeds.
-        """
-        rng = rng if rng is not None else self._eval_rng
-        node_rows = node_rows if node_rows is not None else slice(0, graph.num_nodes)
-        if self.logits_tap is not None:
-            self.logits_tap(node_logits.data[node_rows])
-        selected = self._select_stage(
-            graph, node_logits, node_rows, rng, greedy, training
-        )
-        if selected is None:
-            return None, None
-        node, job_index, log_prob, entropy = selected
-        job = graph.jobs[job_index]
-
-        if self.config.use_parallelism_control:
-            limits = self.candidate_limits(job)
-            limit_inputs = self._limit_inputs(limits)
-            limit_logits = self.policy.limit_logits(graph, embeddings, job_index, limit_inputs)
-            parallelism_limit, limit_lp, limit_ent = self._select_limit(
-                limit_logits, limits, rng, greedy, training
-            )
-            if training:
-                log_prob = log_prob + limit_lp
-                entropy = entropy + limit_ent
-        else:
-            parallelism_limit = self.total_executors
-
-        executor_class = None
-        class_choice = self._select_class(
-            graph, embeddings, job_index, node, observation, rng, greedy, training
-        )
-        if class_choice is not None:
-            executor_class, class_lp, class_ent = class_choice
-            if training:
-                log_prob = log_prob + class_lp
-                entropy = entropy + class_ent
-
-        action = Action(
-            node=node, parallelism_limit=parallelism_limit, executor_class=executor_class
-        )
-        info = StepInfo(log_prob=log_prob, entropy=entropy) if training else None
-        return action, info
 
     def act_batch(
         self,
@@ -649,10 +421,10 @@ class DecimaAgent(Module, Scheduler):
         summaries, the node-scoring head AND the parallelism-limit head all
         run once over the union, then each observation's decision is split
         back out of its row ranges with its own rng stream.  Per-graph global
-        embeddings and per-session softmax slices mean the decisions are the
-        same as calling :meth:`act` per observation with the same rngs and
-        caches — batching is pure throughput, never a behaviour change (see
-        ``docs/ARCHITECTURE.md``, "Serving layer").
+        embeddings and per-session softmax slices mean a session's decisions
+        do not depend on what else shares its batch — batching is pure
+        throughput, never a behaviour change (see ``docs/ARCHITECTURE.md``,
+        "Serving layer").
 
         ``rngs`` / ``graph_caches`` / ``spans`` align with ``observations``;
         entries may be ``None``.  Observations with no schedulable node yield
@@ -668,11 +440,11 @@ class DecimaAgent(Module, Scheduler):
         if len(rngs) != len(observations) or len(graph_caches) != len(observations):
             raise ValueError("observations, rngs and graph_caches must align")
         if not greedy and any(rng is None for rng in rngs):
-            # Sampling from the shared eval rng would consume it in phase
-            # order (all stage draws, then all limit draws) instead of the
-            # serial per-observation order, silently breaking the
-            # batched == serial guarantee.  Greedy decisions draw nothing,
-            # so only sampling requires explicit per-observation streams.
+            # Sampling from one shared rng would consume it in phase order
+            # (all stage draws, then all limit draws) instead of per
+            # observation, so a session's stream would depend on its batch
+            # mates.  Greedy decisions draw nothing, so only sampling
+            # requires explicit per-observation streams.
             raise ValueError(
                 "sampled act_batch needs one rng per observation; pass rngs="
             )
@@ -686,22 +458,53 @@ class DecimaAgent(Module, Scheduler):
         ]
         if not active:
             return results
-        fast = self._use_data_path(training)
         clock = self.stage_timings.clock(spans if spans is not None else ())
+        # Arena buffers are only handed out when no autograd graph outlives
+        # the decision (training keeps references to the feature arrays).
         components = [
             self.build_features(
                 observations[index],
                 graph_cache=graph_caches[index],
-                reuse_buffers=fast,
+                reuse_buffers=not training,
             )
             for index in active
         ]
         batch = GraphBatch.merge(
-            components, structure_cache=merge_cache, reuse_buffers=fast
+            components, structure_cache=merge_cache, reuse_buffers=not training
         )
-        graph = batch.features
         clock.mark()
-        if fast:
+        embeddings, node_logits = self._forward(batch.features, training, clock)
+        decisions = self._select(
+            batch.features,
+            embeddings,
+            node_logits,
+            [observations[index] for index in active],
+            batch.node_slices,
+            [rngs[index] for index in active],
+            greedy,
+            training,
+        )
+        for index, decision in zip(active, decisions):
+            results[index] = decision
+        clock.finish()
+        return results
+
+    def _forward(
+        self, graph: GraphFeatures, training: bool, clock: _StageClock
+    ) -> tuple[GraphEmbeddings, Tensor]:
+        """Embeddings and node logits of ``graph``; marks ``clock`` twice.
+
+        Training runs the autograd ops (gradients), and so does the dense
+        oracle, which has no data-path implementation.  Everything else runs
+        the arena-buffered data path, whose numbers — and therefore decisions
+        — match the autograd ops (differential pair
+        ``inference_kernels_vs_tensor``).
+        """
+        if training or not self.config.sparse_message_passing:
+            embeddings = self.gnn(graph)
+            clock.mark()
+            node_logits = self.policy.node_logits(graph, embeddings)
+        else:
             node_emb, job_emb, global_emb = self.gnn.forward_data(graph)
             embeddings = GraphEmbeddings(
                 node_embeddings=Tensor(node_emb),
@@ -709,97 +512,183 @@ class DecimaAgent(Module, Scheduler):
                 global_embedding=Tensor(global_emb),
             )
             clock.mark()
+            # A trace recorder's tap digests each observation's full logit
+            # slice, so only the untapped hot path restricts scoring to the
+            # schedulable rows.
+            rows = (
+                None
+                if self.logits_tap is not None
+                else np.flatnonzero(graph.schedulable_mask)
+            )
             node_logits = Tensor(
                 self.policy.node_logits_data(
-                    graph,
-                    node_emb,
-                    job_emb,
-                    global_emb,
-                    self.gnn.workspace,
-                    rows=np.flatnonzero(graph.schedulable_mask),
+                    graph, node_emb, job_emb, global_emb, self.gnn.workspace, rows=rows
                 )
             )
-        else:
-            embeddings = self.gnn(graph)
-            clock.mark()
-            node_logits = self.policy.node_logits(graph, embeddings)
         clock.mark()
+        return embeddings, node_logits
 
-        # Phase 1: per-session stage selection (each session's own rng draw).
-        stage_choices: list = []  # (index, node, job_index, log_prob, entropy)
-        for position, index in enumerate(active):
-            rng = rngs[index] if rngs[index] is not None else self._eval_rng
-            selected = self._select_stage(
-                graph, node_logits, batch.node_slices[position], rng, greedy, training
+    def act_on_graph(
+        self,
+        graph: GraphFeatures,
+        embeddings: GraphEmbeddings,
+        node_logits: Tensor,
+        observation: Observation,
+        rng: Optional[np.random.Generator] = None,
+        greedy: bool = False,
+        training: bool = False,
+        node_rows: Optional[slice] = None,
+    ) -> tuple[Optional[Action], Optional[StepInfo]]:
+        """Select one observation's action from a prebuilt forward pass.
+
+        The single-slice entry to :meth:`_select`.  ``graph`` / ``embeddings``
+        / ``node_logits`` may cover *more* than this observation: when they
+        come from a cross-session mega-graph, pass ``node_rows`` to restrict
+        the decision to one session's node-row range (job and global rows
+        follow from the graph's own segment ids).
+        """
+        return self._select(
+            graph,
+            embeddings,
+            node_logits,
+            [observation],
+            [node_rows if node_rows is not None else slice(0, graph.num_nodes)],
+            [rng if rng is not None else self._eval_rng],
+            greedy,
+            training,
+        )[0]
+
+    def _select(
+        self,
+        graph: GraphFeatures,
+        embeddings: GraphEmbeddings,
+        node_logits: Tensor,
+        observations: Sequence[Observation],
+        node_slices: Sequence[slice],
+        rngs: Sequence[Optional[np.random.Generator]],
+        greedy: bool,
+        training: bool,
+    ) -> list[tuple[Optional[Action], Optional[StepInfo]]]:
+        """Stage → limit → class selection for every observation of a forward.
+
+        ``node_slices[k]`` is observation ``k``'s node-row range of ``graph``.
+        The stage softmax, limit head and class head of an observation see
+        exactly the rows a forward pass over that observation alone would
+        have produced, and its rng is drawn from in the fixed order stage,
+        limit, class — which is what makes a decision independent of the
+        batch it was taken in.  The log-prob/entropy tensors are only
+        assembled when ``training``.
+        """
+        count = len(observations)
+        nodes: list[Optional[Node]] = [None] * count
+        job_rows = [0] * count  # global job row of each chosen node
+        limits = [self.total_executors] * count
+        infos: list[Optional[StepInfo]] = [None] * count
+
+        # Phase 1: per-observation stage selection (masked softmax over the
+        # schedulable nodes, Eq. 2).
+        for position, node_rows in enumerate(node_slices):
+            if self.logits_tap is not None:
+                self.logits_tap(node_logits.data[node_rows])
+            node_mask = graph.schedulable_mask[node_rows]
+            if not node_mask.any():
+                continue
+            node_row, infos[position] = self._draw(
+                node_logits, node_rows, rngs[position], greedy, training, node_mask
             )
-            if selected is not None:
-                stage_choices.append((index, *selected))
+            global_row = node_rows.start + node_row
+            nodes[position] = graph.nodes[global_row]
+            job_rows[position] = int(graph.job_ids[global_row])
+        chosen = [position for position in range(count) if nodes[position] is not None]
 
-        # Phase 2: limit selection — ONE stacked pass through the limit head
-        # for every session's candidate limits, then per-session softmax +
-        # draw.  Each session's rng sees exactly the serial draw order (stage
-        # first, limit second).
-        limit_terms: dict[int, tuple] = {}
-        if self.config.use_parallelism_control and stage_choices:
-            candidate_limits = [
-                self.candidate_limits(graph.jobs[job_index])
-                for (_, _, job_index, _, _) in stage_choices
+        # Phase 2: ONE stacked pass through the limit head for every
+        # observation's candidate limits, then per-observation softmax + draw.
+        if self.config.use_parallelism_control and chosen:
+            candidates = [
+                self.candidate_limits(graph.jobs[job_rows[position]])
+                for position in chosen
             ]
-            job_rows = np.concatenate(
-                [
-                    np.full(len(limits), job_index, dtype=np.intp)
-                    for (_, _, job_index, _, _), limits in zip(
-                        stage_choices, candidate_limits
-                    )
-                ]
-            )
-            stacked_inputs = np.vstack(
-                [self._limit_inputs(limits) for limits in candidate_limits]
-            )
             stacked_logits = self.policy.limit_logits_rows(
-                graph, embeddings, job_rows, stacked_inputs
+                graph,
+                embeddings,
+                np.repeat(
+                    np.array([job_rows[position] for position in chosen], dtype=np.intp),
+                    [len(candidate) for candidate in candidates],
+                ),
+                np.vstack([self._limit_inputs(candidate) for candidate in candidates]),
             )
             offset = 0
-            for (index, _, _, _, _), limits in zip(stage_choices, candidate_limits):
-                rows = slice(offset, offset + len(limits))
-                offset += len(limits)
-                rng = rngs[index] if rngs[index] is not None else self._eval_rng
-                session_logits = (
-                    stacked_logits[rows] if training else stacked_logits.data[rows]
+            for position, candidate in zip(chosen, candidates):
+                rows = slice(offset, offset + len(candidate))
+                offset = rows.stop
+                limit_row, info = self._draw(
+                    stacked_logits, rows, rngs[position], greedy, training
                 )
-                limit_terms[index] = self._select_limit(
-                    session_logits, limits, rng, greedy, training
-                )
+                limits[position] = int(candidate[limit_row])
+                if training:
+                    infos[position] = infos[position] + info
 
-        # Phase 3: assemble actions (+ the rare multi-resource class head).
-        for index, node, job_index, log_prob, entropy in stage_choices:
-            rng = rngs[index] if rngs[index] is not None else self._eval_rng
-            if self.config.use_parallelism_control:
-                parallelism_limit, limit_lp, limit_ent = limit_terms[index]
-                if training:
-                    log_prob = log_prob + limit_lp
-                    entropy = entropy + limit_ent
-            else:
-                parallelism_limit = self.total_executors
+        # Phase 3: the (rare) multi-resource class head, then the actions.
+        results: list[tuple[Optional[Action], Optional[StepInfo]]] = [
+            (None, None)
+        ] * count
+        for position in chosen:
             executor_class = None
-            class_choice = self._select_class(
-                graph, embeddings, job_index, node, observations[index], rng, greedy,
-                training,
-            )
-            if class_choice is not None:
-                executor_class, class_lp, class_ent = class_choice
+            classes = self._eligible_classes(observations[position], nodes[position])
+            if classes:
+                class_logits = self.policy.class_logits(
+                    graph, embeddings, job_rows[position], classes
+                )
+                class_row, info = self._draw(
+                    class_logits, slice(0, len(classes)), rngs[position], greedy,
+                    training,
+                )
+                executor_class = classes[class_row]
                 if training:
-                    log_prob = log_prob + class_lp
-                    entropy = entropy + class_ent
+                    infos[position] = infos[position] + info
             action = Action(
-                node=node,
-                parallelism_limit=parallelism_limit,
+                node=nodes[position],
+                parallelism_limit=limits[position],
                 executor_class=executor_class,
             )
-            info = StepInfo(log_prob=log_prob, entropy=entropy) if training else None
-            results[index] = (action, info)
-        clock.finish()
+            results[position] = (action, infos[position])
         return results
+
+    def _eligible_classes(self, observation: Observation, node: Node) -> list:
+        """Executor classes ``node`` may be placed on now (multi-resource only)."""
+        if not (self.config.multi_resource and observation.executor_classes):
+            return []
+        return [
+            cls
+            for cls in observation.executor_classes
+            if cls.fits(node) and observation.free_executors_by_class.get(cls, 0) > 0
+        ]
+
+    def _draw(
+        self,
+        logits: Tensor,
+        rows: slice,
+        rng: Optional[np.random.Generator],
+        greedy: bool,
+        training: bool,
+        mask: Optional[np.ndarray] = None,
+    ) -> tuple[int, Optional[StepInfo]]:
+        """Softmax over ``logits[rows]`` and one draw from it.
+
+        ``mask`` marks the valid entries (default: all).  Returns the chosen
+        row and, when ``training``, its log-probability and the entropy of
+        the distribution as tensors on the autograd graph; inference takes
+        the same numbers through the graph-free softmax and skips that
+        bookkeeping.
+        """
+        if mask is None:
+            mask = np.ones(rows.stop - rows.start, dtype=bool)
+        if not training:
+            log_probs = masked_log_softmax_data(logits.data[rows], mask)
+            return self._choose(log_probs, mask, rng, greedy), None
+        log_probs = masked_log_softmax(logits[rows], mask)
+        row = self._choose(log_probs.data, mask, rng, greedy)
+        return row, StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
 
     @staticmethod
     def _choose(

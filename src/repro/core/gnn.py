@@ -21,7 +21,7 @@ import numpy as np
 
 from ..autograd import Tensor, concat, gather_rows, scatter_add_rows, segment_sum
 from .features import GraphFeatures
-from .kernels import Workspace, get_backend, mlp_forward
+from .kernels import Workspace, gather_segment_sum, mlp_forward
 from .nn import MLP, Module
 
 __all__ = ["GNNConfig", "GraphEmbeddings", "GraphNeuralNetwork"]
@@ -44,11 +44,6 @@ class GNNConfig:
     # original dense formulation (full-width MLP passes and an O(N²) adjacency
     # matmul per height), kept as the numerical-equivalence oracle.
     sparse_message_passing: bool = True
-    # Kernel backend for the inference data path (:meth:`forward_data`):
-    # "numpy" is the reference; "numba" selects the optional JIT-compiled
-    # gather/segment-sum + masked-softmax kernels and falls back to numpy when
-    # numba is not installed.  Training always runs on the autograd path.
-    kernel_backend: str = "numpy"
 
 
 @dataclass
@@ -84,17 +79,8 @@ class GraphNeuralNetwork(Module):
         # Global summary transforms (inputs: job embeddings).
         self.global_f = MLP(dim, dim, rng, hidden_sizes=hidden)
         self.global_g = MLP(dim, dim, rng, hidden_sizes=hidden)
-        # Inference-only arena + kernel backend (resolved lazily so a config
-        # naming the optional "numba" backend still constructs when the
-        # dependency is absent — get_backend falls back to numpy).
+        # Inference-only arena of the data path (:meth:`forward_data`).
         self.workspace = Workspace()
-        self._kernels = None
-
-    @property
-    def kernels(self):
-        if self._kernels is None:
-            self._kernels = get_backend(self.config.kernel_backend)
-        return self._kernels
 
     # ------------------------------------------------------------------ nodes
     def node_embeddings(self, graph: GraphFeatures) -> Tensor:
@@ -208,7 +194,6 @@ class GraphNeuralNetwork(Module):
         config = self.config
         if not config.sparse_message_passing:
             raise ValueError("forward_data implements the sparse path only")
-        kernels = self.kernels
         workspace = self.workspace
         features = graph.node_features
         embeddings = mlp_forward(self.prep, features, workspace, "prep")
@@ -226,7 +211,7 @@ class GraphNeuralNetwork(Module):
             scratch = workspace.get(
                 f"lvl{index}:edges", (len(level.message_rows), config.embedding_dim)
             )
-            kernels.gather_segment_sum(
+            gather_segment_sum(
                 messages, level.message_rows, level.target_segments, aggregated, scratch
             )
             if config.two_level_aggregation:

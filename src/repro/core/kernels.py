@@ -1,4 +1,4 @@
-"""Inference kernels and arena buffers for the per-decision hot path.
+"""Inference arena buffers and array kernels for the per-decision hot path.
 
 The training path runs on :mod:`repro.autograd` tensors, which allocate a
 fresh array per op and record a backward closure.  At inference none of that
@@ -14,36 +14,19 @@ inference data path:
   buffers, **bit-identical** to the autograd MLP (same ``x @ W + b`` and
   ``x * where(x > 0, 1, slope)`` operations, in the same order, only with
   preallocated outputs);
-* kernel backends (:func:`get_backend`) for the two aggregation primitives
-  the sparse GNN leans on — the frontier gather+segment-sum and the masked
-  log-softmax.  The ``numpy`` backend is the reference; the ``numba``
-  backend JIT-compiles fused sequential loops (optional dependency, install
-  with ``pip install -e .[kernels]``) and falls back to numpy transparently
-  when numba is absent.
+* :func:`gather_segment_sum` — the sparse GNN's per-level frontier
+  aggregation (gather per-edge messages, segment-sum into the frontier) on
+  arena buffers.
 
-The numba kernels accumulate in ascending edge order, exactly like
-``np.add.at``, so the two backends agree bit-for-bit on the segment sums;
-the differential pair ``kernel_vs_numpy_gnn`` pins that down on every
-registry scenario.
+The differential pair ``inference_kernels_vs_tensor`` pins this path to the
+training forward on every registry scenario.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
-from ..autograd.functional import masked_log_softmax_data
-
-__all__ = [
-    "Workspace",
-    "KernelBackend",
-    "get_backend",
-    "kernel_backend_names",
-    "numba_available",
-    "mlp_forward",
-    "leaky_relu_inplace",
-]
+__all__ = ["Workspace", "mlp_forward", "leaky_relu_inplace", "gather_segment_sum"]
 
 
 class Workspace:
@@ -123,156 +106,20 @@ def mlp_forward(mlp, inputs: np.ndarray, workspace: Workspace, tag: str) -> np.n
     return out
 
 
-# ------------------------------------------------------------ kernel backends
-class KernelBackend:
-    """The two aggregation primitives behind the dense/sparse oracle seam.
-
-    ``gather_segment_sum`` implements the per-level message aggregation
-    ``out[segments[k]] += messages[rows[k]]`` (``out`` is zeroed first);
-    ``masked_log_softmax`` mirrors
-    :func:`~repro.autograd.functional.masked_log_softmax_data`.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        gather_segment_sum: Callable,
-        masked_log_softmax: Callable,
-        compiled: bool,
-    ):
-        self.name = name
-        self.gather_segment_sum = gather_segment_sum
-        self.masked_log_softmax = masked_log_softmax
-        self.compiled = compiled
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KernelBackend({self.name!r}, compiled={self.compiled})"
-
-
-def _numpy_gather_segment_sum(
+def gather_segment_sum(
     messages: np.ndarray,
     message_rows: np.ndarray,
     target_segments: np.ndarray,
     out: np.ndarray,
-    scratch: Optional[np.ndarray] = None,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """Reference kernel: gather per-edge messages, segment-sum into ``out``."""
-    out[:] = 0.0
-    if scratch is not None:
-        np.take(messages, message_rows, axis=0, out=scratch)
-        gathered = scratch
-    else:
-        gathered = messages[message_rows]
-    np.add.at(out, target_segments, gathered)
-    return out
+    """Per-level message aggregation ``out[segments[k]] += messages[rows[k]]``.
 
-
-_NUMBA_KERNELS: Optional[tuple] = None
-
-
-def numba_available() -> bool:
-    """True when the optional numba dependency imports."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def _build_numba_kernels() -> Optional[tuple]:
-    """Compile the fused kernels once; ``None`` when numba is absent."""
-    global _NUMBA_KERNELS
-    if _NUMBA_KERNELS is not None:
-        return _NUMBA_KERNELS
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-
-    @njit(cache=False)
-    def gather_segment_sum(messages, message_rows, target_segments, out):
-        # Sequential accumulation in edge order == np.add.at semantics, so
-        # the compiled backend is bit-identical to the numpy reference.
-        out[:] = 0.0
-        width = messages.shape[1]
-        for k in range(message_rows.shape[0]):
-            src = message_rows[k]
-            dst = target_segments[k]
-            for d in range(width):
-                out[dst, d] += messages[src, d]
-        return out
-
-    @njit(cache=False)
-    def masked_log_softmax_1d(logits, mask, out):
-        neg_inf = -1.0e9
-        n = logits.shape[0]
-        highest = -np.inf
-        for i in range(n):
-            shifted = logits[i] if mask[i] else logits[i] + neg_inf
-            out[i] = shifted
-            if shifted > highest:
-                highest = shifted
-        norm = 0.0
-        for i in range(n):
-            out[i] -= highest
-            norm += np.exp(out[i])
-        log_norm = np.log(norm)
-        for i in range(n):
-            out[i] -= log_norm
-        return out
-
-    _NUMBA_KERNELS = (gather_segment_sum, masked_log_softmax_1d)
-    return _NUMBA_KERNELS
-
-
-def _numba_gather_segment_sum(messages, message_rows, target_segments, out, scratch=None):
-    kernels = _build_numba_kernels()
-    assert kernels is not None
-    return kernels[0](messages, message_rows, target_segments, out)
-
-
-def _numba_masked_log_softmax(logits, mask, axis: int = -1):
-    kernels = _build_numba_kernels()
-    assert kernels is not None
-    logits = np.ascontiguousarray(np.asarray(logits, dtype=np.float64))
-    mask = np.ascontiguousarray(np.asarray(mask, dtype=bool))
-    if logits.ndim != 1:  # pragma: no cover - the hot path is 1-D
-        return masked_log_softmax_data(logits, mask, axis=axis)
-    if not mask.any():
-        raise ValueError("masked softmax requires at least one valid entry")
-    return kernels[1](logits, mask, np.empty_like(logits))
-
-
-_NUMPY_BACKEND = KernelBackend(
-    "numpy", _numpy_gather_segment_sum, masked_log_softmax_data, compiled=False
-)
-
-
-def kernel_backend_names() -> tuple[str, ...]:
-    """Backends accepted by :func:`get_backend` (and ``GNNConfig``)."""
-    return ("numpy", "numba")
-
-
-def get_backend(name: str = "numpy") -> KernelBackend:
-    """Resolve a kernel backend by name.
-
-    ``"numba"`` returns the JIT-compiled kernels when numba is importable and
-    **silently falls back to the numpy reference otherwise** — the optional
-    dependency must never change behaviour, only speed (the two backends are
-    bit-identical by construction, see the module docstring).
+    ``out`` is zeroed first; ``scratch`` is a ``(len(message_rows), width)``
+    buffer for the gathered per-edge messages.  ``np.add.at`` accumulates in
+    ascending edge order, exactly like the autograd ``segment_sum``.
     """
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if numba_available():
-            return KernelBackend(
-                "numba",
-                _numba_gather_segment_sum,
-                _numba_masked_log_softmax,
-                compiled=True,
-            )
-        return _NUMPY_BACKEND
-    raise ValueError(
-        f"unknown kernel backend {name!r}; known backends: "
-        f"{', '.join(kernel_backend_names())} (plus 'tensor' at the agent level)"
-    )
+    out[:] = 0.0
+    np.take(messages, message_rows, axis=0, out=scratch)
+    np.add.at(out, target_segments, scratch)
+    return out

@@ -135,24 +135,6 @@ class PolicyNetwork(Module):
         return logits
 
     # ----------------------------------------------------------------- limits
-    def limit_logits(
-        self,
-        graph: GraphFeatures,
-        embeddings: GraphEmbeddings,
-        job_index: int,
-        limit_inputs: np.ndarray,
-    ) -> Tensor:
-        """One logit per candidate parallelism limit for job ``job_index``.
-
-        ``limit_inputs`` has one row per candidate limit: a single column with
-        the limit normalised by the cluster size (the paper's encoding), or a
-        one-hot row when ``limit_input_dim > 1`` (the ablation of Fig. 15a).
-        """
-        limit_inputs = np.atleast_2d(np.asarray(limit_inputs, dtype=np.float64))
-        rows = np.full(limit_inputs.shape[0], job_index, dtype=np.intp)
-        # limit_logits_rows validates the input width.
-        return self.limit_logits_rows(graph, embeddings, rows, limit_inputs)
-
     def limit_logits_rows(
         self,
         graph: GraphFeatures,
@@ -160,13 +142,15 @@ class PolicyNetwork(Module):
         job_rows: np.ndarray,
         limit_inputs: np.ndarray,
     ) -> Tensor:
-        """Score arbitrary (job, limit) pairs in one pass through ``w``.
+        """Score (job, limit) pairs in one pass through ``w``.
 
-        Row ``i`` scores ``limit_inputs[i]`` for job row ``job_rows[i]`` — the
-        cross-session request broker stacks every pending session's candidate
-        limits into a single call, then splits the logits back per session.
-        Row results are independent, so this is numerically the same as one
-        :meth:`limit_logits` call per job.
+        Row ``i`` scores ``limit_inputs[i]`` for job row ``job_rows[i]``.  A
+        limit input is a single column with the limit normalised by the
+        cluster size (the paper's encoding), or a one-hot row when
+        ``limit_input_dim > 1`` (the ablation of Fig. 15a).  The agent stacks
+        every pending observation's candidate limits into a single call and
+        splits the logits back per observation; row results are independent,
+        so that is numerically the same as one call per job.
         """
         limit_inputs = np.atleast_2d(np.asarray(limit_inputs, dtype=np.float64))
         job_rows = np.asarray(job_rows, dtype=np.intp)

@@ -343,28 +343,6 @@ class RequestBroker:
             results.append(DecisionResult(action, "policy", elapsed))
         return results
 
-    def _policy_serial(
-        self, request: DecisionRequest, record_to_breaker: bool
-    ) -> DecisionResult:
-        span = self._broker_span(request, "broker.decide")
-        start = time.perf_counter()
-        action, _ = self.agent.act(
-            request.observation,
-            rng=request.session.rng,
-            greedy=self.greedy,
-            graph_cache=request.session.graph_cache,
-            span=span,
-        )
-        elapsed = time.perf_counter() - start
-        if record_to_breaker and self.breaker is not None:
-            self.breaker.record_policy(elapsed)
-        request.session.record_decision("policy", elapsed)
-        if span is not None:
-            span.set_tag("source", "policy")
-            span.set_tag("policy_version", self.policy_version)
-            span.finish(duration_ms=elapsed * 1000.0)
-        return DecisionResult(action, "policy", elapsed)
-
     def _fallback(self, request: DecisionRequest) -> DecisionResult:
         span = self._broker_span(request, "broker.fallback")
         start = time.perf_counter()
@@ -431,9 +409,9 @@ class RequestBroker:
                 request = requests[index]
                 allows = self.breaker is None or self.breaker.allow_policy()
                 if request.session.fallback is None or allows:
-                    results[index] = self._policy_serial(
-                        request, record_to_breaker=allows
-                    )
+                    results[index] = self._policy_batched(
+                        [request], record_to_breaker=allows
+                    )[0]
                 else:
                     results[index] = self._fallback(request)
         return self._finish(requests, results)

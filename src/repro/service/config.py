@@ -1,10 +1,10 @@
 """One construction story for every serving topology.
 
 :class:`ServingConfig` is the single declarative description of a deployment
-— shard count, admission limit, SLO window, batch window, kernel backend,
-checkpoint store path — so no caller (examples, the test factory, CI smoke
-scripts) hand-assembles a kwarg dict, and :func:`build_server` turns it into
-the right topology:
+— shard count, admission limit, SLO window, batch window, checkpoint store
+path — so no caller (examples, the test factory, CI smoke scripts)
+hand-assembles a kwarg dict, and :func:`build_server` turns it into the right
+topology:
 
 * ``num_shards == 1`` → one in-process
   :class:`~repro.service.server.PolicyServer`;
@@ -12,19 +12,16 @@ the right topology:
   shard processes each run the same :class:`PolicyServer`.
 
 The agent can be passed in directly or loaded from ``checkpoint_dir`` (a
-:class:`~repro.core.checkpoints.CheckpointStore` directory); setting
-``kernel_backend`` rebuilds the agent with that GNN kernel backend, since the
-backend is bound at construction time.
+:class:`~repro.core.checkpoints.CheckpointStore` directory).
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..core.agent import DecimaAgent
-from ..core.checkpoints import CheckpointStore, agent_spec, build_agent
+from ..core.checkpoints import CheckpointStore
 
 __all__ = ["ServingConfig", "build_server"]
 
@@ -51,7 +48,6 @@ class ServingConfig:
     batch_window_ms: float = 2.0
     adaptive_batch_window: bool = True
     # Agent sourcing.
-    kernel_backend: Optional[str] = None
     checkpoint_dir: Optional[str] = None
     # Online learning (fleet only): record per-decision experience in each
     # shard so an OnlineLearningManager can drain it for background updates.
@@ -89,8 +85,7 @@ class ServingConfig:
         """The agent this deployment serves.
 
         Falls back to the ``checkpoint_dir`` store's latest version when no
-        agent is passed; applies the ``kernel_backend`` override by rebuilding
-        (the GNN binds its kernels at construction).
+        agent is passed.
         """
         if agent is None:
             if self.checkpoint_dir is None:
@@ -98,14 +93,6 @@ class ServingConfig:
                     "pass an agent or set checkpoint_dir so one can be loaded"
                 )
             agent = CheckpointStore(self.checkpoint_dir).load()
-        if (
-            self.kernel_backend is not None
-            and self.kernel_backend != agent.config.kernel_backend
-        ):
-            spec = agent_spec(agent)
-            spec.config = copy.deepcopy(spec.config)
-            spec.config.kernel_backend = self.kernel_backend
-            agent = build_agent(spec, agent.state_dict())
         return agent
 
 

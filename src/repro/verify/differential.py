@@ -127,21 +127,34 @@ def _build_decima(
     sparse: bool,
     cache: bool,
     multi: Optional[bool] = None,
-    kernel_backend: str = "numpy",
+    agent_class: type = DecimaAgent,
 ) -> DecimaAgent:
     classes = config.executor_classes or []
     if multi is None:
         multi = len({cls for cls, _ in classes}) > 1
-    return DecimaAgent(
+    return agent_class(
         total_executors=config.num_executors,
         config=DecimaConfig(
             seed=0,
             sparse_message_passing=sparse,
             use_graph_cache=cache,
             multi_resource=multi,
-            kernel_backend=kernel_backend,
         ),
     )
+
+
+class _TrainingForwardAgent(DecimaAgent):
+    """Schedules through ``act(training=True)``: the forward REINFORCE trains
+    on (autograd ops, fresh arrays) is the oracle of the inference data path."""
+
+    def schedule(self, observation):
+        action, _ = self.act(
+            observation,
+            rng=self._eval_rng,
+            greedy=self.config.greedy_evaluation,
+            training=True,
+        )
+        return action
 
 
 def _record(task: DifferentialTask, scheduler, label: str) -> EpisodeTrace:
@@ -179,13 +192,13 @@ def _decima_stream(
     sparse: bool,
     cache: bool,
     label: str,
-    kernel_backend: str = "numpy",
+    agent_class: type = DecimaAgent,
 ):
     spec = task.resolve_spec()
     simulator_config = spec.build_config(seed=task.seed)
     return _record(
         task,
-        _build_decima(simulator_config, sparse, cache, kernel_backend=kernel_backend),
+        _build_decima(simulator_config, sparse, cache, agent_class=agent_class),
         label,
     )
 
@@ -476,12 +489,8 @@ register_variant("decima:default", lambda task: _decima_stream(task, True, True,
 register_variant("decima:dense_gnn", lambda task: _decima_stream(task, False, True, "decima:dense_gnn"))
 register_variant("decima:scratch_features", lambda task: _decima_stream(task, True, False, "decima:scratch_features"))
 register_variant("decima:reference", lambda task: _decima_stream(task, False, False, "decima:reference"))
-# Kernel-backend variants: "numba" JIT-compiles the frontier gather/segment-sum
-# and masked-softmax kernels (falling back to numpy silently when the optional
-# dependency is absent, so this variant is always runnable); "tensor" routes
-# inference through the full autograd oracle instead of the data path.
-register_variant("decima:kernel_gnn", lambda task: _decima_stream(task, True, True, "decima:kernel_gnn", kernel_backend="numba"))
-register_variant("decima:tensor_forward", lambda task: _decima_stream(task, True, True, "decima:tensor_forward", kernel_backend="tensor"))
+# The inference data path's oracle: every decision through the training forward.
+register_variant("decima:tensor_forward", lambda task: _decima_stream(task, True, True, "decima:tensor_forward", agent_class=_TrainingForwardAgent))
 register_variant("rollout:serial", _rollout_serial)
 register_variant("rollout:parallel", _rollout_parallel)
 register_variant("service:batched", lambda task: _service_stream(task, True))
@@ -506,10 +515,6 @@ IMPLEMENTATION_PAIRS: Dict[str, dict] = {
     },
     "fast_vs_reference": {
         "variants": ("decima:default", "decima:reference"),
-        "fields": DEFAULT_COMPARE_FIELDS,
-    },
-    "kernel_vs_numpy_gnn": {
-        "variants": ("decima:kernel_gnn", "decima:default"),
         "fields": DEFAULT_COMPARE_FIELDS,
     },
     "inference_kernels_vs_tensor": {

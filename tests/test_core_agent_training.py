@@ -107,6 +107,35 @@ class TestDecimaAgent:
         overflow = agent._limit_inputs(np.array([agent.total_executors + 5]))
         assert overflow[0, -1] == 1.0
 
+    def test_score_action_is_the_training_path_of_act(self):
+        env, _, jobs = small_env_and_jobs()
+        agent = DecimaAgent(total_executors=6)
+        observation = env.reset(jobs)
+        action, info = agent.act(observation, greedy=True, training=True)
+        log_prob, entropy = agent.score_action(
+            observation, action.node, action.parallelism_limit
+        )
+        assert log_prob.item() == info.log_prob.item()
+        assert entropy.item() == info.entropy.item()
+
+    def test_score_action_rejects_nodes_it_cannot_have_chosen(self):
+        env, _, jobs = small_env_and_jobs()
+        agent = DecimaAgent(total_executors=6)
+        observation = env.reset(jobs)
+        schedulable = {id(node) for node in observation.schedulable_nodes}
+        blocked = next(
+            node
+            for job in observation.job_dags
+            for node in job.nodes
+            if id(node) not in schedulable
+        )
+        _, _, other_jobs = small_env_and_jobs(seed=1)
+        for node in (blocked, other_jobs[0].nodes[0]):  # in the graph / absent
+            with pytest.raises(ValueError, match="not a schedulable node"):
+                agent.score_action(observation, node, 1)
+        with pytest.raises(ValueError, match="not a candidate"):
+            agent.score_action(observation, observation.schedulable_nodes[0], 10_000)
+
     def test_interarrival_hint_requires_feature_flag(self):
         env, _, jobs = small_env_and_jobs()
         config = DecimaConfig(feature=FeatureConfig(include_interarrival_hint=True))

@@ -204,7 +204,7 @@ class TestPolicyNetwork:
         gnn = GraphNeuralNetwork(GNNConfig(), np.random.default_rng(0))
         policy = PolicyNetwork(PolicyConfig(), np.random.default_rng(1))
         fractions = np.linspace(0.1, 1.0, 5).reshape(-1, 1)
-        logits = policy.limit_logits(graph, gnn(graph), 0, fractions)
+        logits = policy.limit_logits_rows(graph, gnn(graph), np.zeros(5, dtype=int), fractions)
         assert logits.shape == (5,)
 
     def test_limit_logits_validate_width(self):
@@ -213,7 +213,7 @@ class TestPolicyNetwork:
         gnn = GraphNeuralNetwork(GNNConfig(), np.random.default_rng(0))
         policy = PolicyNetwork(PolicyConfig(limit_input_dim=4), np.random.default_rng(1))
         with pytest.raises(ValueError):
-            policy.limit_logits(graph, gnn(graph), 0, np.ones((3, 2)))
+            policy.limit_logits_rows(graph, gnn(graph), np.zeros(3, dtype=int), np.ones((3, 2)))
 
     def test_class_head_disabled_by_default(self):
         policy = PolicyNetwork(PolicyConfig(), np.random.default_rng(0))

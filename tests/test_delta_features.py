@@ -9,21 +9,13 @@ bookkeeping and the kernel/arena primitives behind it.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _helpers import make_decima_agent, make_tpch_env
 from repro.autograd import Tensor
 from repro.core.features import FeatureConfig, GraphCache, build_graph_features
-from repro.core.kernels import (
-    Workspace,
-    get_backend,
-    kernel_backend_names,
-    leaky_relu_inplace,
-    mlp_forward,
-    numba_available,
-)
+from repro.core.kernels import Workspace, gather_segment_sum, leaky_relu_inplace, mlp_forward
 from repro.core.nn import MLP
 from repro.service.session import SessionState
 from repro.simulator.environment import Action
@@ -202,7 +194,7 @@ class TestSessionTouchLogging:
         assert job.drain_feature_touches(position)[1] == []
 
 
-class TestKernelBackends:
+class TestKernels:
     def test_workspace_reuses_until_shape_changes(self):
         workspace = Workspace()
         a = workspace.get("x", (4, 3))
@@ -214,18 +206,6 @@ class TestKernelBackends:
         workspace.clear()
         assert workspace.num_buffers == 0
 
-    def test_get_backend_names_and_fallback(self):
-        assert set(kernel_backend_names()) == {"numpy", "numba"}
-        assert get_backend("numpy").name == "numpy"
-        backend = get_backend("numba")
-        if numba_available():
-            assert backend.name == "numba" and backend.compiled
-        else:
-            # The optional dependency silently degrades to the reference.
-            assert backend.name == "numpy" and not backend.compiled
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            get_backend("cuda")
-
     def test_gather_segment_sum_matches_add_at(self):
         rng = np.random.default_rng(0)
         messages = rng.normal(size=(7, 5))
@@ -233,23 +213,10 @@ class TestKernelBackends:
         segments = rng.integers(0, 4, size=12)
         expected = np.zeros((4, 5))
         np.add.at(expected, segments, messages[rows])
-        for name in kernel_backend_names():
-            out = np.empty((4, 5))
-            scratch = np.empty((12, 5))
-            got = get_backend(name).gather_segment_sum(
-                messages, rows, segments, out, scratch
-            )
-            assert np.array_equal(got, expected), name
-
-    def test_masked_log_softmax_backends_agree(self):
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=9)
-        mask = np.zeros(9, dtype=bool)
-        mask[[1, 4, 7]] = True
-        reference = get_backend("numpy").masked_log_softmax(logits, mask)
-        other = get_backend("numba").masked_log_softmax(logits, mask)
-        assert np.allclose(reference, other, atol=1e-12)
-        assert np.argmax(reference) == np.argmax(other)
+        out = np.full((4, 5), np.nan)  # stale contents must be overwritten
+        got = gather_segment_sum(messages, rows, segments, out, np.empty((12, 5)))
+        assert got is out
+        assert np.array_equal(got, expected)
 
     def test_mlp_forward_bit_identical_to_tensor_mlp(self):
         rng = np.random.default_rng(2)
@@ -269,12 +236,14 @@ class TestKernelBackends:
 
 class TestAgentDataPath:
     def test_fast_act_matches_tensor_backend_actions(self):
+        """The data path decides what the training forward decides."""
         env, observation = make_tpch_env(num_jobs=2, seed=6)
-        fast = make_decima_agent(total_executors=8, kernel_backend="numpy")
-        oracle = make_decima_agent(total_executors=8, kernel_backend="tensor")
+        fast = make_decima_agent(total_executors=8)
+        oracle = make_decima_agent(total_executors=8)
         for _ in range(20):
             a, _ = fast.act(observation, greedy=True)
-            b, _ = oracle.act(observation, greedy=True)
+            b, info = oracle.act(observation, greedy=True, training=True)
+            assert (info is None) == (b is None)
             assert (a is None) == (b is None)
             if a is None:
                 break
@@ -287,7 +256,3 @@ class TestAgentDataPath:
         assert set(snapshot["stages"]) == {
             "features", "propagation", "policy", "sampling"
         }
-
-    def test_unknown_kernel_backend_rejected(self):
-        with pytest.raises(ValueError, match="kernel backend"):
-            make_decima_agent(kernel_backend="cuda")

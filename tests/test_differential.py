@@ -26,7 +26,7 @@ SMALL = dict(num_jobs=3, num_executors=8, max_decisions=40)
 class TestRegistry:
     def test_builtin_variants_registered(self):
         names = variant_names()
-        for name in ("decima:default", "decima:dense_gnn", "decima:kernel_gnn",
+        for name in ("decima:default", "decima:dense_gnn",
                      "decima:tensor_forward", "rollout:serial",
                      "rollout:parallel", "service:batched", "service:serial",
                      "service:online"):
@@ -101,15 +101,30 @@ class TestImplementationPairs:
         assert min(report.num_decisions) > 5
 
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))
-    def test_kernel_backend_matches_numpy_on_every_scenario(self, scenario):
-        """Acceptance (issue 7): the compiled-kernel backend (or its numpy
-        fallback when numba is absent) produces the exact same decision
-        stream as the numpy reference on all registry scenarios — the
-        optional dependency may only change speed, never behaviour."""
+    def test_data_path_matches_training_forward_on_every_scenario(self, scenario):
+        """The arena-buffered inference data path produces the exact same
+        decision stream as the forward REINFORCE trains on
+        (``act(training=True)``: autograd ops, fresh arrays) on all registry
+        scenarios — the data path may only change speed, never behaviour."""
         task = DifferentialTask(scenario=scenario, seed=7, **SMALL)
-        report = run_pair("kernel_vs_numpy_gnn", task)
+        report = run_pair("inference_kernels_vs_tensor", task)
         assert report.ok, report.describe()
         assert min(report.num_decisions) > 5
+
+    def test_the_pair_compares_two_different_forwards(self, monkeypatch):
+        """``decima:tensor_forward`` never enters the data path and
+        ``decima:default`` always does — the pair is not one forward
+        compared with itself."""
+        from repro.core.gnn import GraphNeuralNetwork
+
+        def forbidden(self, graph):
+            raise AssertionError("data path entered")
+
+        monkeypatch.setattr(GraphNeuralNetwork, "forward_data", forbidden)
+        task = DifferentialTask(scenario="tpch_batched", seed=7, **SMALL)
+        assert len(resolve_variant("decima:tensor_forward")(task).decisions) > 5
+        with pytest.raises(AssertionError, match="data path entered"):
+            resolve_variant("decima:default")(task)
 
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))
     def test_online_lr0_matches_frozen_on_every_scenario(self, scenario):

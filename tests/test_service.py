@@ -56,7 +56,13 @@ from repro.service import (
     encode_observation,
     run_load,
 )
-from repro.simulator import SchedulingEnvironment, SimulatorConfig, latency_histogram
+from repro.simulator import (
+    SchedulingEnvironment,
+    SimulatorConfig,
+    latency_histogram,
+    multi_resource_config,
+)
+from repro.simulator.multi_resource import assign_memory_requests
 from repro.simulator.environment import Action
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
@@ -308,32 +314,84 @@ class TestBatchedSerialEquivalence:
         crowd = drive_sessions(batched=True, num_sessions=4)
         assert crowd[0] == alone[0]
 
-    def test_act_batch_matches_act_on_live_observations(self):
-        agent = DecimaAgent(total_executors=8, config=DecimaConfig(seed=0))
-        observations = [make_env(num_jobs=n, seed=s)[1] for n, s in ((1, 4), (3, 5))]
-        serial_caches = [GraphCache() for _ in observations]
-        batch_caches = [GraphCache() for _ in observations]
-        for step in range(3):
-            serial = [
-                agent.act(
-                    observation,
-                    rng=np.random.default_rng([step, index]),
-                    graph_cache=serial_caches[index],
-                )[0]
-                for index, observation in enumerate(observations)
-            ]
-            batched = [
-                result[0]
-                for result in agent.act_batch(
-                    observations,
-                    rngs=[np.random.default_rng([step, index])
-                          for index in range(len(observations))],
-                    graph_caches=batch_caches,
+    @pytest.mark.parametrize("workload", ["tpch", "multi_resource"])
+    @pytest.mark.parametrize("training", [False, True], ids=["inference", "training"])
+    @pytest.mark.parametrize("greedy", [True, False], ids=["greedy", "sampled"])
+    def test_act_batch_matches_act_on_live_observations(self, workload, training, greedy):
+        """``act(obs)`` is ``act_batch([obs])[0]`` and is what the observation
+        gets inside a batch of three: same node, limit and class, the same
+        log-prob/entropy numbers when training, the same rng state afterwards
+        — and a logits tap sees one call per observation with that
+        observation's own row slice, in a batch of one and of three alike."""
+        multi = workload == "multi_resource"
+        agent = DecimaAgent(
+            total_executors=8, config=DecimaConfig(seed=0, multi_resource=multi)
+        )
+        if multi:
+            jobs = batched_arrivals(
+                sample_tpch_jobs(2, np.random.default_rng(0), sizes=(2.0,))
+            )
+            assign_memory_requests(jobs, seed=0, low=0.3, high=0.9)
+            env = SchedulingEnvironment(multi_resource_config(total_executors=8, seed=0))
+            observation = env.reset(jobs)
+        else:
+            env, observation = make_env(num_jobs=3, seed=5)
+        fillers = [make_env(num_jobs=n, seed=s)[1] for n, s in ((1, 4), (2, 6))]
+        batch_of_three = [fillers[0], observation, fillers[1]]
+        num_nodes = [
+            sum(len(job.nodes) for job in member.job_dags) for member in batch_of_three
+        ]
+
+        def decide(how, step):
+            rngs = [np.random.default_rng([step, k]) for k in range(3)]
+            kwargs = dict(greedy=greedy, training=training)
+            if how == "act":
+                result = agent.act(
+                    observation, rng=rngs[1], graph_cache=GraphCache(), **kwargs
                 )
-            ]
-            for expected, got in zip(serial, batched):
-                assert expected.node is got.node
-                assert expected.parallelism_limit == got.parallelism_limit
+            elif how == "batch_of_one":
+                (result,) = agent.act_batch(
+                    [observation], rngs=rngs[1:2], graph_caches=[GraphCache()], **kwargs
+                )
+            else:
+                result = agent.act_batch(
+                    batch_of_three, rngs=rngs,
+                    graph_caches=[GraphCache() for _ in range(3)], **kwargs
+                )[1]
+            return result, rngs[1].bit_generator.state
+
+        for step in range(3):
+            for tapped in (False, True):
+                taps = []
+                agent.logits_tap = (lambda rows: taps.append(len(rows))) if tapped else None
+                (expected, expected_info), expected_rng = decide("act", step)
+                assert taps == ([num_nodes[1]] if tapped else [])
+                assert (expected_info is not None) == training
+                assert (expected.executor_class is not None) == multi
+                for how in ("batch_of_one", "batch_of_three"):
+                    del taps[:]
+                    (got, info), rng_state = decide(how, step)
+                    assert got.node is expected.node
+                    assert got.parallelism_limit == expected.parallelism_limit
+                    assert got.executor_class is expected.executor_class
+                    assert rng_state == expected_rng
+                    if training:
+                        # A batch of one is the same arithmetic; a merged
+                        # forward may round its gemms differently.
+                        atol = 0.0 if how == "batch_of_one" else 1e-10
+                        for field in ("log_prob", "entropy"):
+                            np.testing.assert_allclose(
+                                getattr(info, field).data,
+                                getattr(expected_info, field).data,
+                                rtol=0, atol=atol,
+                            )
+                    if tapped:
+                        assert taps == (
+                            [num_nodes[1]] if how == "batch_of_one" else num_nodes
+                        )
+            observation, _, _ = env.step(expected)
+            batch_of_three[1] = observation
+            num_nodes[1] = sum(len(job.nodes) for job in observation.job_dags)
 
 
 # ------------------------------------------------------- session reconciliation
