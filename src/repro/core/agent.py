@@ -2,8 +2,10 @@
 
 The agent implements the :class:`~repro.schedulers.base.Scheduler` interface so
 it can be evaluated in the simulator exactly like the baseline heuristics, and
-exposes :meth:`DecimaAgent.act` which additionally returns the action's
-log-probability and entropy tensors for REINFORCE training.
+exposes :meth:`DecimaAgent.act`, which can additionally hand back what
+REINFORCE needs of a decision: an :class:`ActionRecord` for the trainers (plain
+arrays, scored later by :meth:`DecimaAgent.score_actions`) or the
+log-probability and entropy tensors themselves (``training=True``).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from ..autograd import (
 )
 from ..schedulers.base import Scheduler
 from ..simulator.environment import Action, Observation
+from ..simulator.executor import ExecutorClass
 from ..simulator.jobdag import JobDAG, Node
 from .features import (
     FeatureConfig,
@@ -35,7 +38,7 @@ from .gnn import GNNConfig, GraphEmbeddings, GraphNeuralNetwork
 from .nn import Module
 from .policy import PolicyConfig, PolicyNetwork
 
-__all__ = ["DecimaConfig", "StepInfo", "StageTimings", "DecimaAgent"]
+__all__ = ["DecimaConfig", "StepInfo", "ActionRecord", "StageTimings", "DecimaAgent"]
 
 
 @dataclass
@@ -80,6 +83,49 @@ class StepInfo:
 
     def __add__(self, other: "StepInfo") -> "StepInfo":
         return StepInfo(self.log_prob + other.log_prob, self.entropy + other.entropy)
+
+
+def _scored(logits: Tensor, row: int, mask: Optional[np.ndarray] = None) -> StepInfo:
+    """Log-probability of entry ``row`` of ``softmax(logits)`` and its entropy."""
+    if mask is None:
+        mask = np.ones(logits.shape[0], dtype=bool)
+    log_probs = masked_log_softmax(logits, mask)
+    return StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
+
+
+def _row_of(choice, candidates: Sequence, what: str, owner: str) -> int:
+    try:
+        return list(candidates).index(choice)
+    except ValueError:
+        raise ValueError(
+            f"{what} {choice!r} is not a candidate for {owner} "
+            f"(candidates: {list(candidates)})"
+        ) from None
+
+
+@dataclass
+class ActionRecord:
+    """What training keeps of one decision until its advantage is known.
+
+    Plain data, no autograd graph: ``graph`` shares the (static)
+    :class:`~repro.core.features.GraphStructure` but owns its feature matrix
+    and schedulable mask, and the choices are row numbers.  The candidate
+    limits and the eligible executor classes depend on simulator state at
+    decision time (running executors, free executors per class), so they are
+    recorded rather than recomputed when :meth:`DecimaAgent.score_actions`
+    scores the record under the current parameters.
+    """
+
+    graph: GraphFeatures
+    node_row: int
+    # Candidate parallelism limits and the row chosen; ``None`` when the agent
+    # runs without parallelism control.
+    limits: Optional[np.ndarray] = None
+    limit_row: int = 0
+    # Eligible executor classes and the row chosen; empty unless the
+    # multi-resource head fired.
+    classes: Sequence[ExecutorClass] = ()
+    class_row: int = 0
 
 
 class StageTimings:
@@ -331,13 +377,18 @@ class DecimaAgent(Module, Scheduler):
         training: bool = False,
         graph_cache: Optional[GraphCache] = None,
         span=None,
-    ) -> tuple[Optional[Action], Optional[StepInfo]]:
+        record: bool = False,
+    ) -> tuple[Optional[Action], "Optional[StepInfo | ActionRecord]"]:
         """Pick a (stage, parallelism limit[, executor class]) action.
 
         This is :meth:`act_batch` of one observation (a single component
-        passes through the merge untouched).  When ``training`` is true the
-        returned :class:`StepInfo` carries the log-probability and entropy
-        tensors connected to the parameter graph.
+        passes through the merge untouched).  The second slot of the result
+        is ``None`` unless asked for: ``record=True`` (the trainers) decides
+        on the inference data path and returns the decision's
+        :class:`ActionRecord`; ``training=True`` (the retained-graph
+        reference the tests and ``verify/differential.py`` compare against)
+        decides through the autograd ops and returns a :class:`StepInfo`
+        whose tensors are connected to the parameter graph.
 
         ``span`` (a :class:`repro.obs.tracing.Span`, or None) is the traced
         parent of this decision; when set, the four stage timings are also
@@ -350,7 +401,45 @@ class DecimaAgent(Module, Scheduler):
             training=training,
             graph_caches=[graph_cache],
             spans=None if span is None else [span],
+            record=record,
         )[0]
+
+    def record_action(
+        self,
+        observation: Observation,
+        node: Node,
+        parallelism_limit: int,
+        graph_cache: Optional[GraphCache] = None,
+        executor_class: Optional[ExecutorClass] = None,
+    ) -> ActionRecord:
+        """The :class:`ActionRecord` of a *given* action on ``observation``.
+
+        The online-learning trainer replays serving decisions it did not take
+        itself; this is the record :meth:`act` would have handed back had it
+        made that choice.  ``node`` must be one of the observation's
+        schedulable nodes (by object identity), ``parallelism_limit`` one of
+        :meth:`candidate_limits` for its job and — when the multi-resource
+        head applies to the observation — ``executor_class`` one of the
+        classes eligible for the node.
+        """
+        if not observation.schedulable_nodes:
+            raise ValueError("observation has no schedulable nodes to score")
+        graph = self.build_features(observation, graph_cache=graph_cache)
+        node_row = graph.node_index.get(id(node))
+        if node_row is None or not graph.schedulable_mask[node_row]:
+            raise ValueError("node is not a schedulable node of this observation")
+        record = ActionRecord(graph=graph, node_row=node_row)
+        if self.config.use_parallelism_control:
+            record.limits = self.candidate_limits(node.job)
+            record.limit_row = _row_of(
+                int(parallelism_limit), record.limits.tolist(), "limit", "this job"
+            )
+        record.classes = self._eligible_classes(observation, node)
+        if record.classes:
+            record.class_row = _row_of(
+                executor_class, record.classes, "executor class", "this node"
+            )
+        return record
 
     def score_action(
         self,
@@ -358,51 +447,56 @@ class DecimaAgent(Module, Scheduler):
         node: Node,
         parallelism_limit: int,
         graph_cache: Optional[GraphCache] = None,
+        executor_class: Optional[ExecutorClass] = None,
     ) -> tuple[Tensor, Tensor]:
         """Log-probability and entropy of a *given* action, on the autograd graph.
 
-        The online-learning trainer replays recorded serving decisions: the
-        action was chosen greedily at serve time, and this scores it under the
-        current parameters exactly as the training path of :meth:`act` would
-        have — same masked softmax over schedulable nodes, same limit head —
-        so REINFORCE gradients flow through the replayed choice.
-
-        ``node`` must be one of the observation's schedulable nodes (by object
-        identity) and ``parallelism_limit`` one of :meth:`candidate_limits`
-        for its job.
+        :meth:`score_actions` of the one :meth:`record_action` record.
         """
-        if not observation.schedulable_nodes:
-            raise ValueError("observation has no schedulable nodes to score")
-        graph = self.build_features(observation, graph_cache=graph_cache)
+        record = self.record_action(
+            observation, node, parallelism_limit, graph_cache, executor_class
+        )
+        (info,) = self.score_actions([record])
+        return info.log_prob, info.entropy
+
+    def score_actions(self, records: Sequence[ActionRecord]) -> list[StepInfo]:
+        """Log-probability and entropy of recorded choices, on ONE autograd graph.
+
+        The records (typically a chunk of consecutive decisions of one
+        episode) merge into a single disconnected mega-graph exactly as
+        concurrent sessions do in :meth:`act_batch`; one autograd forward
+        covers them all and every record is then scored as the training path
+        of :meth:`act` would have scored that decision — its own masked
+        softmax slice over its schedulable nodes, its rows of one stacked
+        limit-head pass, the class head where the record carries a class
+        choice.  REINFORCE gradients flow through the returned tensors; the
+        graph lives exactly as long as they do.
+        """
+        batch = GraphBatch.merge([record.graph for record in records])
+        graph = batch.features
         embeddings = self.gnn(graph)
         node_logits = self.policy.node_logits(graph, embeddings)
-        node_mask = graph.schedulable_mask
-        global_row = graph.node_index.get(id(node))
-        if global_row is None or not node_mask[global_row]:
-            raise ValueError("node is not a schedulable node of this observation")
-        node_log_probs = masked_log_softmax(node_logits, node_mask)
-        log_prob = node_log_probs[global_row]
-        entropy = entropy_from_log_probs(node_log_probs, node_mask)
+        infos = [
+            _scored(node_logits[rows], record.node_row, record.graph.schedulable_mask)
+            for record, rows in zip(records, batch.node_slices)
+        ]
+        job_rows = [
+            int(graph.job_ids[rows.start + record.node_row])
+            for record, rows in zip(records, batch.node_slices)
+        ]
         if self.config.use_parallelism_control:
-            job_index = int(graph.job_ids[global_row])
-            limits = self.candidate_limits(graph.jobs[job_index])
-            matches = np.flatnonzero(limits == int(parallelism_limit))
-            if matches.size == 0:
-                raise ValueError(
-                    f"limit {parallelism_limit} is not a candidate for this job "
-                    f"(candidates: {limits.tolist()})"
-                )
-            limit_logits = self.policy.limit_logits_rows(
-                graph,
-                embeddings,
-                np.full(len(limits), job_index, dtype=np.intp),
-                self._limit_inputs(limits),
+            stacked_logits, limit_slices = self._limit_logits(
+                graph, embeddings, job_rows, [record.limits for record in records]
             )
-            limit_mask = np.ones(len(limits), dtype=bool)
-            limit_log_probs = masked_log_softmax(limit_logits, limit_mask)
-            log_prob = log_prob + limit_log_probs[int(matches[0])]
-            entropy = entropy + entropy_from_log_probs(limit_log_probs, limit_mask)
-        return log_prob, entropy
+            for position, (record, rows) in enumerate(zip(records, limit_slices)):
+                infos[position] += _scored(stacked_logits[rows], record.limit_row)
+        for position, record in enumerate(records):
+            if record.classes:
+                class_logits = self.policy.class_logits(
+                    graph, embeddings, job_rows[position], record.classes
+                )
+                infos[position] += _scored(class_logits, record.class_row)
+        return infos
 
     def act_batch(
         self,
@@ -413,7 +507,8 @@ class DecimaAgent(Module, Scheduler):
         graph_caches: Optional[Sequence[Optional[GraphCache]]] = None,
         merge_cache: Optional[MergedStructureCache] = None,
         spans: Optional[Sequence] = None,
-    ) -> list[tuple[Optional[Action], Optional[StepInfo]]]:
+        record: bool = False,
+    ) -> list[tuple[Optional[Action], "Optional[StepInfo | ActionRecord]"]]:
         """Decide for several independent observations in ONE batched forward.
 
         The observations (typically one per served cluster session) merge into
@@ -428,10 +523,12 @@ class DecimaAgent(Module, Scheduler):
 
         ``rngs`` / ``graph_caches`` / ``spans`` align with ``observations``;
         entries may be ``None``.  Observations with no schedulable node yield
-        ``(None, None)``.  Traced observations' parent ``spans`` each receive
-        the merged forward's four stage timings as child spans (the stages ran
-        once for the whole batch, so every traced decision sees the same
-        stage breakdown — which is the truth of the batched data path).
+        ``(None, None)``.  ``record`` / ``training`` fill the second slot of
+        each result as described at :meth:`act`; they exclude each other.
+        Traced observations' parent ``spans`` each receive the merged
+        forward's four stage timings as child spans (the stages ran once for
+        the whole batch, so every traced decision sees the same stage
+        breakdown — which is the truth of the batched data path).
         """
         rngs = rngs if rngs is not None else [None] * len(observations)
         graph_caches = (
@@ -439,6 +536,8 @@ class DecimaAgent(Module, Scheduler):
         )
         if len(rngs) != len(observations) or len(graph_caches) != len(observations):
             raise ValueError("observations, rngs and graph_caches must align")
+        if training and record:
+            raise ValueError("training=True and record=True exclude each other")
         if not greedy and any(rng is None for rng in rngs):
             # Sampling from one shared rng would consume it in phase order
             # (all stage draws, then all limit draws) instead of per
@@ -448,9 +547,7 @@ class DecimaAgent(Module, Scheduler):
             raise ValueError(
                 "sampled act_batch needs one rng per observation; pass rngs="
             )
-        results: list[tuple[Optional[Action], Optional[StepInfo]]] = [
-            (None, None)
-        ] * len(observations)
+        results: list = [(None, None)] * len(observations)
         active = [
             index
             for index, observation in enumerate(observations)
@@ -459,18 +556,20 @@ class DecimaAgent(Module, Scheduler):
         if not active:
             return results
         clock = self.stage_timings.clock(spans if spans is not None else ())
-        # Arena buffers are only handed out when no autograd graph outlives
-        # the decision (training keeps references to the feature arrays).
+        # Arena buffers are only handed out when nothing outlives the decision:
+        # a record keeps its component's arrays until the update, and the
+        # training path's autograd graph references them.
+        reuse_buffers = not (training or record)
         components = [
             self.build_features(
                 observations[index],
                 graph_cache=graph_caches[index],
-                reuse_buffers=not training,
+                reuse_buffers=reuse_buffers,
             )
             for index in active
         ]
         batch = GraphBatch.merge(
-            components, structure_cache=merge_cache, reuse_buffers=not training
+            components, structure_cache=merge_cache, reuse_buffers=reuse_buffers
         )
         clock.mark()
         embeddings, node_logits = self._forward(batch.features, training, clock)
@@ -483,6 +582,7 @@ class DecimaAgent(Module, Scheduler):
             [rngs[index] for index in active],
             greedy,
             training,
+            components if record else None,
         )
         for index, decision in zip(active, decisions):
             results[index] = decision
@@ -568,7 +668,8 @@ class DecimaAgent(Module, Scheduler):
         rngs: Sequence[Optional[np.random.Generator]],
         greedy: bool,
         training: bool,
-    ) -> list[tuple[Optional[Action], Optional[StepInfo]]]:
+        components: Optional[Sequence[GraphFeatures]] = None,
+    ) -> list[tuple[Optional[Action], "Optional[StepInfo | ActionRecord]"]]:
         """Stage → limit → class selection for every observation of a forward.
 
         ``node_slices[k]`` is observation ``k``'s node-row range of ``graph``.
@@ -577,13 +678,16 @@ class DecimaAgent(Module, Scheduler):
         have produced, and its rng is drawn from in the fixed order stage,
         limit, class — which is what makes a decision independent of the
         batch it was taken in.  The log-prob/entropy tensors are only
-        assembled when ``training``.
+        assembled when ``training``; with ``components`` (observation ``k``'s
+        own :class:`GraphFeatures`) each decision comes with its
+        :class:`ActionRecord` instead.
         """
         count = len(observations)
         nodes: list[Optional[Node]] = [None] * count
         job_rows = [0] * count  # global job row of each chosen node
         limits = [self.total_executors] * count
         infos: list[Optional[StepInfo]] = [None] * count
+        records: list[Optional[ActionRecord]] = [None] * count
 
         # Phase 1: per-observation stage selection (masked softmax over the
         # schedulable nodes, Eq. 2).
@@ -599,6 +703,8 @@ class DecimaAgent(Module, Scheduler):
             global_row = node_rows.start + node_row
             nodes[position] = graph.nodes[global_row]
             job_rows[position] = int(graph.job_ids[global_row])
+            if components is not None:
+                records[position] = ActionRecord(components[position], node_row)
         chosen = [position for position in range(count) if nodes[position] is not None]
 
         # Phase 2: ONE stacked pass through the limit head for every
@@ -608,30 +714,22 @@ class DecimaAgent(Module, Scheduler):
                 self.candidate_limits(graph.jobs[job_rows[position]])
                 for position in chosen
             ]
-            stacked_logits = self.policy.limit_logits_rows(
-                graph,
-                embeddings,
-                np.repeat(
-                    np.array([job_rows[position] for position in chosen], dtype=np.intp),
-                    [len(candidate) for candidate in candidates],
-                ),
-                np.vstack([self._limit_inputs(candidate) for candidate in candidates]),
+            stacked_logits, limit_slices = self._limit_logits(
+                graph, embeddings, [job_rows[position] for position in chosen], candidates
             )
-            offset = 0
-            for position, candidate in zip(chosen, candidates):
-                rows = slice(offset, offset + len(candidate))
-                offset = rows.stop
+            for position, candidate, rows in zip(chosen, candidates, limit_slices):
                 limit_row, info = self._draw(
                     stacked_logits, rows, rngs[position], greedy, training
                 )
                 limits[position] = int(candidate[limit_row])
                 if training:
-                    infos[position] = infos[position] + info
+                    infos[position] += info
+                if components is not None:
+                    records[position].limits = candidate
+                    records[position].limit_row = limit_row
 
         # Phase 3: the (rare) multi-resource class head, then the actions.
-        results: list[tuple[Optional[Action], Optional[StepInfo]]] = [
-            (None, None)
-        ] * count
+        results: list = [(None, None)] * count
         for position in chosen:
             executor_class = None
             classes = self._eligible_classes(observations[position], nodes[position])
@@ -645,14 +743,48 @@ class DecimaAgent(Module, Scheduler):
                 )
                 executor_class = classes[class_row]
                 if training:
-                    infos[position] = infos[position] + info
+                    infos[position] += info
+                if components is not None:
+                    records[position].classes = classes
+                    records[position].class_row = class_row
             action = Action(
                 node=nodes[position],
                 parallelism_limit=limits[position],
                 executor_class=executor_class,
             )
-            results[position] = (action, infos[position])
+            results[position] = (
+                action,
+                infos[position] if components is None else records[position],
+            )
         return results
+
+    def _limit_logits(
+        self,
+        graph: GraphFeatures,
+        embeddings: GraphEmbeddings,
+        job_rows: Sequence[int],
+        candidates: Sequence[np.ndarray],
+    ) -> tuple[Tensor, list[slice]]:
+        """ONE stacked pass through the limit head for several decisions.
+
+        ``candidates[k]`` are the limits scored for job row ``job_rows[k]``;
+        returns the stacked logits and each decision's row range in them.
+        """
+        stacked_logits = self.policy.limit_logits_rows(
+            graph,
+            embeddings,
+            np.repeat(
+                np.array(job_rows, dtype=np.intp),
+                [len(candidate) for candidate in candidates],
+            ),
+            np.vstack([self._limit_inputs(candidate) for candidate in candidates]),
+        )
+        slices = []
+        offset = 0
+        for candidate in candidates:
+            slices.append(slice(offset, offset + len(candidate)))
+            offset += len(candidate)
+        return stacked_logits, slices
 
     def _eligible_classes(self, observation: Observation, node: Node) -> list:
         """Executor classes ``node`` may be placed on now (multi-resource only)."""
@@ -675,20 +807,16 @@ class DecimaAgent(Module, Scheduler):
     ) -> tuple[int, Optional[StepInfo]]:
         """Softmax over ``logits[rows]`` and one draw from it.
 
-        ``mask`` marks the valid entries (default: all).  Returns the chosen
-        row and, when ``training``, its log-probability and the entropy of
-        the distribution as tensors on the autograd graph; inference takes
-        the same numbers through the graph-free softmax and skips that
-        bookkeeping.
+        ``mask`` marks the valid entries (default: all).  The draw reads the
+        graph-free softmax (bit-identical to the tensor one); when
+        ``training`` the chosen row's log-probability and the entropy of the
+        distribution are also returned as tensors on the autograd graph.
         """
         if mask is None:
             mask = np.ones(rows.stop - rows.start, dtype=bool)
-        if not training:
-            log_probs = masked_log_softmax_data(logits.data[rows], mask)
-            return self._choose(log_probs, mask, rng, greedy), None
-        log_probs = masked_log_softmax(logits[rows], mask)
-        row = self._choose(log_probs.data, mask, rng, greedy)
-        return row, StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
+        log_probs = masked_log_softmax_data(logits.data[rows], mask)
+        row = self._choose(log_probs, mask, rng, greedy)
+        return row, _scored(logits[rows], row, mask) if training else None
 
     @staticmethod
     def _choose(

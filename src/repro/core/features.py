@@ -278,9 +278,11 @@ class GraphFeatures:
 
     Combines the step-invariant :class:`GraphStructure` with the per-step
     dynamic arrays (feature matrix and schedulable mask).  By default fresh
-    dynamic arrays are handed out every step — autograd graphs recorded
-    during an episode keep references to ``node_features``, so training must
-    never see them mutated in place.  The inference hot path opts into
+    dynamic arrays are handed out every step — a rollout's
+    :class:`~repro.core.agent.ActionRecord` holds this object until the update
+    re-scores the decision (and the retained-graph reference path's autograd
+    graph references ``node_features``), so whatever outlives the step must
+    never see them mutated in place.  The plain inference hot path opts into
     buffer reuse (``GraphCache.features(..., reuse_buffers=True)``), in which
     case the arrays are arena-owned and only valid until the next step.
     """
@@ -562,9 +564,11 @@ class GraphCache:
     ) -> GraphFeatures:
         """Graph inputs for ``observation``, reusing cached static structure.
 
-        With ``reuse_buffers=True`` (inference only!) the returned arrays are
-        the cache's own persistent buffers — valid until the next call, never
-        safe to hand to autograd.  The default copies them out.
+        With ``reuse_buffers=True`` (decisions nothing is kept of!) the
+        returned arrays are the cache's own persistent buffers — valid until
+        the next call, never safe to record for a later update or to hand to
+        autograd.  The default copies them out; those copies are what a
+        rollout's records wait for their advantages with.
         """
         config = config or FeatureConfig()
         structure = self.structure_for(observation.job_dags)

@@ -13,11 +13,18 @@ The paper trains Decima with 16 parallel rollout workers that collect the
   serializes the agent's parameters (the ``state_dict`` machinery from
   :mod:`repro.core.checkpoints`), ships per-episode job sequences and seeds
   to the workers, and gets back :class:`EpisodeOutcome` records that contain
-  only plain numpy arrays.  Autograd graphs never cross a process boundary:
-  the per-episode policy-gradient backward pass runs *inside* the worker that
-  collected the episode (it still holds the log-prob/entropy tensors), and
-  only numpy gradient arrays travel back to the master, which averages them
-  and applies the Adam update — the paper's Algorithm 1 split.
+  only plain numpy arrays.  The per-episode policy-gradient passes run
+  *inside* the worker that collected the episode (it still holds the
+  episode's decision records), and only numpy gradient arrays travel back to
+  the master, which averages them and applies the Adam update — the paper's
+  Algorithm 1 split.
+
+Neither backend keeps an autograd graph between the two phases: rollouts
+decide on the inference data path and keep one plain-numpy
+:class:`~repro.core.agent.ActionRecord` per decision; once the advantages are
+known, :func:`accumulate_episode_gradients` re-scores the records in merged
+chunks (:func:`~repro.core.rollout.accumulate_record_gradients`) and then
+releases them.
 
 Episode results are deterministic functions of the trainer seed: the master
 draws one environment seed and one action-sampling seed per episode, and each
@@ -30,6 +37,7 @@ the serial stream, which interleaves episode collection with seed draws).
 from __future__ import annotations
 
 import abc
+import ctypes
 import multiprocessing as mp
 import os
 import traceback
@@ -42,7 +50,7 @@ from ..simulator.environment import SchedulingEnvironment, SimulatorConfig
 from ..simulator.jobdag import JobDAG
 from .agent import DecimaAgent
 from .checkpoints import AgentSpec, agent_spec, build_agent
-from .rollout import Trajectory, collect_rollout
+from .rollout import Trajectory, accumulate_record_gradients, collect_rollout
 
 __all__ = [
     "EpisodeSpec",
@@ -53,8 +61,8 @@ __all__ = [
     "ParallelRolloutBackend",
     "PipeWorkerPool",
     "RolloutWorkerPool",
+    "single_threaded_blas",
     "run_episode",
-    "episode_loss",
     "accumulate_episode_gradients",
     "outcome_from_trajectory",
 ]
@@ -156,28 +164,29 @@ def run_episode(
     )
 
 
-def episode_loss(trajectory: Trajectory, advantages: np.ndarray, entropy_weight: float):
-    """REINFORCE loss of one episode: -advantage·log-prob minus entropy bonus."""
-    loss = None
-    for transition, advantage in zip(trajectory.transitions, advantages):
-        term = transition.log_prob * float(-advantage)
-        term = term - transition.entropy * float(entropy_weight)
-        loss = term if loss is None else loss + term
-    return loss
-
-
 def accumulate_episode_gradients(
     agent: DecimaAgent,
     trajectories: list[Trajectory],
     advantages: list[np.ndarray],
     entropy_weight: float,
 ) -> list[Optional[np.ndarray]]:
-    """Backward-pass every episode and return per-parameter gradient sums."""
+    """Re-score and backward-pass every episode; return per-parameter gradient sums.
+
+    Consumes ``trajectories``: the list is emptied and the agent's graph cache
+    (which pins the iteration's job DAGs) reset before returning, so whoever
+    collected the episodes — the serial backend or a worker loop — holds
+    nothing of the iteration once its gradients are out.
+    """
     agent.zero_grad()
     for trajectory, episode_advantages in zip(trajectories, advantages):
-        loss = episode_loss(trajectory, episode_advantages, entropy_weight)
-        if loss is not None:
-            loss.backward()
+        accumulate_record_gradients(
+            agent,
+            [transition.record for transition in trajectory.transitions],
+            episode_advantages,
+            entropy_weight,
+        )
+    trajectories.clear()
+    agent.reset_graph_cache()
     return [parameter.grad for parameter in agent.parameters()]
 
 
@@ -282,8 +291,8 @@ def _worker_main(
     ``("ok", value)`` or ``("error", traceback)``):
 
     * ``collect``: payload ``(state_dict, interarrival_hint, [EpisodeSpec])``
-      → list of :class:`EpisodeOutcome`.  Trajectories (with their autograd
-      tensors) stay in the worker for the gradient phase.  ``state_dict`` is
+      → list of :class:`EpisodeOutcome`.  Trajectories (with their decision
+      records) stay in the worker for the gradient phase.  ``state_dict`` is
       ``None`` when the worker has no episodes this iteration.
     * ``gradients``: payload ``([advantages], entropy_weight)`` → list of
       per-parameter gradient sums (numpy arrays or ``None``).
@@ -321,11 +330,6 @@ def _worker_main(
                 reply = accumulate_episode_gradients(
                     agent, trajectories, advantages, entropy_weight
                 )
-                # Autograd graphs are no longer needed; free them (and the
-                # graph cache pinning the iteration's job DAGs) before the
-                # next collect so peak memory stays at one iteration's worth.
-                trajectories = []
-                agent.reset_graph_cache()
             else:
                 raise ValueError(f"unknown worker command {command!r}")
             conn.send(("ok", reply))
@@ -334,6 +338,55 @@ def _worker_main(
                 conn.send(("error", traceback.format_exc()))
             except (BrokenPipeError, OSError):
                 return
+
+
+# Names of OpenBLAS's thread-count setter: numpy >= 1.26 wheels (symbol-prefixed
+# ILP64 build), older ILP64 wheels, a system OpenBLAS.
+_OPENBLAS_SET_NUM_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def single_threaded_blas() -> int:
+    """Limit every OpenBLAS loaded into this process to one thread.
+
+    Worker processes are the parallelism; a BLAS thread pool per worker only
+    oversubscribes the cores, and OpenBLAS's idle threads spin.  The matrices
+    here are 8-32 wide, so BLAS threads never pay even alone — but a merged
+    replay chunk (or a few-hundred-node graph) has enough rows to switch them
+    on, which measured 6x on a worker's gradient phase (2 workers, 2 cores).
+    ``OPENBLAS_NUM_THREADS`` is read when the library loads, too early for a
+    forked worker, hence the call into the library.  Best effort: returns the
+    number of libraries limited, 0 where none is found (other BLAS, other OS).
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return 0
+    limited = 0
+    for path in paths:
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SET_NUM_THREADS:
+            setter = getattr(library, symbol, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                limited += 1
+                break
+    return limited
+
+
+def _pipe_worker(target: Callable, conn, *args) -> None:
+    """Entry point of every pool process: single-threaded BLAS, then the loop."""
+    single_threaded_blas()
+    target(conn, *args)
 
 
 class PipeWorkerPool:
@@ -370,8 +423,8 @@ class PipeWorkerPool:
         for index in range(self.num_workers):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
-                target=target,
-                args=(child_conn, *worker_args(index)),
+                target=_pipe_worker,
+                args=(target, child_conn, *worker_args(index)),
                 name=f"{self.worker_description.replace(' ', '-')}-{index}",
                 daemon=True,
             )

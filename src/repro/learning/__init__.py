@@ -10,7 +10,7 @@ without touching its decision semantics:
 * :mod:`~repro.learning.trainer` — background REINFORCE over replayed
   segments (in-process for harnesses, or a worker process via the same pipe
   machinery as parallel training), scoring recorded actions under current
-  parameters with :meth:`DecimaAgent.score_action`;
+  parameters with :meth:`DecimaAgent.score_actions`;
 * :mod:`~repro.learning.manager` — the control loop: drain experience, run
   updates, persist each result as the next
   :class:`~repro.core.checkpoints.CheckpointStore` version, hot-swap it into

@@ -10,11 +10,16 @@ client clusters beyond what every ``decide`` request already carries.
 
 Replay runs each recorded segment's snapshots through a fresh
 :class:`~repro.service.session.SessionState` (the same reconciliation code
-the servers run) and scores the recorded action under the *current*
-parameters via :meth:`DecimaAgent.score_action`, which keeps the log-prob on
-the autograd graph.  Only ``source == "policy"`` steps contribute gradient
-terms — fallback and noop answers still contribute their time deltas to the
-returns, but there is no policy choice to differentiate through.
+the servers run) and turns every recorded action into the plain-numpy
+:class:`~repro.core.agent.ActionRecord` the offline rollouts produce
+(:meth:`DecimaAgent.record_action`, step by step — the shadow DAGs move on
+with every snapshot).  The records are then scored under the *current*
+parameters by the offline trainer's own chunked routine
+(:func:`~repro.core.rollout.accumulate_record_gradients`), so the trainer
+process never holds more than one chunk's autograd graph.  Only
+``source == "policy"`` steps contribute gradient terms — fallback and noop
+answers still contribute their time deltas to the returns, but there is no
+policy choice to differentiate through.
 
 Two trainer fronts share the same ``update(state, episodes)`` contract:
 
@@ -43,6 +48,7 @@ from ..core.agent import DecimaAgent
 from ..core.checkpoints import AgentSpec, build_agent
 from ..core.nn import Adam
 from ..core.parallel import PipeWorkerPool
+from ..core.rollout import accumulate_record_gradients
 from ..service.session import SessionState
 from .buffer import EpisodeRecord
 
@@ -82,10 +88,10 @@ def episode_rewards(steps, reward_scale: float) -> np.ndarray:
 
 
 def replay_episode(agent: DecimaAgent, episode: EpisodeRecord) -> list:
-    """Score each recorded policy action under the current parameters.
+    """Rebuild the decision record of each recorded policy action.
 
-    Returns one entry per step: ``(log_prob, entropy)`` autograd tensors for
-    scoreable policy steps, ``None`` for noop/fallback steps (and for the
+    Returns one entry per step: an :class:`~repro.core.agent.ActionRecord`
+    for scoreable policy steps, ``None`` for noop/fallback steps (and for the
     rare step whose recorded action is no longer a valid choice after
     replay — e.g. a snapshot raced a job completion).
     """
@@ -94,16 +100,16 @@ def replay_episode(agent: DecimaAgent, episode: EpisodeRecord) -> list:
         session_id=f"replay-{episode.session_id}",
         num_executors=int(first.snapshot.get("total_executors", agent.total_executors)),
     )
-    scored = []
+    records = []
     for step in episode.steps:
         observation = session.observation_from_snapshot(step.snapshot)
         if step.action is None or step.source != "policy":
-            scored.append(None)
+            records.append(None)
             continue
         try:
             node = session.resolve_node(step.action["job_id"], step.action["node_id"])
-            scored.append(
-                agent.score_action(
+            records.append(
+                agent.record_action(
                     observation,
                     node,
                     step.action["limit"],
@@ -111,8 +117,8 @@ def replay_episode(agent: DecimaAgent, episode: EpisodeRecord) -> list:
                 )
             )
         except (KeyError, ValueError):
-            scored.append(None)
-    return scored
+            records.append(None)
+    return records
 
 
 def reinforce_update(
@@ -123,9 +129,9 @@ def reinforce_update(
 ) -> dict:
     """One REINFORCE step over replayed serving episodes; returns stats.
 
-    Mirrors the offline trainer's update: per-episode losses backward into
-    summed gradients, the sum is divided by the episode count, one Adam step,
-    gradients cleared.  The baseline is each episode's mean return (the
+    Mirrors the offline trainer's update: per-episode chunked backward passes
+    into summed gradients, the sum is divided by the episode count, one Adam
+    step, gradients cleared.  The baseline is each episode's mean return (the
     offline time-aligned baseline needs same-arrival-sequence episode groups,
     which live serving traffic does not provide).
     """
@@ -136,18 +142,15 @@ def reinforce_update(
         rewards = episode_rewards(episode.steps, config.reward_scale)
         returns = np.cumsum(rewards[::-1])[::-1]
         baseline = float(returns.mean()) if returns.size else 0.0
-        advantages = returns - baseline
-        loss = None
-        for pair, advantage in zip(replay_episode(agent, episode), advantages):
-            if pair is None:
-                continue
-            log_prob, entropy = pair
-            term = log_prob * float(-advantage)
-            term = term - entropy * float(config.entropy_weight)
-            loss = term if loss is None else loss + term
-            num_terms += 1
-        if loss is not None:
-            loss.backward()
+        records = replay_episode(agent, episode)
+        scored = [index for index, record in enumerate(records) if record is not None]
+        accumulate_record_gradients(
+            agent,
+            [records[index] for index in scored],
+            (returns - baseline)[scored],
+            config.entropy_weight,
+        )
+        num_terms += len(scored)
         total_return += float(returns[0]) if returns.size else 0.0
     num_episodes = max(len(episodes), 1)
     optimizer.apply_gradients(

@@ -157,6 +157,23 @@ class TestDecimaAgent:
         assert action.executor_class is not None
         assert action.executor_class.fits(action.node)
 
+    def test_score_action_scores_the_executor_class_head(self):
+        config = multi_resource_config(total_executors=8, seed=0)
+        rng = np.random.default_rng(0)
+        jobs = batched_arrivals(sample_tpch_jobs(2, rng, sizes=(2.0,)))
+        assign_memory_requests(jobs, seed=0, low=0.3, high=0.9)
+        agent = DecimaAgent(total_executors=8, config=DecimaConfig(multi_resource=True))
+        observation = SchedulingEnvironment(config).reset(jobs)
+        action, info = agent.act(observation, rng=np.random.default_rng(1), training=True)
+        log_prob, entropy = agent.score_action(
+            observation, action.node, action.parallelism_limit,
+            executor_class=action.executor_class,
+        )
+        assert log_prob.item() == info.log_prob.item()
+        assert entropy.item() == info.entropy.item()
+        with pytest.raises(ValueError, match="executor class None is not a candidate"):
+            agent.score_action(observation, action.node, action.parallelism_limit)
+
     def test_agent_completes_episode_as_scheduler(self):
         _, config, jobs = small_env_and_jobs()
         agent = DecimaAgent(total_executors=6)
@@ -260,13 +277,12 @@ class TestReinforceTrainer:
         agent, trainer = self.make_trainer(use_differential_reward=False)
         from repro.core.rollout import Trajectory, Transition
         from repro.core.parallel import outcome_from_trajectory
-        from repro.autograd import Tensor
 
         episode = outcome_from_trajectory(
             Trajectory(
                 transitions=[
-                    Transition(Tensor(0.0), Tensor(0.0), reward=-1.0, wall_time=0.0),
-                    Transition(Tensor(0.0), Tensor(0.0), reward=-2.0, wall_time=1.0),
+                    Transition(record=None, reward=-1.0, wall_time=0.0),
+                    Transition(record=None, reward=-2.0, wall_time=1.0),
                 ]
             )
         )

@@ -2,6 +2,7 @@
 worker pool's lifecycle, and regression guards on the trainer's defaults."""
 
 import copy
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from repro.core import (
     agent_spec,
     build_agent,
 )
-from repro.core.parallel import outcome_from_trajectory, run_episode
+from repro.core.parallel import (
+    PipeWorkerPool,
+    outcome_from_trajectory,
+    run_episode,
+    single_threaded_blas,
+)
 from repro.experiments.training import tpch_batch_factory, train_decima_agent
 from repro.simulator import SimulatorConfig
 from repro.workloads import batched_arrivals, sample_tpch_jobs
@@ -210,6 +216,35 @@ class TestWorkerPoolLifecycle:
             RolloutWorkerPool(config, agent_spec(agent), num_workers=0)
         with pytest.raises(ValueError):
             ParallelRolloutBackend(num_workers=0)
+
+
+def _gemm_probe_main(conn):
+    """Pool worker: time tall gemms (the shape of a merged replay chunk)."""
+    while True:
+        command, _ = conn.recv()
+        if command == "close":
+            return
+        left, right = np.ones((20_000, 32)), np.ones((32, 16))
+        # The BLAS threads a forked worker inherits spin for ~0.15 s before
+        # they go to sleep for good; measure after that.
+        settled = time.perf_counter() + 0.5
+        while time.perf_counter() < settled:
+            left @ right
+        wall, cpu = time.perf_counter(), time.process_time()
+        for _ in range(200):
+            left @ right
+        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+        conn.send(("ok", (single_threaded_blas(), wall, cpu)))
+
+
+class TestWorkersRunSingleThreadedBlas:
+    def test_pool_worker_gemms_stay_on_one_thread(self):
+        with PipeWorkerPool(1, _gemm_probe_main, lambda index: ()) as pool:
+            ((limited, wall, cpu),) = pool.run("probe", [None])
+        if not limited:
+            pytest.skip("no OpenBLAS found in the worker process")
+        # A BLAS thread pool would burn ~one extra core per thread here.
+        assert cpu <= 1.25 * wall + 0.05
 
 
 class TestTrainDecimaAgentWorkers:

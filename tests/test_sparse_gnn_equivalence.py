@@ -230,8 +230,9 @@ class TestDataPathEquivalence:
     """The inference data path vs the forward REINFORCE trains on.
 
     ``forward_data`` must reproduce the autograd forward, and a sampled
-    episode decided on the data path must be the episode ``act(training=True)``
-    decides (``collect_rollout`` always trains, so it is the oracle side).
+    episode decided on the data path (``collect_rollout``, which is how every
+    trainer rolls out) must be the episode ``act(training=True)`` decides —
+    the retained-graph forward the chunked replay reproduces at update time.
     """
 
     def test_forward_data_matches_tensor_forward(self):
@@ -258,7 +259,7 @@ class TestDataPathEquivalence:
             return env, make_agent(True), copy.deepcopy(jobs)
 
         env, agent, jobs = setup()
-        oracle = collect_rollout(
+        data_path = collect_rollout(
             env, agent, jobs, rng=np.random.default_rng(1), seed=5, max_actions=120
         )
         env, agent, jobs = setup()
@@ -266,17 +267,17 @@ class TestDataPathEquivalence:
         observation = env.reset(jobs, seed=5)
         wall_times, rewards = [], []
         done = False
-        while not done and len(rewards) < 120:  # collect_rollout's loop, inference
-            action, info = agent.act(observation, rng=rng, greedy=False)
-            assert info is None
+        while not done and len(rewards) < 120:  # collect_rollout's loop, autograd
+            action, info = agent.act(observation, rng=rng, greedy=False, training=True)
+            assert (info is None) == (action is None)
             wall_time = env.wall_time
             observation, reward, done = env.step(action)
             if action is not None:
                 wall_times.append(wall_time)
                 rewards.append(reward)
-        assert oracle.num_actions == len(rewards) > 20
-        np.testing.assert_array_equal(oracle.rewards(), rewards)
-        np.testing.assert_array_equal(oracle.wall_times(), wall_times)
+        assert data_path.num_actions == len(rewards) > 20
+        np.testing.assert_array_equal(data_path.rewards(), rewards)
+        np.testing.assert_array_equal(data_path.wall_times(), wall_times)
 
 
 class TestEndToEndEquivalence:
