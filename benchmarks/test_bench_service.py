@@ -5,7 +5,8 @@ Part 1 (``test_bench_service``): eight concurrent cluster sessions stream
 shadow-DAG reconciliation); the batched broker answers each round with ONE
 GNN forward over the merged mega-graph, the serial reference answers session
 by session.  Decisions are identical either way (see ``tests/test_service.py``)
-— this measures the throughput axis: fleet decisions/sec.
+— this measures the throughput axis: fleet decisions/sec, as the median ratio
+over interleaved batched/serial pairs of runs.
 
 Part 2 (``test_bench_shard_scaling``): 64 concurrent sessions partitioned
 across 1 / 2 / 4 shard *processes* (each shard a fork with its own agent +
@@ -27,6 +28,7 @@ CI loosens both for noisy shared runners.
 import json
 import multiprocessing as mp
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -44,6 +46,8 @@ from repro.workloads import batched_arrivals, sample_tpch_jobs
 # (concurrent sessions, timed decision rounds); jobs per session chosen so a
 # session's episode comfortably outlasts the timed rounds.
 SCENARIOS = ((2, 40), (8, 40))
+# Interleaved batched/serial pairs per scenario; the speedup is their median ratio.
+PAIRS = 7
 NUM_EXECUTORS = 10
 JOBS_PER_SESSION = 5
 
@@ -104,25 +108,31 @@ def _measure(num_sessions: int, rounds: int, batched: bool) -> dict:
     }
 
 
-def _best_of(num_sessions: int, rounds: int, batched: bool, repeats: int = 2) -> dict:
-    """Best throughput over ``repeats`` runs (damps allocator/warm-up noise)."""
-    runs = [_measure(num_sessions, rounds, batched=batched) for _ in range(repeats)]
-    return max(runs, key=lambda run: run["decisions_per_sec"])
-
-
 def _compare_modes():
     rows = []
     for num_sessions, rounds in SCENARIOS:
-        batched = _best_of(num_sessions, rounds, batched=True)
-        serial = _best_of(num_sessions, rounds, batched=False)
-        assert batched["decisions"] == serial["decisions"]
+        # One pair is a batched and a serial run back to back, the order
+        # alternating: a slow spell of a shared host then lands on both sides
+        # of a ratio instead of on one mode, and the median over the pairs
+        # shrugs off the odd pair it splits (single-pair ratios on one host:
+        # 2.44, 2.30, 2.70, 1.65, 3.36, 2.28).
+        throughput = {True: [], False: []}
+        decisions = set()
+        for pair in range(PAIRS):
+            for batched in (True, False) if pair % 2 == 0 else (False, True):
+                run = _measure(num_sessions, rounds, batched=batched)
+                throughput[batched].append(run["decisions_per_sec"])
+                decisions.add(run["decisions"])
+        assert len(decisions) == 1
+        speedups = [b / s for b, s in zip(throughput[True], throughput[False])]
         rows.append(
             {
                 "num_sessions": num_sessions,
-                "decisions": batched["decisions"],
-                "serial_decisions_per_sec": serial["decisions_per_sec"],
-                "batched_decisions_per_sec": batched["decisions_per_sec"],
-                "speedup": batched["decisions_per_sec"] / serial["decisions_per_sec"],
+                "decisions": decisions.pop(),
+                "serial_decisions_per_sec": statistics.median(throughput[False]),
+                "batched_decisions_per_sec": statistics.median(throughput[True]),
+                "pair_speedups": speedups,
+                "speedup": statistics.median(speedups),
             }
         )
     return rows
@@ -251,7 +261,7 @@ def test_bench_service(benchmark):
     print()
     print("policy serving: cross-session batched broker vs serial dispatch")
     print(f"  {'sessions':>8} {'decisions':>9} {'serial dec/s':>13} "
-          f"{'batched dec/s':>14} {'speedup':>8}")
+          f"{'batched dec/s':>14} {'speedup':>8}   (medians of {PAIRS} interleaved pairs)")
     for row in rows:
         print(
             f"  {row['num_sessions']:>8} {row['decisions']:>9} "

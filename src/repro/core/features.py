@@ -24,6 +24,7 @@ inference hot path cheap (§5.1, Fig. 5a).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -273,6 +274,64 @@ class GraphStructure:
         )
 
 
+def _surviving_jobs(cached: list[JobDAG], jobs: list[JobDAG]) -> Optional[np.ndarray]:
+    """Mask over ``cached`` selecting ``jobs``, or ``None``.
+
+    ``None`` unless ``jobs`` is ``cached`` with some jobs removed: the same
+    objects in the same order (one ordered-subsequence walk, O(jobs)).
+    """
+    keep = np.zeros(len(cached), dtype=bool)
+    remaining = iter(enumerate(cached))
+    for job in jobs:
+        for position, candidate in remaining:
+            if candidate is job:
+                keep[position] = True
+                break
+        else:
+            return None
+    return keep
+
+
+def _drop_jobs(
+    structure: GraphStructure, keep_jobs: np.ndarray
+) -> tuple[GraphStructure, np.ndarray]:
+    """``GraphStructure`` of the jobs ``keep_jobs`` selects, and the node rows kept.
+
+    Derived from ``structure`` by dropping the other jobs' row ranges, not
+    rebuilt: edges never cross jobs and heights are component-local, so the
+    per-node arrays just lose rows and the surviving edges are re-indexed
+    through a cumulative sum of the row mask (monotone, so they stay in the
+    sorted order a fresh build gives them).  The result equals
+    ``GraphStructure(kept jobs)`` array for array.
+    """
+    keep_nodes = keep_jobs[structure.job_ids]
+    new_rows = np.cumsum(keep_nodes, dtype=np.intp) - 1
+    new_positions = np.cumsum(keep_jobs, dtype=np.intp) - 1
+    edited = object.__new__(GraphStructure)
+    edited.jobs = list(itertools.compress(structure.jobs, keep_jobs))
+    edited.nodes = list(itertools.compress(structure.nodes, keep_nodes))
+    edited.node_index = {id(node): row for row, node in enumerate(edited.nodes)}
+    edited.job_position = {id(job): pos for pos, job in enumerate(edited.jobs)}
+    edited.job_ids = new_positions[structure.job_ids[keep_nodes]]
+    edited.job_node_offsets = np.concatenate(
+        ([0], np.cumsum([job.num_nodes for job in edited.jobs]))
+    ).astype(np.intp)
+    keep_edges = keep_nodes[structure.edge_parent_rows]
+    edited.edge_parent_rows = new_rows[structure.edge_parent_rows[keep_edges]]
+    edited.edge_child_rows = new_rows[structure.edge_child_rows[keep_edges]]
+    edited.num_tasks = structure.num_tasks[keep_nodes]
+    edited.task_durations = structure.task_durations[keep_nodes]
+    edited.node_heights = structure.node_heights[keep_nodes]
+    edited.frontier_levels = _build_frontier_levels(
+        edited.node_heights, edited.edge_parent_rows, edited.edge_child_rows
+    )
+    edited._adjacency = None
+    edited._scaled_durations = {}
+    edited.num_graphs = 1
+    edited.job_graph_ids = np.zeros(len(edited.jobs), dtype=np.intp)
+    return edited, keep_nodes
+
+
 class GraphFeatures:
     """Vectorised view of all job DAGs in one observation.
 
@@ -474,11 +533,15 @@ def build_graph_features(
 class GraphCache:
     """Incremental graph-feature builder for consecutive ``act()`` steps.
 
-    Keys the cached :class:`GraphStructure` on the identity set of live
+    Keys the cached :class:`GraphStructure` on the identity sequence of live
     :class:`JobDAG` objects: consecutive observations over the same jobs reuse
     the edge/frontier/height arrays and only refresh the dynamic feature
-    matrix, while a job arrival or completion (or a new episode, whose jobs
-    are fresh deep copies) transparently triggers a rebuild.
+    matrix.  When jobs leave (the observed list is the cached one with some
+    jobs removed) the structure is *edited* — their row ranges are dropped
+    with array ops, see :func:`_drop_jobs` — while an arrival, a reorder or a
+    new episode (whose jobs are fresh deep copies) transparently triggers a
+    build from scratch, ``GraphStructure(jobs)``, which is also the reference
+    the edit is tested against.  ``num_rebuilds`` counts both.
 
     The cache holds no network outputs, so weight updates between training
     iterations never invalidate it; call :meth:`reset` at episode boundaries
@@ -488,8 +551,10 @@ class GraphCache:
     itself alive between steps and replays only the *delta*: each
     :class:`JobDAG` logs the nodes whose task counters changed
     (``log_feature_touch``), and :meth:`features` recomputes exactly those
-    rows plus the cheap whole-column scalars.  Any event that invalidates
-    per-row history — structure rebuild, feature-config change, a job's
+    rows plus the cheap whole-column scalars.  A departure drops the same
+    rows from the matrix and the survivors keep their touch-log marks, so it
+    stays on the delta path.  Any event that invalidates per-row history — a
+    structure built from scratch, feature-config change, a job's
     ``feature_epoch`` advancing (episode reset, log compaction) — falls back
     to one full refresh.  The two paths are bit-identical by construction
     (same scalar ops per row) and pinned to each other by a hypothesis
@@ -507,8 +572,7 @@ class GraphCache:
         self._config_key: Optional[tuple] = None
         # id(job) -> (feature_epoch, touch-log position) at the last refresh.
         # Jobs are pinned by the cached structure, so the id() keys are
-        # collision-safe; the dict is rebuilt from scratch on every full
-        # refresh, which drops entries of departed jobs.
+        # collision-safe; structure_for drops the entries of departed jobs.
         self._job_marks: dict[int, tuple[int, int]] = {}
 
     def reset(self) -> None:
@@ -520,12 +584,29 @@ class GraphCache:
         self._job_marks = {}
 
     def structure_for(self, jobs: list[JobDAG]) -> GraphStructure:
-        """Return a structure for ``jobs``, rebuilding only if the set changed."""
-        if self._structure is None or not self._structure.matches(jobs):
+        """Return a structure for ``jobs``, changing it only if the job list did.
+
+        When ``jobs`` is the cached list with some jobs removed, the cached
+        structure and feature buffer lose those jobs' rows and the survivors
+        keep their touch-log marks, so the next refresh is still a delta.
+        Anything else (an arrival, a reorder, a new episode) is a full build.
+        """
+        cached = self._structure
+        if cached is not None and cached.matches(jobs):
+            return cached
+        keep_jobs = None if cached is None else _surviving_jobs(cached.jobs, jobs)
+        if keep_jobs is None:
             self._structure = GraphStructure(list(jobs))
-            self.num_rebuilds += 1
             self._features_buf = None
             self._job_marks = {}
+        else:
+            self._structure, keep_nodes = _drop_jobs(cached, keep_jobs)
+            if self._features_buf is not None:
+                self._features_buf = self._features_buf[keep_nodes]
+            # Departed jobs are no longer pinned, so their id() keys must go.
+            for job in itertools.compress(cached.jobs, ~keep_jobs):
+                self._job_marks.pop(id(job), None)
+        self.num_rebuilds += 1
         return self._structure
 
     def _mark_jobs(self, structure: GraphStructure) -> None:

@@ -24,7 +24,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .duration import DurationModelConfig, TaskDurationModel
 from .executor import Executor, ExecutorClass, default_executor_class
@@ -139,6 +139,16 @@ class Action:
     executor_class: Optional[ExecutorClass] = None
 
 
+@dataclass
+class _LiveJob:
+    """Runnability bookkeeping the environment keeps for one live job."""
+
+    runnable: list[Node]  # == job.runnable_nodes, in job.nodes order
+    unfinished_parents: dict[Node, int]  # stage -> parent edges not yet completed
+    unfinished_stages: int  # == sum(not node.completed for node in job.nodes)
+    position: dict[Node, int]  # stage -> index in job.nodes
+
+
 class SchedulingEnvironment:
     """Event-driven simulator of a Spark-like cluster."""
 
@@ -171,6 +181,11 @@ class SchedulingEnvironment:
         self.wall_time = 0.0
         self.events: list[tuple[float, int, str, object]] = []
         self.active_jobs: list[JobDAG] = []
+        # The runnable frontier, a cache of ``JobDAG.runnable_nodes`` keyed by
+        # live job in arrival order (== active_jobs).  Only _on_job_arrival,
+        # _dispatch, _on_task_finish and this method write it, so a scheduling
+        # event costs what it changes instead of a scan over every stage.
+        self._frontier: dict[JobDAG, _LiveJob] = {}
         self.finished_jobs: list[JobDAG] = []
         self.pending_arrivals = 0
         self.free_executor_ids: set[int] = set()
@@ -234,18 +249,21 @@ class SchedulingEnvironment:
             num_jobs_in_system=self._num_jobs_in_system(),
         )
 
-    def _schedulable_nodes(self) -> list[Node]:
+    def _iter_schedulable(self) -> Iterator[Node]:
         """Runnable stages for which at least one free executor class fits."""
         free_classes = {self.executors[i].executor_class for i in self.free_executor_ids}
-        nodes = []
-        for job in self.active_jobs:
-            for node in job.runnable_nodes:
-                if any(cls.fits(node) for cls in free_classes):
-                    nodes.append(node)
-        return nodes
+        for live in self._frontier.values():
+            for node in live.runnable:
+                for cls in free_classes:
+                    if cls.fits(node):
+                        yield node
+                        break
+
+    def _schedulable_nodes(self) -> list[Node]:
+        return list(self._iter_schedulable())
 
     def _scheduling_point(self) -> bool:
-        return bool(self.free_executor_ids) and bool(self._schedulable_nodes())
+        return bool(self.free_executor_ids) and next(self._iter_schedulable(), None) is not None
 
     # ------------------------------------------------------------------ step
     def step(self, action: Optional[Action]) -> tuple[Optional[Observation], float, bool]:
@@ -287,7 +305,7 @@ class SchedulingEnvironment:
         node = action.node
         assert node is not None
         job = node.job
-        if job is None or job not in self.active_jobs or not node.runnable:
+        if job is None or job not in self._frontier or not node.runnable:
             return 0
         limit = int(action.parallelism_limit)
         want = limit - job.num_active_executors
@@ -347,6 +365,8 @@ class SchedulingEnvironment:
         executor.start_task(node, task)
         self.free_executor_ids.discard(executor.executor_id)
         self._push_event(task.finish_time, "task_finish", executor)
+        if node.saturated:
+            self._frontier[job].runnable.remove(node)
 
     # --------------------------------------------------------------- advance
     def _advance(self, force_process_event: bool = False) -> float:
@@ -455,6 +475,15 @@ class SchedulingEnvironment:
     def _on_job_arrival(self, job: JobDAG) -> None:
         self.pending_arrivals -= 1
         self.active_jobs.append(job)
+        self._frontier[job] = _LiveJob(
+            runnable=job.runnable_nodes,
+            unfinished_parents={
+                node: sum(not parent.completed for parent in node.parents)
+                for node in job.nodes
+            },
+            unfinished_stages=sum(not node.completed for node in job.nodes),
+            position={node: index for index, node in enumerate(job.nodes)},
+        )
 
     def _on_executor_added(self, event: ExecutorChurnEvent) -> None:
         cls = event.executor_class
@@ -500,9 +529,18 @@ class SchedulingEnvironment:
                 finish_time=task.finish_time,
             )
         )
-        if job.completed and job.completion_time < 0:
+        live = self._frontier[job]
+        if node.completed:
+            live.unfinished_stages -= 1
+            for child in node.children:
+                live.unfinished_parents[child] -= 1
+                if live.unfinished_parents[child] == 0 and not child.saturated:
+                    live.runnable.append(child)
+                    live.runnable.sort(key=live.position.__getitem__)
+        if live.unfinished_stages == 0 and job.completion_time < 0:
             job.completion_time = self.wall_time
             self.active_jobs.remove(job)
+            del self._frontier[job]
             self.finished_jobs.append(job)
             for other in self.executors:
                 if other.job is job and other.idle:

@@ -138,25 +138,37 @@ class TestRefreshBookkeeping:
         cache.features(observation)
         assert cache.num_delta_refreshes == 1
 
-    def test_structure_rebuild_drops_marks_and_buffers(self):
+    def test_job_departure_edits_structure_and_keeps_delta_path(self):
         import dataclasses
 
         env, observation = make_tpch_env(num_jobs=2, seed=9)
         cache = GraphCache()
         cache.features(observation)
+        survivor = observation.job_dags[0]
         shrunk = dataclasses.replace(
             observation,
-            job_dags=observation.job_dags[:1],
+            job_dags=[survivor],
             schedulable_nodes=[
-                node for node in observation.schedulable_nodes
-                if node.job is observation.job_dags[0]
+                node for node in observation.schedulable_nodes if node.job is survivor
             ],
         )
+        # A counter changed on the survivor since the last refresh: its mark
+        # must outlive the departure for the delta path to pick this up.
+        node = survivor.nodes[0]
+        node.num_running_tasks += 1
+        survivor.log_feature_touch(node)
         features = cache.features(shrunk)
+        # num_rebuilds counts structure *changes*; a departure is one, but it
+        # no longer costs a full refresh.
         assert cache.num_rebuilds == 2
-        assert cache.num_full_refreshes == 2
+        assert (cache.num_full_refreshes, cache.num_delta_refreshes) == (1, 1)
         scratch = build_graph_features(shrunk)
         assert np.array_equal(features.node_features, scratch.node_features)
+        assert np.array_equal(features.schedulable_mask, scratch.schedulable_mask)
+        # Only the survivor's mark is kept (the departed job's id() may be recycled).
+        assert set(cache._job_marks) == {id(survivor)}
+        cache.features(shrunk)
+        assert (cache.num_full_refreshes, cache.num_delta_refreshes) == (1, 2)
 
     def test_reuse_buffers_hands_out_the_arena(self):
         observation = self._observation()

@@ -22,9 +22,12 @@ differential runner (``tests/test_differential.py``, pairs
 """
 
 import copy
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from _helpers import make_decima_agent, make_tpch_env
 from repro.core import (
@@ -39,9 +42,10 @@ from repro.core import (
     build_graph_features,
     parameter_fingerprint,
 )
+from repro.core.features import GraphStructure
 from repro.core.rollout import collect_rollout
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
-from repro.simulator.environment import Action
+from repro.simulator.environment import Action, Observation
 from repro.simulator.jobdag import JobDAG, Node
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
@@ -147,7 +151,135 @@ class TestSparseDenseEquivalence:
         )
 
 
+def assert_same_structure(structure, fresh):
+    """Every array and index of ``structure`` equals the fresh build's, dtype included."""
+    assert all(a is b for a, b in zip(structure.jobs, fresh.jobs))
+    assert all(a is b for a, b in zip(structure.nodes, fresh.nodes))
+    assert (len(structure.jobs), len(structure.nodes)) == (len(fresh.jobs), len(fresh.nodes))
+    assert structure.node_index == fresh.node_index
+    assert structure.job_position == fresh.job_position
+    assert structure.num_graphs == fresh.num_graphs
+    for name in (
+        "job_ids", "job_node_offsets", "edge_parent_rows", "edge_child_rows", "num_tasks",
+        "task_durations", "node_heights", "job_graph_ids", "adjacency",
+    ):
+        lhs, rhs = getattr(structure, name), getattr(fresh, name)
+        np.testing.assert_array_equal(lhs, rhs, err_msg=name)
+        assert lhs.dtype == rhs.dtype, name
+    assert len(structure.frontier_levels) == len(fresh.frontier_levels)
+    for lhs, rhs in zip(structure.frontier_levels, fresh.frontier_levels):
+        assert lhs.height == rhs.height
+        for name in ("target_rows", "child_rows", "message_rows", "target_segments"):
+            np.testing.assert_array_equal(getattr(lhs, name), getattr(rhs, name), err_msg=name)
+            assert getattr(lhs, name).dtype == getattr(rhs, name).dtype, name
+
+
+def assert_cache_matches_scratch(cached, observation):
+    scratch = build_graph_features(observation)
+    np.testing.assert_array_equal(cached.node_features, scratch.node_features)
+    np.testing.assert_array_equal(cached.schedulable_mask, scratch.schedulable_mask)
+    assert_same_structure(cached.structure, scratch.structure)
+
+
+@st.composite
+def job_sets(draw):
+    """1-6 small jobs: single-stage jobs, edgeless jobs and duplicate edges included."""
+    jobs = []
+    for _ in range(draw(st.integers(1, 6))):
+        num_nodes = draw(st.integers(1, 5))
+        pairs = [(i, j) for i in range(num_nodes) for j in range(i + 1, num_nodes)]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+        nodes = [
+            Node(i, num_tasks=draw(st.integers(1, 4)), task_duration=float(draw(st.integers(1, 9))))
+            for i in range(num_nodes)
+        ]
+        jobs.append(JobDAG(nodes, edges))
+    return jobs
+
+
+def observation_of(jobs, source_job=None, num_free_executors=3):
+    return Observation(
+        wall_time=0.0,
+        job_dags=list(jobs),
+        schedulable_nodes=[node for job in jobs for node in job.runnable_nodes],
+        num_free_executors=num_free_executors,
+        free_executors_by_class=Counter(),
+        source_job=source_job,
+        total_executors=8,
+        executor_classes=[],
+        num_jobs_in_system=len(jobs),
+    )
+
+
+def run_one_task(node):
+    """Change ``node``'s counters the way the simulator does (touch-logged)."""
+    node.finish_task(node.dispatch_task(), wall_time=1.0)
+
+
 class TestGraphCacheProperty:
+    def check_departures(self, jobs, keep_masks, touched, reuse_buffers):
+        """Shrink ``jobs`` mask by mask; every time the cache must edit its
+        structure into exactly the fresh build and serve the step as a delta."""
+        cache = GraphCache()
+        first = cache.features(observation_of(jobs, jobs[-1]), reuse_buffers=reuse_buffers)
+        assert_cache_matches_scratch(first, observation_of(jobs, jobs[-1]))
+        for step, keep in enumerate(keep_masks, start=1):
+            for index in touched:
+                job = jobs[index % len(jobs)]
+                node = job.nodes[index % job.num_nodes]
+                if not node.saturated:
+                    run_one_task(node)
+            source = jobs[touched[0] % len(jobs)] if touched else None
+            jobs = [job for job, kept in zip(jobs, keep) if kept]
+            observation = observation_of(jobs, source, num_free_executors=step)
+            cached = cache.features(observation, reuse_buffers=reuse_buffers)
+            assert_cache_matches_scratch(cached, observation)
+            assert cache.num_rebuilds == 1 + step
+            assert (cache.num_full_refreshes, cache.num_delta_refreshes) == (1, step)
+            if not jobs:
+                break
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), reuse_buffers=st.booleans())
+    def test_departures_edit_the_structure_into_the_fresh_build(self, data, reuse_buffers):
+        jobs = data.draw(job_sets())
+        keep_masks = []
+        remaining = len(jobs)
+        while remaining and len(keep_masks) < 3:
+            keep = data.draw(
+                st.lists(st.booleans(), min_size=remaining, max_size=remaining).filter(
+                    lambda mask: not all(mask)
+                )
+            )
+            keep_masks.append(keep)
+            remaining = sum(keep)
+        touched = data.draw(st.lists(st.integers(0, 100), max_size=6))
+        self.check_departures(jobs, keep_masks, touched, reuse_buffers)
+
+    @pytest.mark.parametrize("reuse_buffers", [False, True])
+    @pytest.mark.parametrize(
+        "removed",
+        [{0}, {4}, {1, 2, 4}, {0, 1, 2, 3}, {1, 2, 3, 4}, {0, 1, 2, 3, 4}],
+        ids=["first", "last", "several", "all-but-last", "all-but-first", "all"],
+    )
+    def test_named_departure_patterns(self, removed, reuse_buffers):
+        rng = np.random.default_rng(4)
+        jobs = sample_tpch_jobs(5, rng, sizes=(2.0, 5.0))
+        keep = [index not in removed for index in range(5)]
+        self.check_departures(jobs, [keep], [0, 7, 13, 22], reuse_buffers)
+
+    def test_anything_but_departures_takes_the_full_build(self):
+        a, b, c, d = sample_tpch_jobs(4, np.random.default_rng(5), sizes=(2.0,))
+        for label, later in (
+            ("reorder", [b, a]), ("arrival", [a, b, c, d]), ("swap", [a, d]),
+            ("new episode", copy.deepcopy([a, b, c])),
+        ):
+            cache = GraphCache()
+            cache.features(observation_of([a, b, c]))
+            observation = observation_of(later)
+            assert_cache_matches_scratch(cache.features(observation), observation)
+            assert (cache.num_rebuilds, cache.num_full_refreshes) == (2, 2), label
+
     def run_episode_comparing(self, env, observation, max_steps=200):
         """Drive an episode with a cheap deterministic policy, comparing the
         cache against a from-scratch build at every scheduling point."""
@@ -158,19 +290,7 @@ class TestGraphCacheProperty:
         previous_job_set = None
         while observation is not None and steps < max_steps:
             cached = cache.features(observation)
-            scratch = build_graph_features(observation)
-            np.testing.assert_array_equal(cached.node_features, scratch.node_features)
-            np.testing.assert_array_equal(cached.schedulable_mask, scratch.schedulable_mask)
-            np.testing.assert_array_equal(cached.node_heights, scratch.node_heights)
-            np.testing.assert_array_equal(cached.job_ids, scratch.job_ids)
-            np.testing.assert_array_equal(cached.adjacency, scratch.adjacency)
-            assert len(cached.frontier_levels) == len(scratch.frontier_levels)
-            for lhs, rhs in zip(cached.frontier_levels, scratch.frontier_levels):
-                assert lhs.height == rhs.height
-                np.testing.assert_array_equal(lhs.target_rows, rhs.target_rows)
-                np.testing.assert_array_equal(lhs.child_rows, rhs.child_rows)
-                np.testing.assert_array_equal(lhs.message_rows, rhs.message_rows)
-                np.testing.assert_array_equal(lhs.target_segments, rhs.target_segments)
+            assert_cache_matches_scratch(cached, observation)
             job_set = tuple(id(job) for job in observation.job_dags)
             if job_set != previous_job_set:
                 transitions += 1
