@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# The one feature column every row shares: the free-executor count is written
+# into all of them each step, so row 0 tells whether any row kept its value.
+FREE_EXECUTORS_COLUMN = 3
+
+
 @dataclass
 class FeatureConfig:
     """Normalisation scales and optional extra features."""
@@ -87,6 +92,28 @@ class FrontierLevel:
     @property
     def num_targets(self) -> int:
         return int(len(self.target_rows))
+
+    def restricted_to(self, keep_rows: np.ndarray) -> "FrontierLevel":
+        """This level over the node rows the boolean mask ``keep_rows`` selects.
+
+        The mask must select whole jobs (edges never cross jobs, so an edge
+        survives exactly when its child does).  ``target_rows`` and
+        ``child_rows`` keep their row numbers in the full graph; the per-edge
+        indices into them are re-numbered through a cumulative sum of the
+        keep masks — the :func:`_drop_jobs` idiom, array ops only.
+        """
+        keep_targets = keep_rows[self.target_rows]
+        keep_children = keep_rows[self.child_rows]
+        keep_edges = keep_children[self.message_rows]
+        new_children = np.cumsum(keep_children, dtype=np.intp) - 1
+        new_targets = np.cumsum(keep_targets, dtype=np.intp) - 1
+        return FrontierLevel(
+            height=self.height,
+            target_rows=self.target_rows[keep_targets],
+            child_rows=self.child_rows[keep_children],
+            message_rows=new_children[self.message_rows[keep_edges]],
+            target_segments=new_targets[self.target_segments[keep_edges]],
+        )
 
 
 def compute_node_heights(
@@ -459,7 +486,7 @@ def _refresh_dynamic_features(
         )
         out[rows, 0] = (structure.num_tasks[rows] - finished) / config.task_scale
         out[rows, 2] = running / config.executor_scale
-    out[:, 3] = observation.num_free_executors / config.executor_scale
+    out[:, FREE_EXECUTORS_COLUMN] = observation.num_free_executors / config.executor_scale
     out[:, 4] = 0.0
     source = observation.source_job
     if source is not None:

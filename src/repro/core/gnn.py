@@ -14,13 +14,15 @@ critical path (Appendix E).
 
 from __future__ import annotations
 
+import operator
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..autograd import Tensor, concat, gather_rows, scatter_add_rows, segment_sum
-from .features import GraphFeatures
+from .features import FREE_EXECUTORS_COLUMN, GraphFeatures, GraphStructure
 from .kernels import Workspace, gather_segment_sum, mlp_forward
 from .nn import MLP, Module
 
@@ -44,6 +46,27 @@ class GNNConfig:
     # original dense formulation (full-width MLP passes and an O(N²) adjacency
     # matmul per height), kept as the numerical-equivalence oracle.
     sparse_message_passing: bool = True
+
+
+# Below this many node rows ``forward_data`` remembers nothing: a forward over
+# a small graph is mostly per-call overhead, which recomputing fewer rows does
+# not shrink.  Measured (docs/PERFORMANCE.md, "Embedding reuse"), not tuned
+# per deployment.
+REUSE_MIN_NODES = 256
+# A partly stale forward pays for cutting the levels down; past this share of
+# the rows the whole forward is the cheaper one.
+REUSE_MAX_STALE_SHARE = 0.5
+
+
+class _EmbeddingState:
+    """What ``forward_data`` keeps of its last pass over one structure."""
+
+    __slots__ = ("features", "node_embeddings", "job_sums")
+
+    def __init__(self, features_shape: tuple, num_jobs: int, dim: int):
+        self.features = np.empty(features_shape)
+        self.node_embeddings = np.empty((features_shape[0], dim))
+        self.job_sums = np.empty((num_jobs, dim))
 
 
 @dataclass
@@ -81,6 +104,21 @@ class GraphNeuralNetwork(Module):
         self.global_g = MLP(dim, dim, rng, hidden_sizes=hidden)
         # Inference-only arena of the data path (:meth:`forward_data`).
         self.workspace = Workspace()
+        # What the data path remembers between calls, per structure (weakly:
+        # a structure nobody else holds takes its state with it), all of it
+        # computed from the ``.data`` arrays in ``_weights``.
+        self._states: "weakref.WeakKeyDictionary[GraphStructure, _EmbeddingState]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._node_parameters = [
+            parameter
+            for mlp in (self.prep, self.node_f, self.node_g, self.job_f)
+            for parameter in mlp.parameters()
+        ]
+        self._weights: list = [None] * len(self._node_parameters)
+        # Node rows handed to forward_data, and how many of them it recomputed.
+        self.rows_seen = 0
+        self.rows_recomputed = 0
 
     # ------------------------------------------------------------------ nodes
     def node_embeddings(self, graph: GraphFeatures) -> Tensor:
@@ -182,34 +220,75 @@ class GraphNeuralNetwork(Module):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Arena-buffered forward pass on plain arrays (sparse path only).
 
-        Returns ``(node, job, global)`` embedding arrays owned by the
-        network's workspace — valid until the next forward, never safe to
-        hand to autograd.  Bit-identical to ``self(graph)``: every step is
-        the same numpy operation the tensor ops perform (gemm + broadcast
-        add, leaky-ReLU multiplier, gather, zero + ``np.add.at`` segment
-        sum), merely writing into preallocated buffers; the differential
-        pair ``inference_kernels_vs_tensor`` pins the two paths to each
-        other end to end.
+        Returns ``(node, job, global)`` embedding arrays owned by the network
+        — valid until its next forward over the same
+        :class:`~repro.core.features.GraphStructure` (the job and global
+        arrays: until its next forward at all), never safe to hand to
+        autograd.
+
+        On a graph of at least ``REUSE_MIN_NODES`` rows the network remembers,
+        per structure, the feature matrix it embedded and the node embeddings
+        and per-job ``job_f`` sums that came out, and the next forward over
+        that structure recomputes only the jobs that own a row whose features
+        differ (:meth:`_recall`).  Jobs are disconnected components and a
+        job's embeddings are a function of the structure, the weights and its
+        own feature rows alone, so nothing else can make a remembered row
+        wrong.  ``prep``, the frontier levels and ``job_f`` then run over the
+        stale jobs' rows, with each level cut down to them
+        (:meth:`FrontierLevel.restricted_to`); the ``J x D`` job transform
+        and the global summary always run in full.
+
+        With every row stale this is the whole forward, bit-identical to
+        ``self(graph)``: every step is the same numpy operation the tensor
+        ops perform (gemm + broadcast add, leaky-ReLU multiplier, gather,
+        zero + ``np.add.at`` segment sum), merely writing into preallocated
+        buffers; the differential pair ``inference_kernels_vs_tensor`` pins
+        the two to each other end to end.  A partly stale forward agrees to
+        rounding, not to the bit (a gemm's row results depend on how many
+        rows it has), and decides the same — ``incremental_vs_full_gnn``.
         """
         config = self.config
         if not config.sparse_message_passing:
             raise ValueError("forward_data implements the sparse path only")
         workspace = self.workspace
         features = graph.node_features
-        embeddings = mlp_forward(self.prep, features, workspace, "prep")
-        for index, level in enumerate(graph.frontier_levels):
-            if level.height > config.max_message_passing_depth:
+        num_features = features.shape[1]
+        dim = config.embedding_dim
+        job_ids = graph.job_ids
+        levels = graph.frontier_levels
+        state, stale_rows = self._recall(graph)
+        if state is None:
+            embeddings = None
+            job_sums = workspace.get("job_sum", (graph.num_jobs, dim))
+        else:
+            embeddings, job_sums = state.node_embeddings, state.job_sums
+        if stale_rows is None:
+            rows = None
+            embeddings = mlp_forward(self.prep, features, workspace, "prep", out=embeddings)
+            job_sums[:] = 0.0
+        else:
+            rows = np.flatnonzero(stale_rows)
+            features = np.take(
+                features, rows, axis=0,
+                out=workspace.get("stale_in", (rows.size, num_features)),
+            )
+            job_ids = job_ids[rows]
+            levels = (level.restricted_to(stale_rows) for level in levels)
+            embeddings[rows] = mlp_forward(self.prep, features, workspace, "prep")
+            job_sums[job_ids] = 0.0
+        self.rows_recomputed += len(features)
+        for index, level in enumerate(levels):
+            # A job with no node at this height has none above it either.
+            if level.height > config.max_message_passing_depth or not level.num_targets:
                 break
             children = workspace.get(
-                f"lvl{index}:child", (len(level.child_rows), config.embedding_dim)
+                f"lvl{index}:child", (len(level.child_rows), dim)
             )
             np.take(embeddings, level.child_rows, axis=0, out=children)
             messages = mlp_forward(self.node_f, children, workspace, f"lvl{index}:f")
-            aggregated = workspace.get(
-                f"lvl{index}:agg", (level.num_targets, config.embedding_dim)
-            )
+            aggregated = workspace.get(f"lvl{index}:agg", (level.num_targets, dim))
             scratch = workspace.get(
-                f"lvl{index}:edges", (len(level.message_rows), config.embedding_dim)
+                f"lvl{index}:edges", (len(level.message_rows), dim)
             )
             gather_segment_sum(
                 messages, level.message_rows, level.target_segments, aggregated, scratch
@@ -221,15 +300,18 @@ class GraphNeuralNetwork(Module):
             # Frontier rows are unique, so in-place accumulation matches the
             # tensor path's copy-then-add.at scatter exactly.
             np.add.at(embeddings, level.target_rows, update)
-        num_nodes, num_features = features.shape
-        dim = config.embedding_dim
-        job_inputs = workspace.get("job_in", (num_nodes, num_features + dim))
+        job_inputs = workspace.get("job_in", (len(features), num_features + dim))
         job_inputs[:, :num_features] = features
-        job_inputs[:, num_features:] = embeddings
+        job_inputs[:, num_features:] = embeddings if rows is None else embeddings[rows]
         transformed = mlp_forward(self.job_f, job_inputs, workspace, "job_f")
-        job_sums = workspace.get("job_sum", (graph.num_jobs, dim))
-        job_sums[:] = 0.0
-        np.add.at(job_sums, graph.job_ids, transformed)
+        np.add.at(job_sums, job_ids, transformed)
+        if state is not None:
+            # Filed only now: a forward that raised half way leaves nothing.
+            if rows is None:
+                state.features[...] = features
+            else:
+                state.features[rows] = features
+            self._states[graph.structure] = state
         if config.two_level_aggregation:
             job_embeddings = mlp_forward(self.job_g, job_sums, workspace, "job_g")
         else:
@@ -246,3 +328,50 @@ class GraphNeuralNetwork(Module):
         else:
             global_embedding = global_sums
         return embeddings, job_embeddings, global_embedding
+
+    def _recall(
+        self, graph: GraphFeatures
+    ) -> "tuple[Optional[_EmbeddingState], Optional[np.ndarray]]":
+        """What :meth:`forward_data` may keep of its last pass over this structure.
+
+        Returns ``(state, stale_rows)``.  ``state`` is ``None`` for a graph
+        under ``REUSE_MIN_NODES`` rows: nothing is kept and the forward runs
+        in the arena.  ``stale_rows`` is the boolean mask of the node rows to
+        recompute — every row of every job whose features changed since the
+        remembered pass — or ``None`` for all of them: no remembered pass,
+        another feature width, weights that are not the arrays the state was
+        computed from (``load_state_dict`` and ``Adam.step`` rebind
+        ``.data``; writing *into* a live network's ``.data`` is unsupported),
+        a moved free-executor count (row 0 speaks for the column), or more
+        than ``REUSE_MAX_STALE_SHARE`` of the rows.  The state is taken out
+        of the network here and filed again by the forward that completes.
+        """
+        features = graph.node_features
+        num_nodes = features.shape[0]
+        self.rows_seen += num_nodes
+        if num_nodes < REUSE_MIN_NODES:
+            return None, None
+        weights = [parameter.data for parameter in self._node_parameters]
+        if not all(map(operator.is_, weights, self._weights)):
+            self._states.clear()
+            self._weights = weights
+        state = self._states.pop(graph.structure, None)
+        if state is None or state.features.shape != features.shape:
+            return _EmbeddingState(features.shape, graph.num_jobs, self.config.embedding_dim), None
+        remembered = state.features
+        if features[0, FREE_EXECUTORS_COLUMN] != remembered[0, FREE_EXECUTORS_COLUMN]:
+            return state, None
+        job_ids = graph.job_ids
+        stale_jobs = np.zeros(graph.num_jobs, dtype=bool)
+        # Changed entries, flat; far cheaper than a row-wise ``any`` over (N, F).
+        changed = np.flatnonzero(features != remembered)
+        stale_jobs[job_ids[changed // features.shape[1]]] = True
+        stale_rows = stale_jobs[job_ids]
+        if np.count_nonzero(stale_rows) > REUSE_MAX_STALE_SHARE * num_nodes:
+            return state, None
+        return state, stale_rows
+
+    def forget_embeddings(self) -> None:
+        """Drop everything :meth:`forward_data` remembers; the next forward over
+        any structure recomputes every row."""
+        self._states.clear()

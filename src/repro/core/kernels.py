@@ -9,7 +9,7 @@ inference data path:
 
 * :class:`Workspace` — a named arena of reusable scratch buffers, so the
   steady-state ``act()`` does zero large allocations (buffers are keyed by
-  name and reallocated only when the graph size changes);
+  name, handed out as leading-row views and reallocated only to grow);
 * :func:`mlp_forward` — an MLP forward over plain arrays writing into arena
   buffers, **bit-identical** to the autograd MLP (same ``x @ W + b`` and
   ``x * where(x > 0, 1, slope)`` operations, in the same order, only with
@@ -32,10 +32,17 @@ __all__ = ["Workspace", "mlp_forward", "leaky_relu_inplace", "gather_segment_sum
 class Workspace:
     """A named arena of reusable scratch arrays.
 
-    ``get(name, shape)`` returns a float64 buffer of exactly ``shape``,
-    reusing the previous allocation for ``name`` whenever the shape still
-    matches (the steady state between graph rebuilds).  Contents are
-    whatever the last user left — callers must fully overwrite.
+    ``get(name, shape)`` returns a float64 array of exactly ``shape``: the
+    leading rows of the buffer kept under ``name``, which only grows (a
+    high-water mark).  The row count of most buffers changes from one
+    decision to the next — the schedulable set, the stale rows of
+    :meth:`~repro.core.gnn.GraphNeuralNetwork.forward_data`, the live nodes
+    after a job leaves — and none of that allocates once the largest graph
+    has been seen.  The leading rows of a C-contiguous buffer are themselves
+    C-contiguous, so ``np.matmul(..., out=)`` and ``np.take(..., out=)``
+    write into them directly.  Contents are whatever the last user left —
+    callers must fully overwrite — and a returned array is valid until the
+    next ``get`` of the same name.
     """
 
     __slots__ = ("_buffers",)
@@ -43,11 +50,19 @@ class Workspace:
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def get(self, name: str, shape: tuple) -> np.ndarray:
         buffer = self._buffers.get(name)
-        if buffer is None or buffer.shape != shape or buffer.dtype != dtype:
-            buffer = np.empty(shape, dtype=dtype)
-            self._buffers[name] = buffer
+        if buffer is not None:
+            # The steady state first: the array handed out last time fits.
+            if buffer.shape == shape:
+                return buffer
+            whole = buffer if buffer.base is None else buffer.base
+            rows = shape[0]
+            if whole.shape[0] >= rows and whole.shape[1:] == shape[1:]:
+                buffer = whole if whole.shape[0] == rows else whole[:rows]
+                self._buffers[name] = buffer
+                return buffer
+        buffer = self._buffers[name] = np.empty(shape)
         return buffer
 
     def clear(self) -> None:
@@ -59,7 +74,10 @@ class Workspace:
 
     @property
     def nbytes(self) -> int:
-        return sum(buffer.nbytes for buffer in self._buffers.values())
+        return sum(
+            (buffer if buffer.base is None else buffer.base).nbytes
+            for buffer in self._buffers.values()
+        )
 
 
 def leaky_relu_inplace(
@@ -82,28 +100,38 @@ def leaky_relu_inplace(
     np.maximum(values, scaled, out=values)
 
 
-def mlp_forward(mlp, inputs: np.ndarray, workspace: Workspace, tag: str) -> np.ndarray:
+def mlp_forward(
+    mlp,
+    inputs: np.ndarray,
+    workspace: Workspace,
+    tag: str,
+    out: "np.ndarray | None" = None,
+) -> np.ndarray:
     """Run an autograd :class:`~repro.core.nn.MLP` on plain arrays via arenas.
 
     Returns an arena-owned ``(rows, out_features)`` buffer (valid until the
-    next ``mlp_forward`` with the same ``tag``).  Bit-identical to
-    ``mlp(Tensor(inputs)).data``: each layer is the same
-    ``np.matmul(x, W) + b`` (gemm then broadcast add) and the same leaky-ReLU
-    multiplier, only written into preallocated buffers.
+    next ``mlp_forward`` with the same ``tag``), or ``out`` when given — the
+    last layer then writes straight into the caller's array instead of the
+    arena.  Bit-identical to ``mlp(Tensor(inputs)).data``: each layer is the
+    same ``np.matmul(x, W) + b`` (gemm then broadcast add) and the same
+    leaky-ReLU multiplier, only written into preallocated buffers.
     """
     if mlp.output_activation is not None:  # pragma: no cover - not used at inference
         raise ValueError("mlp_forward supports linear-output MLPs only")
-    out = inputs
+    values = inputs
     last = len(mlp.layers) - 1
     for index, layer in enumerate(mlp.layers):
         weight = layer.weight.data
-        buffer = workspace.get(f"{tag}:{index}", (out.shape[0], weight.shape[1]))
-        np.matmul(out, weight, out=buffer)
+        if index == last and out is not None:
+            buffer = out
+        else:
+            buffer = workspace.get(f"{tag}:{index}", (values.shape[0], weight.shape[1]))
+        np.matmul(values, weight, out=buffer)
         buffer += layer.bias.data
         if index < last:
             leaky_relu_inplace(buffer, mlp.negative_slope, workspace, f"{tag}:{index}")
-        out = buffer
-    return out
+        values = buffer
+    return values
 
 
 def gather_segment_sum(

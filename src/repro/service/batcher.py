@@ -499,6 +499,14 @@ class RequestBroker:
             # act()/act_batch() this agent ran — the control plane relays
             # this per shard so hot-path regressions show up in production.
             "stage_timing": self.agent.stage_timings.snapshot(),
+            # Node rows the network's data path was handed and how many of
+            # them it recomputed (the rest kept last decision's embeddings);
+            # equal on graphs of ``REUSE_MIN_NODES`` rows or more, the network
+            # is dropping what it remembers on every call.
+            "embedding_reuse": {
+                "rows_seen": self.agent.gnn.rows_seen,
+                "rows_recomputed": self.agent.gnn.rows_recomputed,
+            },
             "graph_cache": {
                 "delta_refreshes": self.graph_delta_refreshes,
                 "full_refreshes": self.graph_full_refreshes,

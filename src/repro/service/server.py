@@ -272,6 +272,13 @@ class PolicyServer:
             "graph_rebuilds_total": _counter_family(
                 "GraphCache structure rebuilds", broker.graph_rebuilds
             ),
+            "gnn_rows_seen_total": _counter_family(
+                "Node rows handed to the GNN data path", self.agent.gnn.rows_seen
+            ),
+            "gnn_rows_recomputed_total": _counter_family(
+                "Node rows the GNN data path re-embedded (not reused)",
+                self.agent.gnn.rows_recomputed,
+            ),
             "merged_structure_rebuilds_total": _counter_family(
                 "Mega-graph merged-structure rebuilds",
                 broker.merge_cache.num_rebuilds,

@@ -4,6 +4,8 @@ The repo ships several "fast path vs reference path" implementation pairs,
 each of which must be *behaviourally identical* at fixed seeds:
 
 * sparse frontier message passing vs the dense O(N²) GNN oracle;
+* the data path re-embedding only the jobs whose features changed vs the
+  same path remembering nothing;
 * the incremental :class:`~repro.core.features.GraphCache` vs from-scratch
   feature building;
 * in-process rollout collection vs the parallel worker pool;
@@ -155,6 +157,15 @@ class _TrainingForwardAgent(DecimaAgent):
             training=True,
         )
         return action
+
+
+class _ForgetfulAgent(DecimaAgent):
+    """Drops what the network's data path remembers before every decision, so
+    each one is the whole forward: the definition embedding reuse answers to."""
+
+    def schedule(self, observation):
+        self.gnn.forget_embeddings()
+        return super().schedule(observation)
 
 
 def _record(task: DifferentialTask, scheduler, label: str) -> EpisodeTrace:
@@ -491,6 +502,8 @@ register_variant("decima:scratch_features", lambda task: _decima_stream(task, Tr
 register_variant("decima:reference", lambda task: _decima_stream(task, False, False, "decima:reference"))
 # The inference data path's oracle: every decision through the training forward.
 register_variant("decima:tensor_forward", lambda task: _decima_stream(task, True, True, "decima:tensor_forward", agent_class=_TrainingForwardAgent))
+# Embedding reuse's oracle: the same data path, remembering nothing.
+register_variant("decima:full_gnn", lambda task: _decima_stream(task, True, True, "decima:full_gnn", agent_class=_ForgetfulAgent))
 register_variant("rollout:serial", _rollout_serial)
 register_variant("rollout:parallel", _rollout_parallel)
 register_variant("service:batched", lambda task: _service_stream(task, True))
@@ -519,6 +532,12 @@ IMPLEMENTATION_PAIRS: Dict[str, dict] = {
     },
     "inference_kernels_vs_tensor": {
         "variants": ("decima:default", "decima:tensor_forward"),
+        "fields": DEFAULT_COMPARE_FIELDS,
+    },
+    # Only bites on graphs of ``repro.core.gnn.REUSE_MIN_NODES`` rows or more;
+    # the tests run it with that constant patched to 0 as well.
+    "incremental_vs_full_gnn": {
+        "variants": ("decima:default", "decima:full_gnn"),
         "fields": DEFAULT_COMPARE_FIELDS,
     },
     "serial_vs_parallel_rollout": {

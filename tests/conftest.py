@@ -30,6 +30,35 @@ def training_setup_factory():
     return make_training_setup
 
 
+# ------------------------------------------------------ embedding-reuse fixtures
+@pytest.fixture
+def reuse_everywhere(monkeypatch):
+    """``forward_data`` keeps its embeddings on graphs of any size: test graphs
+    sit far under ``REUSE_MIN_NODES`` and would otherwise never reuse a row."""
+    import repro.core.gnn as gnn_module
+
+    monkeypatch.setattr(gnn_module, "REUSE_MIN_NODES", 0)
+
+
+@pytest.fixture
+def level_cuts(reuse_everywhere, monkeypatch):
+    """The list that grows by one entry — the number of stale rows — each time
+    a frontier level is cut down to the stale jobs (a partly stale forward)."""
+    import numpy as np
+
+    from repro.core.features import FrontierLevel
+
+    cuts = []
+    original = FrontierLevel.restricted_to
+
+    def counted(level, keep_rows):
+        cuts.append(int(np.count_nonzero(keep_rows)))
+        return original(level, keep_rows)
+
+    monkeypatch.setattr(FrontierLevel, "restricted_to", counted)
+    return cuts
+
+
 # ------------------------------------------------------- serving-layer fixtures
 @pytest.fixture
 def free_port():

@@ -207,7 +207,7 @@ class TestSessionTouchLogging:
 
 
 class TestKernels:
-    def test_workspace_reuses_until_shape_changes(self):
+    def test_workspace_reuses_and_only_grows(self):
         workspace = Workspace()
         a = workspace.get("x", (4, 3))
         assert workspace.get("x", (4, 3)) is a
@@ -217,6 +217,26 @@ class TestKernels:
         assert workspace.nbytes == b.nbytes
         workspace.clear()
         assert workspace.num_buffers == 0
+
+    def test_workspace_hands_out_leading_rows_of_its_largest_buffer(self):
+        """Fewer rows than the high-water mark is a view, not an allocation:
+        contiguous (so ``np.matmul(..., out=)`` takes it), the same memory,
+        and ``nbytes`` stays that of the largest shape asked for."""
+        workspace = Workspace()
+        big = workspace.get("x", (6, 3))
+        small = workspace.get("x", (2, 3))
+        assert small.shape == (2, 3) and small.flags.c_contiguous
+        assert np.shares_memory(small, big) and small.base is big
+        assert workspace.nbytes == big.nbytes
+        np.matmul(np.ones((2, 4)), np.ones((4, 3)), out=small)
+        assert np.array_equal(big[:2], np.full((2, 3), 4.0))
+        assert workspace.get("x", (6, 3)) is big
+        # One-dimensional buffers (the node logits) follow the same rule...
+        line = workspace.get("y", (8,))
+        assert workspace.get("y", (5,)).base is line
+        # ...and another width is another buffer.
+        wider = workspace.get("x", (2, 4))
+        assert wider.shape == (2, 4) and not np.shares_memory(wider, big)
 
     def test_gather_segment_sum_matches_add_at(self):
         rng = np.random.default_rng(0)

@@ -27,7 +27,7 @@ class TestRegistry:
     def test_builtin_variants_registered(self):
         names = variant_names()
         for name in ("decima:default", "decima:dense_gnn",
-                     "decima:tensor_forward", "rollout:serial",
+                     "decima:tensor_forward", "decima:full_gnn", "rollout:serial",
                      "rollout:parallel", "service:batched", "service:serial",
                      "service:online"):
             assert name in names
@@ -125,6 +125,36 @@ class TestImplementationPairs:
         assert len(resolve_variant("decima:tensor_forward")(task).decisions) > 5
         with pytest.raises(AssertionError, match="data path entered"):
             resolve_variant("decima:default")(task)
+
+    @pytest.mark.parametrize("scenario", sorted(scenario_names()))
+    def test_embedding_reuse_matches_full_forward_on_every_scenario(
+        self, scenario, level_cuts
+    ):
+        """Issue 21: ``forward_data`` re-embedding only the jobs whose feature
+        rows changed decides what the same path decides when it forgets
+        everything before each decision.  Differential tasks are small, so
+        the node-count constant is patched to 0 (at the shipped value — the
+        all-pairs test above — they never leave the all-stale path), and the
+        task has enough jobs on few enough executors for one job to be under
+        half the rows and the free-executor count to hold still."""
+        task = DifferentialTask(
+            scenario=scenario, seed=7, num_jobs=8, num_executors=3, max_decisions=150
+        )
+        report = run_pair("incremental_vs_full_gnn", task)
+        assert report.ok, report.describe()
+        assert min(report.num_decisions) > 5
+        assert level_cuts  # the partly stale path ran
+
+    def test_the_reuse_pair_compares_two_different_forwards(self, level_cuts):
+        """``decima:full_gnn`` never runs a partly stale forward; on the same
+        task ``decima:default`` does."""
+        task = DifferentialTask(
+            scenario="tpch_batched", seed=7, num_jobs=8, num_executors=3, max_decisions=60
+        )
+        assert len(resolve_variant("decima:full_gnn")(task).decisions) > 5
+        assert not level_cuts
+        resolve_variant("decima:default")(task)
+        assert level_cuts
 
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))
     def test_online_lr0_matches_frozen_on_every_scenario(self, scenario):

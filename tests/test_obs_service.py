@@ -93,6 +93,11 @@ class TestMetricsEndpoint:
         assert sample_value(snapshot, "fallback_decisions_total") == 0
         # Feature-refresh mix and stage timings made it out of the hot path.
         assert sample_value(snapshot, "graph_delta_refreshes_total") > 0
+        # The embedding-reuse pair: these graphs are far under
+        # REUSE_MIN_NODES, so every row seen was recomputed.
+        rows_seen = sample_value(snapshot, "gnn_rows_seen_total")
+        assert rows_seen > 0
+        assert sample_value(snapshot, "gnn_rows_recomputed_total") == rows_seen
         for stage in ("features", "propagation", "policy", "sampling"):
             assert sample_value(
                 snapshot, "stage_mean_ms", {"stage": stage}
