@@ -83,7 +83,7 @@ def watch_fleet(address: tuple, interval: float) -> None:
             time.sleep(interval)
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     target = parser.add_mutually_exclusive_group()
     target.add_argument("--connect", metavar="HOST:PORT",
@@ -126,6 +126,11 @@ def main() -> None:
                         help="control-plane address of an external fleet "
                              "(snapshot health/stats into the summary)")
     parser.add_argument("--out", help="write the summary JSON to this path")
+    return parser
+
+
+def main() -> None:
+    parser = build_parser()
     args = parser.parse_args()
 
     configure_logging()

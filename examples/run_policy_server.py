@@ -15,19 +15,22 @@ The whole deployment is described by one declarative
 admission limit and a control plane on a second port), otherwise a single
 server — the same class every shard runs.
 
+The policy comes from a :class:`~repro.core.checkpoints.CheckpointStore`
+(``--store-dir``, the directory ``train_decima_tpch.py --store-dir`` saves
+into): the server loads the version the store's pointer names as latest.  An
+empty or absent store serves an untrained network.
+
 With ``--online`` the server keeps *learning while it serves*: every decision
 is recorded into a replay buffer, a background trainer runs REINFORCE updates
-over replayed experience, each result is persisted as the next version in a
-:class:`~repro.core.checkpoints.CheckpointStore` (``--store-dir``) and
-hot-swapped into the serving processes under a monotonic policy version — with
-an SLO guard that automatically rolls back to the last good checkpoint if a
-freshly installed version regresses.
+over replayed experience, each result is persisted as the next version in the
+same store and hot-swapped into the serving processes under a monotonic policy
+version — with an SLO guard that automatically rolls back to the last good
+checkpoint if a freshly installed version regresses.
 
-Run:  python examples/run_policy_server.py --run-dir runs/tpch     # latest.json
-      python examples/run_policy_server.py --checkpoint model.npz  # explicit file
+Run:  python examples/run_policy_server.py --store-dir runs/tpch   # latest version
       python examples/run_policy_server.py --executors 20          # untrained net
       python examples/run_policy_server.py --shards 4 --max-sessions 64  # fleet
-      python examples/run_policy_server.py --online --store-dir runs/online
+      python examples/run_policy_server.py --online --store-dir runs/tpch
 
 Then drive traffic at it with examples/run_policy_loadgen.py.
 """
@@ -36,7 +39,7 @@ import argparse
 import tempfile
 import time
 
-from repro.core import CheckpointStore, DecimaAgent, DecimaConfig, load_agent, load_latest
+from repro.core import CheckpointStore, DecimaAgent, DecimaConfig
 from repro.learning import OnlineLearningConfig, OnlineLearningManager, OnlineTrainerConfig
 from repro.obs import configure_logging, summarize_snapshot
 from repro.schedulers import scheduler_names
@@ -48,26 +51,8 @@ def _sample(snapshot: dict, name: str):
     return samples[0].get("value") if samples else None
 
 
-def build_serving_agent(args) -> DecimaAgent:
-    if args.run_dir:
-        agent = load_latest(args.run_dir)
-        print(f"Loaded latest checkpoint from {args.run_dir} "
-              f"({agent.num_parameters()} parameters)")
-        return agent
-    if args.checkpoint:
-        agent = load_agent(args.checkpoint)
-        print(f"Loaded {args.checkpoint} ({agent.num_parameters()} parameters)")
-        return agent
-    print(f"No checkpoint given — serving an untrained policy "
-          f"({args.executors} executors)")
-    return DecimaAgent(total_executors=args.executors, config=DecimaConfig(seed=0))
-
-
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
-    source = parser.add_mutually_exclusive_group()
-    source.add_argument("--run-dir", help="training run directory (reads latest.json)")
-    source.add_argument("--checkpoint", help="explicit .npz checkpoint path")
     parser.add_argument("--executors", type=int, default=10,
                         help="cluster size for an untrained agent (default 10)")
     parser.add_argument("--host", default="127.0.0.1")
@@ -92,8 +77,10 @@ def main() -> None:
                              "decisions, checkpointed + hot-swapped with "
                              "automatic SLO rollback")
     parser.add_argument("--store-dir", default=None,
-                        help="CheckpointStore directory for --online versions "
-                             "(default: a temporary directory)")
+                        help="CheckpointStore directory: its latest version is "
+                             "what gets served, and --online appends versions "
+                             "to it (default: an untrained agent; --online "
+                             "then learns into a temporary directory)")
     parser.add_argument("--learning-rate", type=float, default=1e-3,
                         help="online REINFORCE learning rate (--online)")
     parser.add_argument("--update-interval", type=float, default=2.0,
@@ -107,10 +94,21 @@ def main() -> None:
     parser.add_argument("--log-level", default="info",
                         help="structured JSON log level on stderr "
                              "(debug/info/warning/error; default info)")
-    args = parser.parse_args()
-    configure_logging(level=args.log_level.upper())
+    return parser
 
-    agent = build_serving_agent(args)
+
+def build_policy_server(args):
+    """The deployment the flags describe, constructed but not started."""
+    agent = None
+    store = CheckpointStore(args.store_dir) if args.store_dir else None
+    if store is not None and store.latest_version() is not None:
+        info = store.info()
+        print(f"Loaded version {info.version} from the store {args.store_dir} "
+              f"(fingerprint {info.fingerprint[:12]})")
+    else:
+        print(f"No stored checkpoint — serving an untrained policy "
+              f"({args.executors} executors)")
+        agent = DecimaAgent(total_executors=args.executors, config=DecimaConfig(seed=0))
     config = ServingConfig(
         num_shards=args.shards,
         host=args.host,
@@ -121,9 +119,32 @@ def main() -> None:
         slo_ms=args.slo_ms,
         batched=not args.serial,
         greedy=not args.sample,
+        checkpoint_dir=args.store_dir if agent is None else None,
         collect_experience=args.online,
     )
-    server = build_server(config, agent=agent)
+    return build_server(config, agent=agent)
+
+
+def attach_online_learning(server, args) -> OnlineLearningManager:
+    """The ``--online`` loop around ``server``, appending to ``--store-dir``."""
+    return OnlineLearningManager(
+        server,
+        CheckpointStore(args.store_dir),
+        OnlineLearningConfig(
+            trainer=OnlineTrainerConfig(learning_rate=args.learning_rate),
+        ),
+    )
+
+
+def main() -> None:
+    args = build_parser().parse_args()
+    configure_logging(level=args.log_level.upper())
+
+    store_tmp = None
+    if args.online and args.store_dir is None:
+        store_tmp = tempfile.TemporaryDirectory(prefix="decima-online-")
+        args.store_dir = store_tmp.name
+    server = build_policy_server(args)
     host, port = server.start()
     mode = "serial" if args.serial else "batched"
     slo = f"{args.slo_ms:.0f} ms SLO -> {args.fallback}" if args.slo_ms else "no SLO"
@@ -139,23 +160,11 @@ def main() -> None:
               f"({mode} inference, {slo})")
 
     manager = None
-    store_tmp = None
     if args.online:
-        if args.store_dir is None:
-            store_tmp = tempfile.TemporaryDirectory(prefix="decima-online-")
-            store_dir = store_tmp.name
-        else:
-            store_dir = args.store_dir
-        manager = OnlineLearningManager(
-            server,
-            CheckpointStore(store_dir),
-            OnlineLearningConfig(
-                trainer=OnlineTrainerConfig(learning_rate=args.learning_rate),
-            ),
-        )
+        manager = attach_online_learning(server, args)
         manager.start(interval_seconds=args.update_interval)
         print(f"Online learning on (lr={args.learning_rate:g}, "
-              f"checkpoint store: {store_dir})")
+              f"checkpoint store: {args.store_dir})")
     print("Press Ctrl-C to stop.")
 
     def print_stats() -> None:

@@ -4,17 +4,18 @@
 This is a scaled-down version of the §7.2 continuous-arrival experiment
 (Figure 9b): jobs arrive as a Poisson process, Decima trains with curriculum
 learning and input-dependent baselines, and the learned policy is compared to
-the optimally tuned weighted-fair heuristic.  The trained model is saved to an
-``.npz`` checkpoint.
+the optimally tuned weighted-fair heuristic.  The trained model is saved as the
+next version of a :class:`~repro.core.checkpoints.CheckpointStore`
+(``--store-dir``), which ``run_policy_server.py --store-dir`` serves.
 
-Run:  python examples/train_decima_tpch.py [--iterations N]
+Run:  python examples/train_decima_tpch.py [--iterations N] [--store-dir DIR]
 """
 
 import argparse
 
 import numpy as np
 
-from repro.core import CheckpointStore, TrainingConfig, save_agent
+from repro.core import CheckpointStore, TrainingConfig
 from repro.experiments import (
     format_scalar_table,
     run_scheduler_on_jobs,
@@ -27,16 +28,15 @@ from repro.simulator import SimulatorConfig
 from repro.workloads import poisson_arrivals, sample_tpch_jobs
 
 
-def main() -> None:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--iterations", type=int, default=15, help="training iterations")
     parser.add_argument("--num-jobs", type=int, default=12, help="jobs per arrival sequence")
     parser.add_argument("--executors", type=int, default=25, help="cluster size")
     parser.add_argument("--interarrival", type=float, default=45.0, help="mean interarrival (s)")
-    parser.add_argument("--checkpoint", default="decima_tpch.npz", help="output model path")
-    parser.add_argument("--store-dir", default=None,
-                        help="also save the model as the next version of a "
-                             "CheckpointStore (servable with "
+    parser.add_argument("--store-dir", default="runs/tpch",
+                        help="CheckpointStore directory the trained model is "
+                             "saved into as the next version (servable with "
                              "run_policy_server.py --store-dir)")
     parser.add_argument(
         "--workers",
@@ -44,7 +44,11 @@ def main() -> None:
         default=1,
         help="rollout worker processes, >= 1 (1 = serial; the paper uses 16)",
     )
-    args = parser.parse_args()
+    return parser
+
+
+def main() -> None:
+    args = build_parser().parse_args()
 
     config = SimulatorConfig(num_executors=args.executors, seed=0)
     factory = tpch_poisson_factory(args.num_jobs, args.interarrival)
@@ -64,11 +68,9 @@ def main() -> None:
     rewards = history.rewards()
     print(f"Mean episode reward: first iteration {rewards[0]:.3f}, last {rewards[-1]:.3f}")
 
-    path = save_agent(agent, args.checkpoint)
-    print(f"Saved trained model to {path} ({agent.num_parameters()} parameters)")
-    if args.store_dir:
-        info = CheckpointStore(args.store_dir).save(agent)
-        print(f"Saved checkpoint version {info.version} to {info.path}")
+    info = CheckpointStore(args.store_dir).save(agent)
+    print(f"Saved trained model as version {info.version} of the store: {info.path} "
+          f"({agent.num_parameters()} parameters)")
 
     # Evaluate on an unseen arrival sequence.
     rng = np.random.default_rng(1234)

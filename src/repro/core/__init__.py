@@ -7,11 +7,7 @@ from .checkpoints import (
     CheckpointStore,
     agent_spec,
     build_agent,
-    load_agent,
-    load_agent_weights,
-    load_latest,
     parameter_fingerprint,
-    save_agent,
 )
 from .features import (
     FeatureConfig,
@@ -64,10 +60,6 @@ __all__ = [
     "CheckpointStore",
     "agent_spec",
     "build_agent",
-    "load_agent",
-    "load_agent_weights",
-    "load_latest",
-    "save_agent",
     "EpisodeOutcome",
     "EpisodeSpec",
     "IterationPlan",

@@ -1,16 +1,13 @@
 """Saving, loading and rebuilding Decima models.
 
-Three serialization forms live here:
+Two serialization forms live here:
 
-* :class:`CheckpointStore` — the checkpoint API: a directory of versioned
-  npz checkpoints with monotonic version ids, fingerprint-verified loads, an
-  atomically updated ``latest.json`` pointer and bounded retention.  Training
-  runs save into a store; the serving layer and the online-learning loop load
-  and append to the same store.
-* npz checkpoints on disk via the original free functions (:func:`save_agent`
-  / :func:`load_agent` / :func:`load_latest` / :func:`load_agent_weights`).
-  These predate the store and are kept as thin compatibility wrappers — new
-  code should construct a :class:`CheckpointStore`.
+* :class:`CheckpointStore` — the only way a policy reaches disk: a directory
+  of versioned npz checkpoints with monotonic version ids, fingerprint-verified
+  loads, bounded retention and an atomically replaced ``latest.json`` pointer
+  that alone says which version is latest.  Training runs save into a store;
+  the serving layer and the online-learning loop load from and append to the
+  same store.
 * in-memory :class:`AgentSpec` records that let another process reconstruct
   an architecturally identical agent (used by the parallel rollout workers
   and the fleet's shard processes, which rebuild the agent once and then
@@ -21,6 +18,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
 import os
 import re
@@ -37,10 +35,6 @@ from .nn import Module
 __all__ = [
     "CheckpointInfo",
     "CheckpointStore",
-    "save_agent",
-    "load_agent",
-    "load_agent_weights",
-    "load_latest",
     "AgentSpec",
     "agent_spec",
     "build_agent",
@@ -48,13 +42,11 @@ __all__ = [
     "LATEST_POINTER",
 ]
 
-# File written next to every checkpoint so tools can find the newest one
-# without knowing its name (``load_latest`` and the store read it).
+# The store's pointer file: names the latest version and its fingerprint.
 LATEST_POINTER = "latest.json"
 
 # Store checkpoints are named ckpt-<version>.npz with a fixed-width version so
 # lexicographic and numeric order agree.
-_CHECKPOINT_PREFIX = "ckpt-"
 _CHECKPOINT_PATTERN = re.compile(r"^ckpt-(\d{6,})\.npz$")
 
 
@@ -103,16 +95,6 @@ def build_agent(
     return agent
 
 
-def _config_to_jsonable(config: DecimaConfig) -> dict:
-    """Full architecture description of ``config`` as plain JSON types.
-
-    ``asdict`` already recurses into the nested :class:`FeatureConfig`; tuples
-    become lists on the JSON side and are restored by
-    :func:`_config_from_jsonable`.
-    """
-    return asdict(config)
-
-
 def _config_from_jsonable(payload: dict) -> DecimaConfig:
     """Rebuild a :class:`DecimaConfig` from checkpoint metadata.
 
@@ -134,110 +116,38 @@ def _config_from_jsonable(payload: dict) -> DecimaConfig:
     return DecimaConfig(**kwargs)
 
 
-def save_agent(
-    agent: DecimaAgent, path: Union[str, Path], update_latest: bool = True
-) -> Path:
-    """Write the agent's parameters and full config to ``path`` (.npz).
-
-    Unless ``update_latest`` is false, a ``latest.json`` pointer is (re)written
-    next to the checkpoint so :func:`load_latest` can start from the run
-    directory without knowing the checkpoint's name.
-    """
-    path = Path(path)
-    if path.suffix != ".npz":
-        # np.savez appends ".npz" itself when missing; normalise first so the
-        # returned path and the latest.json pointer name the real file.
-        path = path.with_name(path.name + ".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    state = agent.state_dict()
-    meta = {
-        "total_executors": agent.total_executors,
-        "num_parameters": agent.num_parameters(),
-        "config": _config_to_jsonable(agent.config),
-        "fingerprint": parameter_fingerprint(agent),
-    }
-    np.savez(path, __meta__=json.dumps(meta), **state)
-    if update_latest:
-        pointer = path.parent / LATEST_POINTER
-        pointer.write_text(
-            json.dumps({"checkpoint": path.name, "fingerprint": meta["fingerprint"]},
-                       indent=2, sort_keys=True)
-            + "\n"
-        )
-    return path
-
-
-def _read_meta(archive) -> dict:
-    if "__meta__" not in archive.files:
-        raise ValueError("checkpoint has no __meta__ entry; was it saved by save_agent?")
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write ``data`` under a temporary name (one that matches neither the
+    pointer nor ``ckpt-*.npz``), then rename it over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        meta = json.loads(str(archive["__meta__"]))
-    except json.JSONDecodeError as error:
-        raise ValueError(f"checkpoint metadata is corrupt: {error}") from None
-    if not isinstance(meta, dict) or "total_executors" not in meta:
-        raise ValueError(
-            "checkpoint metadata is corrupt: missing the 'total_executors' entry"
-        )
-    return meta
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_agent(path: Union[str, Path]) -> DecimaAgent:
-    """Reconstruct an agent (architecture AND weights) from a checkpoint.
+def _read_archive(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
+    """``(metadata, state_dict)`` of one checkpoint file, opened once."""
+    import zipfile  # np.load imports it here too; serving processes never do
 
-    Unlike :func:`load_agent_weights`, no pre-built agent is needed: the
-    architecture is rebuilt from the checkpoint's own metadata.
-    """
-    archive = np.load(Path(path), allow_pickle=False)
-    meta = _read_meta(archive)
-    config = _config_from_jsonable(meta.get("config", {}))
-    agent = DecimaAgent(int(meta["total_executors"]), config=config)
-    state = {key: archive[key] for key in archive.files if key != "__meta__"}
-    agent.load_state_dict(state)
-    return agent
-
-
-def load_latest(directory: Union[str, Path]) -> DecimaAgent:
-    """Load the checkpoint the directory's ``latest.json`` pointer names.
-
-    The pointer's recorded parameter fingerprint is verified against the
-    loaded weights, so a checkpoint file swapped or truncated behind the
-    pointer's back fails loudly instead of serving the wrong model.
-    """
-    directory = Path(directory)
-    pointer = directory / LATEST_POINTER
-    if not pointer.exists():
-        raise FileNotFoundError(
-            f"{pointer} not found — save a checkpoint with save_agent() first"
-        )
     try:
-        payload = json.loads(pointer.read_text())
-    except json.JSONDecodeError as error:
-        raise ValueError(f"{pointer} is corrupt: {error}") from None
-    if not isinstance(payload, dict) or "checkpoint" not in payload:
-        raise ValueError(f"{pointer} is corrupt: missing the 'checkpoint' entry")
-    agent = load_agent(directory / payload["checkpoint"])
-    expected = payload.get("fingerprint")
-    if expected is not None:
-        actual = parameter_fingerprint(agent)
-        if actual != expected:
+        archive = np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, EOFError) as error:
+        raise ValueError(f"checkpoint {path.name!r} is not an npz: {error}") from None
+    with archive:
+        if "__meta__" not in archive.files:
+            raise ValueError(f"checkpoint {path.name!r} has no __meta__ entry")
+        try:
+            meta = json.loads(str(archive["__meta__"]))
+        except json.JSONDecodeError as error:
+            raise ValueError(f"checkpoint metadata is corrupt: {error}") from None
+        if not isinstance(meta, dict) or "total_executors" not in meta:
             raise ValueError(
-                f"checkpoint {payload['checkpoint']!r} does not match the "
-                f"{LATEST_POINTER} fingerprint (expected {expected}, loaded "
-                f"{actual}) — was the file replaced without updating the pointer?"
+                "checkpoint metadata is corrupt: missing the 'total_executors' entry"
             )
-    return agent
-
-
-def load_agent_weights(agent: DecimaAgent, path: Union[str, Path]) -> DecimaAgent:
-    """Load parameters saved by :func:`save_agent` into an existing agent.
-
-    The agent must have been constructed with the same architecture (the
-    parameter count and shapes are checked by ``load_state_dict``).
-    """
-    archive = np.load(Path(path), allow_pickle=False)
-    state = {key: archive[key] for key in archive.files if key != "__meta__"}
-    agent.load_state_dict(state)
-    return agent
+        state = {key: archive[key] for key in archive.files if key != "__meta__"}
+    return meta, state
 
 
 @dataclass(frozen=True)
@@ -253,11 +163,12 @@ class CheckpointStore:
     """Directory of versioned agent checkpoints with an atomic latest pointer.
 
     Checkpoints are named ``ckpt-<version>.npz`` with strictly increasing
-    version ids, so concurrent readers can always tell which of two
-    checkpoints is newer.  ``latest.json`` is rewritten atomically (tmp file +
-    ``os.replace``) after every save and stays readable by the legacy
-    :func:`load_latest` — the store's pointer is a superset of the old format
-    (it adds a ``version`` entry).
+    version ids.  Which one is *latest* is whatever ``latest.json`` says and
+    nothing else: :meth:`save` writes the npz under a temporary name, renames
+    it, then replaces the pointer, so a save that dies at any point leaves
+    the store answering with the previous complete version.  The directory
+    listing only picks the next id and feeds garbage collection — a stray or
+    half-written ``ckpt-*.npz`` the pointer never named is not served.
 
     ``retain`` bounds disk usage: after each save, versions older than the
     newest ``retain`` are deleted.  Pass ``retain=None`` to keep everything.
@@ -273,121 +184,114 @@ class CheckpointStore:
     # -- enumeration ------------------------------------------------------
 
     def versions(self) -> list[int]:
-        """Sorted version ids of every checkpoint currently on disk."""
-        found = []
-        for entry in self.directory.iterdir():
-            match = _CHECKPOINT_PATTERN.match(entry.name)
-            if match:
-                found.append(int(match.group(1)))
-        return sorted(found)
+        """Sorted version ids of every checkpoint file currently on disk."""
+        matches = map(_CHECKPOINT_PATTERN.match, os.listdir(self.directory))
+        return sorted(int(match.group(1)) for match in matches if match)
 
     def latest_version(self) -> Optional[int]:
-        """Newest version on disk, or None for an empty store."""
-        versions = self.versions()
-        return versions[-1] if versions else None
+        """The version the pointer names, or None for a store never saved to."""
+        pointer = self._read_pointer()
+        return None if pointer is None else pointer["version"]
 
     def path_for(self, version: int) -> Path:
-        return self.directory / f"{_CHECKPOINT_PREFIX}{version:06d}.npz"
+        return self.directory / f"ckpt-{version:06d}.npz"
 
     def info(self, version: Optional[int] = None) -> CheckpointInfo:
-        """Metadata for ``version`` (default: latest) without loading weights."""
-        version = self._resolve_version(version)
-        path = self.path_for(version)
-        archive = np.load(path, allow_pickle=False)
-        meta = _read_meta(archive)
-        return CheckpointInfo(
-            version=version, path=path, fingerprint=meta.get("fingerprint", "")
-        )
+        """Version, path and recorded fingerprint of ``version`` (default: latest)."""
+        version, path, _ = self._locate(version)
+        meta, _ = _read_archive(path)
+        return CheckpointInfo(version, path, meta.get("fingerprint", ""))
 
     # -- save / load ------------------------------------------------------
 
     def save(self, agent: DecimaAgent) -> CheckpointInfo:
-        """Write ``agent`` as the next version and move the latest pointer.
-
-        The checkpoint file lands fully before the pointer flips, and the
-        pointer flip itself is an ``os.replace`` — a crash between the two
-        leaves the store pointing at the previous (complete) version.
-        """
-        latest = self.latest_version()
-        version = 1 if latest is None else latest + 1
-        path = save_agent(agent, self.path_for(version), update_latest=False)
+        """Write ``agent`` as the next version (one past every ``ckpt-*.npz``
+        on disk, pointed-to or not) and move the latest pointer to it."""
+        on_disk = self.versions()
+        version = max(on_disk, default=0) + 1
+        path = self.path_for(version)
         fingerprint = parameter_fingerprint(agent)
-        self._write_pointer(path.name, fingerprint, version)
-        self._collect_garbage(version)
-        return CheckpointInfo(version=version, path=path, fingerprint=fingerprint)
+        meta = {
+            "total_executors": agent.total_executors,
+            "num_parameters": agent.num_parameters(),
+            "config": asdict(agent.config),
+            "fingerprint": fingerprint,
+        }
+        archive = io.BytesIO()
+        np.savez(archive, __meta__=json.dumps(meta), **agent.state_dict())
+        _write_atomically(path, archive.getvalue())
+        pointer = json.dumps({"fingerprint": fingerprint, "version": version}, indent=2)
+        _write_atomically(self.directory / LATEST_POINTER, (pointer + "\n").encode())
+        if self.retain is not None:
+            for old in on_disk:
+                if old <= version - self.retain:
+                    self.path_for(old).unlink(missing_ok=True)
+        return CheckpointInfo(version, path, fingerprint)
 
     def load(self, version: Optional[int] = None) -> DecimaAgent:
-        """Load ``version`` (default: latest), verifying its fingerprint.
+        """Rebuild ``version`` (default: latest) — architecture and weights.
 
         The fingerprint stored inside the npz metadata must match the loaded
         weights; for the latest version, the pointer's fingerprint is checked
         too, so a file swapped behind the pointer's back fails loudly.
         """
-        resolved = self._resolve_version(version)
-        path = self.path_for(resolved)
-        agent = load_agent(path)
-        archive = np.load(path, allow_pickle=False)
-        meta = _read_meta(archive)
-        expected = meta.get("fingerprint")
+        _, path, pointer_fingerprint = self._locate(version)
+        meta, state = _read_archive(path)
+        agent = DecimaAgent(
+            int(meta["total_executors"]),
+            config=_config_from_jsonable(meta.get("config", {})),
+        )
+        agent.load_state_dict(state)
         actual = parameter_fingerprint(agent)
-        if expected is not None and actual != expected:
-            raise ValueError(
-                f"checkpoint {path.name!r} does not match its recorded "
-                f"fingerprint (expected {expected}, loaded {actual})"
-            )
-        if version is None:
-            pointer = self._read_pointer()
-            if pointer is not None and pointer.get("fingerprint") not in (None, actual):
+        for voucher, expected in (
+            ("its recorded", meta.get("fingerprint")),
+            (f"the {LATEST_POINTER}", pointer_fingerprint),
+        ):
+            if expected not in (None, actual):
                 raise ValueError(
-                    f"checkpoint {path.name!r} does not match the "
-                    f"{LATEST_POINTER} fingerprint — was the file replaced "
-                    "without updating the pointer?"
+                    f"checkpoint {path.name!r} does not match {voucher} fingerprint "
+                    f"(expected {expected}, loaded {actual}) — was the file "
+                    "changed after it was saved?"
                 )
         return agent
 
     def load_state(self, version: Optional[int] = None) -> dict[str, np.ndarray]:
         """Raw ``state_dict`` payload of ``version`` (default: latest)."""
-        version = self._resolve_version(version)
-        archive = np.load(self.path_for(version), allow_pickle=False)
-        return {key: archive[key] for key in archive.files if key != "__meta__"}
+        _, path, _ = self._locate(version)
+        return _read_archive(path)[1]
 
     # -- internals --------------------------------------------------------
 
-    def _resolve_version(self, version: Optional[int]) -> int:
+    def _locate(self, version: Optional[int]) -> tuple[int, Path, Optional[str]]:
+        """``(version, path, pointer fingerprint)``: ``None`` asks the pointer,
+        an explicit version carries no pointer fingerprint."""
+        fingerprint = None
         if version is None:
-            latest = self.latest_version()
-            if latest is None:
+            pointer = self._read_pointer()
+            if pointer is None:
                 raise FileNotFoundError(
-                    f"checkpoint store {self.directory} is empty — save() first"
+                    f"{self.directory / LATEST_POINTER} not found — the checkpoint "
+                    "store is empty, save() first"
                 )
-            return latest
-        if not self.path_for(version).exists():
+            version, fingerprint = pointer["version"], pointer.get("fingerprint")
+        path = self.path_for(version)
+        if not path.exists():
             raise FileNotFoundError(
                 f"checkpoint version {version} not found in {self.directory} "
                 f"(have {self.versions() or 'none'})"
             )
-        return version
-
-    def _write_pointer(self, name: str, fingerprint: str, version: int) -> None:
-        pointer = self.directory / LATEST_POINTER
-        payload = {"checkpoint": name, "fingerprint": fingerprint, "version": version}
-        tmp = pointer.with_name(pointer.name + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        os.replace(tmp, pointer)
+        return version, path, fingerprint
 
     def _read_pointer(self) -> Optional[dict]:
         pointer = self.directory / LATEST_POINTER
-        if not pointer.exists():
+        try:
+            text = pointer.read_text()
+        except FileNotFoundError:
             return None
         try:
-            payload = json.loads(pointer.read_text())
+            payload = json.loads(text)
         except json.JSONDecodeError as error:
             raise ValueError(f"{pointer} is corrupt: {error}") from None
-        return payload if isinstance(payload, dict) else None
-
-    def _collect_garbage(self, newest: int) -> None:
-        if self.retain is None:
-            return
-        for version in self.versions():
-            if version <= newest - self.retain:
-                self.path_for(version).unlink(missing_ok=True)
+        if not isinstance(payload, dict) or not isinstance(payload.get("version"), int):
+            raise ValueError(f"{pointer} is corrupt: missing the 'version' entry")
+        return payload

@@ -193,37 +193,15 @@ class GraphStructure:
     """
 
     def __init__(self, jobs: list[JobDAG]):
-        self.jobs = list(jobs)
-        nodes: list[Node] = []
-        job_ids: list[int] = []
-        node_index: dict[int, int] = {}
-        job_position: dict[int, int] = {}
-        for job_pos, job in enumerate(self.jobs):
-            job_position[id(job)] = job_pos
-            for node in job.nodes:
-                node_index[id(node)] = len(nodes)
-                nodes.append(node)
-                job_ids.append(job_pos)
-        self.nodes = nodes
-        self.node_index = node_index
-        self.job_position = job_position
-        self.job_ids = np.asarray(job_ids, dtype=np.intp)
-        # Row range of job k is job_node_offsets[k]:job_node_offsets[k + 1]
-        # (rows are ordered job-by-job), which lets per-job columns like the
-        # source-job one-hot be written as a slice instead of a comparison.
-        self.job_node_offsets = np.concatenate(
-            ([0], np.cumsum([job.num_nodes for job in self.jobs]))
-        ).astype(np.intp)
-
+        nodes = [node for job in jobs for node in job.nodes]
+        node_index = {id(node): row for row, node in enumerate(nodes)}
         num_nodes = len(nodes)
         parent_rows: list[int] = []
         child_rows: list[int] = []
-        for job in self.jobs:
-            for node in job.nodes:
-                parent_row = node_index[id(node)]
-                for child in node.children:
-                    parent_rows.append(parent_row)
-                    child_rows.append(node_index[id(child)])
+        for parent_row, node in enumerate(nodes):
+            for child in node.children:
+                parent_rows.append(parent_row)
+                child_rows.append(node_index[id(child)])
         parents = np.asarray(parent_rows, dtype=np.intp)
         children = np.asarray(child_rows, dtype=np.intp)
         if parents.size:
@@ -232,32 +210,78 @@ class GraphStructure:
             keys = np.unique(parents * num_nodes + children)
             parents = (keys // num_nodes).astype(np.intp)
             children = (keys % num_nodes).astype(np.intp)
-        self.edge_parent_rows = parents
-        self.edge_child_rows = children
+        self._assemble(
+            jobs,
+            edge_parent_rows=parents,
+            edge_child_rows=children,
+            # Static per-node feature constants.
+            num_tasks=np.fromiter(
+                (node.num_tasks for node in nodes), dtype=np.float64, count=num_nodes
+            ),
+            task_durations=np.fromiter(
+                (node.task_duration for node in nodes), dtype=np.float64, count=num_nodes
+            ),
+            node_heights=compute_node_heights(num_nodes, parents, children),
+            # A structure built from one observation is a single graph.
+            job_graph_ids=np.zeros(len(jobs), dtype=np.intp),
+        )
 
-        # Static per-node feature constants.
-        self.num_tasks = np.fromiter(
-            (node.num_tasks for node in nodes), dtype=np.float64, count=num_nodes
-        )
-        self.task_durations = np.fromiter(
-            (node.task_duration for node in nodes), dtype=np.float64, count=num_nodes
-        )
+    @classmethod
+    def from_arrays(cls, jobs: list[JobDAG], **arrays) -> "GraphStructure":
+        """A structure over ``jobs`` whose per-node and per-edge arrays are
+        already known (see :meth:`_assemble`) — derived, not re-walked."""
+        structure = cls.__new__(cls)
+        structure._assemble(jobs, **arrays)
+        return structure
 
-        self.node_heights = compute_node_heights(
-            num_nodes, self.edge_parent_rows, self.edge_child_rows
+    def _assemble(
+        self,
+        jobs: list[JobDAG],
+        *,
+        edge_parent_rows: np.ndarray,
+        edge_child_rows: np.ndarray,
+        num_tasks: np.ndarray,
+        task_durations: np.ndarray,
+        node_heights: np.ndarray,
+        job_graph_ids: np.ndarray,
+        num_graphs: int = 1,
+    ) -> None:
+        """The one place a structure's attributes are filled in.
+
+        The arrays must describe ``jobs`` in row order (job by job, each
+        job's nodes in ``job.nodes`` order) with edges sorted by (parent,
+        child) row; everything else — the row maps and the frontier levels —
+        is derived here.
+        """
+        self.jobs = list(jobs)
+        self.nodes = [node for job in self.jobs for node in job.nodes]
+        self.node_index = {id(node): row for row, node in enumerate(self.nodes)}
+        self.job_position = {id(job): pos for pos, job in enumerate(self.jobs)}
+        # Row range of job k is job_node_offsets[k]:job_node_offsets[k + 1]
+        # (rows are ordered job-by-job), which lets per-job columns like the
+        # source-job one-hot be written as a slice instead of a comparison.
+        self.job_node_offsets = np.concatenate(
+            ([0], np.cumsum([job.num_nodes for job in self.jobs]))
+        ).astype(np.intp)
+        self.job_ids = np.repeat(
+            np.arange(len(self.jobs), dtype=np.intp), np.diff(self.job_node_offsets)
         )
+        self.edge_parent_rows = edge_parent_rows
+        self.edge_child_rows = edge_child_rows
+        self.num_tasks = num_tasks
+        self.task_durations = task_durations
+        self.node_heights = node_heights
         self.frontier_levels = _build_frontier_levels(
-            self.node_heights, self.edge_parent_rows, self.edge_child_rows
+            node_heights, edge_parent_rows, edge_child_rows
         )
         self._adjacency: Optional[np.ndarray] = None
         self._scaled_durations: dict[float, np.ndarray] = {}
-        # Graph segmentation: a structure built from one observation is a
-        # single graph (all jobs belong to segment 0).  Merged structures
-        # (cross-session batching, :func:`merge_structures`) assign every job
-        # the index of the component graph it came from, so the GNN can keep
-        # one *per-graph* global embedding instead of mixing sessions.
-        self.num_graphs = 1
-        self.job_graph_ids = np.zeros(len(self.jobs), dtype=np.intp)
+        # Graph segmentation: merged structures (cross-session batching,
+        # :func:`merge_structures`) assign every job the index of the
+        # component graph it came from, so the GNN can keep one *per-graph*
+        # global embedding instead of mixing sessions.
+        self.job_graph_ids = job_graph_ids
+        self.num_graphs = num_graphs
 
     @property
     def num_nodes(self) -> int:
@@ -333,29 +357,17 @@ def _drop_jobs(
     """
     keep_nodes = keep_jobs[structure.job_ids]
     new_rows = np.cumsum(keep_nodes, dtype=np.intp) - 1
-    new_positions = np.cumsum(keep_jobs, dtype=np.intp) - 1
-    edited = object.__new__(GraphStructure)
-    edited.jobs = list(itertools.compress(structure.jobs, keep_jobs))
-    edited.nodes = list(itertools.compress(structure.nodes, keep_nodes))
-    edited.node_index = {id(node): row for row, node in enumerate(edited.nodes)}
-    edited.job_position = {id(job): pos for pos, job in enumerate(edited.jobs)}
-    edited.job_ids = new_positions[structure.job_ids[keep_nodes]]
-    edited.job_node_offsets = np.concatenate(
-        ([0], np.cumsum([job.num_nodes for job in edited.jobs]))
-    ).astype(np.intp)
     keep_edges = keep_nodes[structure.edge_parent_rows]
-    edited.edge_parent_rows = new_rows[structure.edge_parent_rows[keep_edges]]
-    edited.edge_child_rows = new_rows[structure.edge_child_rows[keep_edges]]
-    edited.num_tasks = structure.num_tasks[keep_nodes]
-    edited.task_durations = structure.task_durations[keep_nodes]
-    edited.node_heights = structure.node_heights[keep_nodes]
-    edited.frontier_levels = _build_frontier_levels(
-        edited.node_heights, edited.edge_parent_rows, edited.edge_child_rows
+    kept_jobs = list(itertools.compress(structure.jobs, keep_jobs))
+    edited = GraphStructure.from_arrays(
+        kept_jobs,
+        edge_parent_rows=new_rows[structure.edge_parent_rows[keep_edges]],
+        edge_child_rows=new_rows[structure.edge_child_rows[keep_edges]],
+        num_tasks=structure.num_tasks[keep_nodes],
+        task_durations=structure.task_durations[keep_nodes],
+        node_heights=structure.node_heights[keep_nodes],
+        job_graph_ids=np.zeros(len(kept_jobs), dtype=np.intp),
     )
-    edited._adjacency = None
-    edited._scaled_durations = {}
-    edited.num_graphs = 1
-    edited.job_graph_ids = np.zeros(len(edited.jobs), dtype=np.intp)
     return edited, keep_nodes
 
 
@@ -728,76 +740,31 @@ def merge_structures(structures: Sequence[GraphStructure]) -> GraphStructure:
 
     Node rows (and job positions) of component ``k`` are offset by the totals
     of components ``0..k-1``; no per-node recomputation happens — heights are
-    component-local already, and the per-height frontier levels are merged by
-    offsetting their index arrays.  The result is exactly the structure that
+    component-local already, so the per-node arrays are concatenated and the
+    edge rows offset.  The result is exactly the structure that
     ``GraphStructure(jobs_0 + jobs_1 + ...)`` would build, except that
     ``job_graph_ids`` records which component each job came from (so the GNN
     keeps one global embedding per component instead of one overall).
     """
     if not structures:
         raise ValueError("merge_structures needs at least one structure")
-    merged = object.__new__(GraphStructure)
-    merged.jobs = [job for structure in structures for job in structure.jobs]
-    merged.nodes = [node for structure in structures for node in structure.nodes]
-    merged.node_index = {id(node): row for row, node in enumerate(merged.nodes)}
-    merged.job_position = {id(job): pos for pos, job in enumerate(merged.jobs)}
-
     node_offsets = np.cumsum([0] + [s.num_nodes for s in structures])
-    job_offsets = np.cumsum([0] + [s.num_jobs for s in structures])
-    merged.job_ids = np.concatenate(
-        [s.job_ids + job_offsets[k] for k, s in enumerate(structures)]
-    ).astype(np.intp)
-    merged.edge_parent_rows = np.concatenate(
-        [s.edge_parent_rows + node_offsets[k] for k, s in enumerate(structures)]
-    ).astype(np.intp)
-    merged.edge_child_rows = np.concatenate(
-        [s.edge_child_rows + node_offsets[k] for k, s in enumerate(structures)]
-    ).astype(np.intp)
-    merged.num_tasks = np.concatenate([s.num_tasks for s in structures])
-    merged.task_durations = np.concatenate([s.task_durations for s in structures])
-    merged.node_heights = np.concatenate([s.node_heights for s in structures])
-    merged.job_node_offsets = np.concatenate(
-        ([0], np.cumsum([job.num_nodes for job in merged.jobs]))
-    ).astype(np.intp)
-    merged._adjacency = None
-    merged._scaled_durations = {}
-    merged.num_graphs = len(structures)
-    merged.job_graph_ids = np.concatenate(
-        [np.full(s.num_jobs, k, dtype=np.intp) for k, s in enumerate(structures)]
+    return GraphStructure.from_arrays(
+        [job for structure in structures for job in structure.jobs],
+        edge_parent_rows=np.concatenate(
+            [s.edge_parent_rows + node_offsets[k] for k, s in enumerate(structures)]
+        ).astype(np.intp),
+        edge_child_rows=np.concatenate(
+            [s.edge_child_rows + node_offsets[k] for k, s in enumerate(structures)]
+        ).astype(np.intp),
+        num_tasks=np.concatenate([s.num_tasks for s in structures]),
+        task_durations=np.concatenate([s.task_durations for s in structures]),
+        node_heights=np.concatenate([s.node_heights for s in structures]),
+        job_graph_ids=np.repeat(
+            np.arange(len(structures), dtype=np.intp), [s.num_jobs for s in structures]
+        ),
+        num_graphs=len(structures),
     )
-
-    # Merge the per-height frontier levels.  Component node rows are strictly
-    # increasing with k, so concatenating each level's (sorted) ``target_rows``
-    # and ``child_rows`` with their node offsets keeps them sorted — the merged
-    # levels are identical (same values, same edge order) to what
-    # ``_build_frontier_levels`` would produce from the merged edge arrays.
-    by_height: dict[int, list[tuple[int, FrontierLevel]]] = {}
-    for k, structure in enumerate(structures):
-        for level in structure.frontier_levels:
-            by_height.setdefault(level.height, []).append((k, level))
-    merged.frontier_levels = []
-    for height in sorted(by_height):
-        parts = by_height[height]
-        target_counts = np.cumsum([0] + [len(lvl.target_rows) for _, lvl in parts])
-        child_counts = np.cumsum([0] + [len(lvl.child_rows) for _, lvl in parts])
-        merged.frontier_levels.append(
-            FrontierLevel(
-                height=height,
-                target_rows=np.concatenate(
-                    [lvl.target_rows + node_offsets[k] for k, lvl in parts]
-                ).astype(np.intp),
-                child_rows=np.concatenate(
-                    [lvl.child_rows + node_offsets[k] for k, lvl in parts]
-                ).astype(np.intp),
-                message_rows=np.concatenate(
-                    [lvl.message_rows + child_counts[i] for i, (_, lvl) in enumerate(parts)]
-                ).astype(np.intp),
-                target_segments=np.concatenate(
-                    [lvl.target_segments + target_counts[i] for i, (_, lvl) in enumerate(parts)]
-                ).astype(np.intp),
-            )
-        )
-    return merged
 
 
 class MergedStructureCache:

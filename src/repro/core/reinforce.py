@@ -29,7 +29,15 @@ from .agent import DecimaAgent
 from .nn import Adam
 from .parallel import EpisodeOutcome, IterationPlan, RolloutBackend, SerialRolloutBackend
 
-__all__ = ["TrainingConfig", "IterationStats", "TrainingHistory", "ReinforceTrainer", "evaluate_agent"]
+__all__ = [
+    "TrainingConfig",
+    "IterationStats",
+    "TrainingHistory",
+    "ReinforceTrainer",
+    "evaluate_agent",
+    "returns_to_go",
+    "apply_mean_gradients",
+]
 
 JobSequenceFactory = Callable[[np.random.Generator], list[JobDAG]]
 
@@ -83,6 +91,23 @@ class TrainingHistory:
 
     def jcts(self) -> np.ndarray:
         return np.array([s.mean_jct for s in self.iterations])
+
+
+def returns_to_go(rewards: np.ndarray) -> np.ndarray:
+    """Suffix sums: the return from each step to the end of the episode."""
+    return np.cumsum(rewards[::-1])[::-1]
+
+
+def apply_mean_gradients(
+    agent: DecimaAgent, optimizer: Adam, gradients: list, num_episodes: int
+) -> None:
+    """The tail of every REINFORCE update: one optimizer step on the
+    per-episode mean of the summed ``gradients``, then clear the agent's."""
+    divisor = max(num_episodes, 1)
+    optimizer.apply_gradients(
+        [None if gradient is None else gradient / divisor for gradient in gradients]
+    )
+    agent.zero_grad()
 
 
 def time_aligned_baselines(
@@ -250,7 +275,7 @@ class ReinforceTrainer:
         returns = []
         for episode in episodes:
             adjusted = self._adjusted_rewards(episode)
-            returns.append(np.cumsum(adjusted[::-1])[::-1] if adjusted.size else adjusted)
+            returns.append(returns_to_go(adjusted))
 
         if config.use_input_dependent_baseline:
             baselines = time_aligned_baselines(wall_times, returns)
@@ -272,14 +297,10 @@ class ReinforceTrainer:
         # The backward passes run wherever the autograd graphs live — in this
         # process for the serial backend, inside the rollout workers for the
         # parallel one.  Either way the backend returns per-parameter sums.
-        num_episodes = max(len(episodes), 1)
         gradients = self.backend.compute_gradients(
             self.agent, advantage_arrays, entropy_weight
         )
-        self.optimizer.apply_gradients(
-            [None if gradient is None else gradient / num_episodes for gradient in gradients]
-        )
-        self.agent.zero_grad()
+        apply_mean_gradients(self.agent, self.optimizer, gradients, len(episodes))
 
     @staticmethod
     def _iteration_stats(

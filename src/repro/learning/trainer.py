@@ -48,6 +48,7 @@ from ..core.agent import DecimaAgent
 from ..core.checkpoints import AgentSpec, build_agent
 from ..core.nn import Adam
 from ..core.parallel import PipeWorkerPool
+from ..core.reinforce import apply_mean_gradients, returns_to_go
 from ..core.rollout import accumulate_record_gradients
 from ..service.session import SessionState
 from .buffer import EpisodeRecord
@@ -129,9 +130,10 @@ def reinforce_update(
 ) -> dict:
     """One REINFORCE step over replayed serving episodes; returns stats.
 
-    Mirrors the offline trainer's update: per-episode chunked backward passes
-    into summed gradients, the sum is divided by the episode count, one Adam
-    step, gradients cleared.  The baseline is each episode's mean return (the
+    Shares the offline trainer's two ends (:func:`returns_to_go`,
+    :func:`apply_mean_gradients`): per-episode chunked backward passes into
+    summed gradients, then one Adam step on their per-episode mean.  The
+    baseline in between differs — it is each episode's mean return (the
     offline time-aligned baseline needs same-arrival-sequence episode groups,
     which live serving traffic does not provide).
     """
@@ -140,7 +142,7 @@ def reinforce_update(
     total_return = 0.0
     for episode in episodes:
         rewards = episode_rewards(episode.steps, config.reward_scale)
-        returns = np.cumsum(rewards[::-1])[::-1]
+        returns = returns_to_go(rewards)
         baseline = float(returns.mean()) if returns.size else 0.0
         records = replay_episode(agent, episode)
         scored = [index for index, record in enumerate(records) if record is not None]
@@ -152,19 +154,14 @@ def reinforce_update(
         )
         num_terms += len(scored)
         total_return += float(returns[0]) if returns.size else 0.0
-    num_episodes = max(len(episodes), 1)
-    optimizer.apply_gradients(
-        [
-            None if parameter.grad is None else parameter.grad / num_episodes
-            for parameter in agent.parameters()
-        ]
+    apply_mean_gradients(
+        agent, optimizer, [p.grad for p in agent.parameters()], len(episodes)
     )
-    agent.zero_grad()
     agent.reset_graph_cache()
     return {
         "num_episodes": len(episodes),
         "num_policy_terms": num_terms,
-        "mean_return": total_return / num_episodes,
+        "mean_return": total_return / max(len(episodes), 1),
         "learning_rate": config.learning_rate,
     }
 

@@ -9,6 +9,9 @@ own conftest and both directories share ``sys.path``) and are imported with
 them as factory fixtures for tests that prefer injection.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
 from repro.core import DecimaAgent, DecimaConfig
@@ -59,3 +62,12 @@ def make_training_setup(seed=0, num_executors=5, num_jobs=2, sizes=(2.0,)):
     agent = make_decima_agent(total_executors=num_executors, seed=seed)
     factory = tpch_batch_factory(num_jobs, sizes=sizes)
     return config, agent, factory
+
+
+def load_example(name):
+    """Import ``examples/<name>.py`` as a module (``examples`` is no package)."""
+    path = Path(__file__).resolve().parent.parent / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"examples_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -2,17 +2,13 @@
 at episode boundaries."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from _helpers import make_decima_agent
-from repro.core import (
-    load_agent,
-    load_latest,
-    parameter_fingerprint,
-    save_agent,
-)
+from repro.core import CheckpointStore, parameter_fingerprint
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
 from repro.simulator.environment import Action, ExecutorChurnEvent
 from repro.workloads import batched_arrivals, sample_tpch_jobs
@@ -20,74 +16,98 @@ from repro.workloads import batched_arrivals, sample_tpch_jobs
 
 # ------------------------------------------------------------ checkpoint errors
 class TestCheckpointErrorPaths:
+    """Every malformed pointer or archive a store can be handed is rejected
+    with a named error — these are checks on outside input."""
+
     def agent(self):
         return make_decima_agent(total_executors=4, seed=1, embedding_dim=4,
                                  hidden_sizes=(8,))
 
     def test_load_latest_missing_pointer(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="latest.json"):
-            load_latest(tmp_path)
+            CheckpointStore(tmp_path).load()
 
     def test_load_latest_corrupt_pointer_json(self, tmp_path):
-        save_agent(self.agent(), tmp_path / "model.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(self.agent())
         (tmp_path / "latest.json").write_text("{not json")
         with pytest.raises(ValueError, match="corrupt"):
-            load_latest(tmp_path)
+            store.load()
 
-    def test_load_latest_pointer_missing_checkpoint_entry(self, tmp_path):
-        save_agent(self.agent(), tmp_path / "model.npz")
+    def test_load_latest_pointer_missing_version_entry(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        store.save(self.agent())
         (tmp_path / "latest.json").write_text(json.dumps({"something": "else"}))
-        with pytest.raises(ValueError, match="missing the 'checkpoint' entry"):
-            load_latest(tmp_path)
+        with pytest.raises(ValueError, match="missing the 'version' entry"):
+            store.load()
 
     def test_load_latest_pointer_to_missing_file(self, tmp_path):
-        save_agent(self.agent(), tmp_path / "model.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(self.agent())
         pointer = json.loads((tmp_path / "latest.json").read_text())
-        pointer["checkpoint"] = "gone.npz"
+        pointer["version"] = 99
         (tmp_path / "latest.json").write_text(json.dumps(pointer))
-        with pytest.raises(FileNotFoundError):
-            load_latest(tmp_path)
+        with pytest.raises(FileNotFoundError, match="version 99 not found"):
+            store.load()
 
     def test_load_latest_fingerprint_mismatch(self, tmp_path):
         """A checkpoint swapped behind the pointer's back fails loudly."""
-        agent = self.agent()
-        save_agent(agent, tmp_path / "model.npz")
+        store = CheckpointStore(tmp_path / "served")
+        info = store.save(self.agent())
         other = self.agent()
         for parameter in other.parameters():
             parameter.data += 1.0
-        # Overwrite the checkpoint without refreshing the pointer.
-        save_agent(other, tmp_path / "model.npz", update_latest=False)
-        with pytest.raises(ValueError, match="fingerprint"):
-            load_latest(tmp_path)
+        # Overwrite the checkpoint with a self-consistent archive of other
+        # weights without refreshing the pointer.
+        shutil.copy(CheckpointStore(tmp_path / "other").save(other).path, info.path)
+        with pytest.raises(ValueError, match="latest.json fingerprint"):
+            store.load()
 
     def test_load_latest_without_fingerprint_entry_still_loads(self, tmp_path):
         """Old pointers (no fingerprint) keep working — the check is opt-in
         by data, not a format break."""
         agent = self.agent()
-        save_agent(agent, tmp_path / "model.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(agent)
         pointer = json.loads((tmp_path / "latest.json").read_text())
         del pointer["fingerprint"]
         (tmp_path / "latest.json").write_text(json.dumps(pointer))
-        loaded = load_latest(tmp_path)
-        assert parameter_fingerprint(loaded) == parameter_fingerprint(agent)
+        assert parameter_fingerprint(store.load()) == parameter_fingerprint(agent)
+
+    def test_load_rejects_weights_changed_under_recorded_fingerprint(self, tmp_path):
+        """The archive vouches for itself too: weights edited in place under
+        the metadata written at save time are refused, pointer or no pointer."""
+        store = CheckpointStore(tmp_path)
+        info = store.save(self.agent())
+        with np.load(info.path, allow_pickle=False) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        name = next(key for key in entries if key != "__meta__")
+        entries[name] = entries[name] + 1.0
+        np.savez(info.path, **entries)
+        with pytest.raises(ValueError, match="recorded fingerprint"):
+            store.load(1)
 
     def test_load_agent_rejects_archive_without_meta(self, tmp_path):
-        path = tmp_path / "bare.npz"
-        np.savez(path, weights=np.zeros(3))
+        store = CheckpointStore(tmp_path)
+        np.savez(store.path_for(1), weights=np.zeros(3))
         with pytest.raises(ValueError, match="__meta__"):
-            load_agent(path)
+            store.load(1)
+        with pytest.raises(ValueError, match="__meta__"):
+            store.load_state(1)
 
     def test_load_agent_rejects_corrupt_meta_json(self, tmp_path):
-        path = tmp_path / "corrupt.npz"
-        np.savez(path, __meta__="{definitely not json", weights=np.zeros(3))
+        store = CheckpointStore(tmp_path)
+        np.savez(store.path_for(1), __meta__="{definitely not json", weights=np.zeros(3))
         with pytest.raises(ValueError, match="metadata is corrupt"):
-            load_agent(path)
+            store.load(1)
 
     def test_load_agent_rejects_meta_without_total_executors(self, tmp_path):
-        path = tmp_path / "partial.npz"
-        np.savez(path, __meta__=json.dumps({"config": {}}), weights=np.zeros(3))
+        store = CheckpointStore(tmp_path)
+        np.savez(
+            store.path_for(1), __meta__=json.dumps({"config": {}}), weights=np.zeros(3)
+        )
         with pytest.raises(ValueError, match="total_executors"):
-            load_agent(path)
+            store.info(1)
 
 
 # ------------------------------------------------------------ churn edge cases

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    CheckpointStore,
     DecimaAgent,
     DecimaConfig,
     FeatureConfig,
@@ -11,8 +12,6 @@ from repro.core import (
     TrainingConfig,
     collect_rollout,
     evaluate_agent,
-    load_agent_weights,
-    save_agent,
     time_aligned_baselines,
 )
 from repro.simulator import SchedulingEnvironment, SimulatorConfig, multi_resource_config
@@ -303,18 +302,20 @@ class TestReinforceTrainer:
 class TestCheckpointsAndEvaluation:
     def test_save_and_load_roundtrip(self, tmp_path):
         agent = DecimaAgent(total_executors=6, config=DecimaConfig(seed=1))
-        path = save_agent(agent, tmp_path / "model.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(agent)
         clone = DecimaAgent(total_executors=6, config=DecimaConfig(seed=99))
-        load_agent_weights(clone, path)
+        clone.load_state_dict(store.load_state())
         for p, q in zip(agent.parameters(), clone.parameters()):
             assert np.allclose(p.data, q.data)
 
     def test_load_mismatched_architecture_fails(self, tmp_path):
         agent = DecimaAgent(total_executors=6)
-        path = save_agent(agent, tmp_path / "model.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(agent)
         other = DecimaAgent(total_executors=6, config=DecimaConfig(embedding_dim=4))
         with pytest.raises(ValueError):
-            load_agent_weights(other, path)
+            other.load_state_dict(store.load_state())
 
     def test_evaluate_agent_summary(self):
         _, config, jobs = small_env_and_jobs()

@@ -3,7 +3,8 @@
 What the serving loop's learning layer guarantees (issue 8):
 
 * :class:`CheckpointStore` — monotonic versions, fingerprint-verified loads,
-  an atomic ``latest.json`` the legacy ``load_latest`` still reads, bounded
+  an atomically replaced ``latest.json`` that alone names the latest version
+  (stray, truncated or half-saved archives are never served), bounded
   retention;
 * :class:`ServingConfig` / :func:`build_server` — one construction story for
   every topology (single server / fleet), agent sourcing from a store;
@@ -20,18 +21,19 @@ What the serving loop's learning layer guarantees (issue 8):
   ``policy_version`` on welcome and every action reply.
 """
 
+import os
+import shutil
+
 import numpy as np
 import pytest
 
-from _helpers import make_decima_agent, make_tpch_env
+from _helpers import load_example, make_decima_agent, make_tpch_env
 
 from repro.core import (
     CheckpointStore,
     DecimaAgent,
     DecimaConfig,
-    load_latest,
     parameter_fingerprint,
-    save_agent,
 )
 from repro.core.checkpoints import agent_spec
 from repro.learning import (
@@ -126,6 +128,13 @@ def run_rounds(broker, clusters, max_rounds=60, on_round=None):
 
 # ---------------------------------------------------------------- checkpoints
 class TestCheckpointStore:
+    @staticmethod
+    def drop_archive(tmp_path, agent, destination):
+        """Put a complete, self-consistent archive of ``agent`` at
+        ``destination`` behind the store's back (no pointer is touched)."""
+        source = CheckpointStore(tmp_path / "elsewhere", retain=1).save(agent).path
+        shutil.copy(source, destination)
+
     def test_versions_are_monotonic_and_pointer_tracks_latest(self, tmp_path):
         store = CheckpointStore(tmp_path)
         assert store.latest_version() is None
@@ -133,10 +142,7 @@ class TestCheckpointStore:
         assert [info.version for info in infos] == [1, 2, 3]
         assert store.versions() == [1, 2, 3]
         assert store.latest_version() == 3
-        assert store.info().version == 3
-        # The pointer stays readable by the legacy load_latest().
-        legacy = load_latest(tmp_path)
-        assert parameter_fingerprint(legacy) == infos[-1].fingerprint
+        assert store.info() == infos[-1]
 
     def test_load_specific_version(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -161,7 +167,7 @@ class TestCheckpointStore:
         info = store.save(tiny_agent(seed=0))
         # Overwrite the checkpoint file with a different (self-consistent)
         # agent without moving the pointer: the store must refuse to serve it.
-        save_agent(tiny_agent(seed=7), info.path, update_latest=False)
+        self.drop_archive(tmp_path, tiny_agent(seed=7), info.path)
         with pytest.raises(ValueError, match="fingerprint"):
             store.load()
 
@@ -171,11 +177,78 @@ class TestCheckpointStore:
             store.save(tiny_agent(seed=seed))
         assert store.versions() == [3, 4]
         # The pointer still names a live file.
-        assert parameter_fingerprint(load_latest(tmp_path)) == store.info(4).fingerprint
+        assert parameter_fingerprint(store.load()) == store.info(4).fingerprint
 
     def test_retain_validation(self, tmp_path):
         with pytest.raises(ValueError, match="retain"):
             CheckpointStore(tmp_path, retain=0)
+
+    # The crash window: whatever lands in the directory without the pointer
+    # being replaced is not the latest version and is never overwritten.
+    def test_orphan_archive_is_not_latest_and_keeps_its_id(self, tmp_path):
+        store = CheckpointStore(tmp_path / "store")
+        first = store.save(tiny_agent(seed=0))
+        orphan = tiny_agent(seed=7)
+        self.drop_archive(tmp_path, orphan, store.path_for(2))
+        assert store.latest_version() == 1
+        assert parameter_fingerprint(store.load()) == first.fingerprint
+        assert parameter_fingerprint(store.load(2)) == parameter_fingerprint(orphan)
+        third = store.save(tiny_agent(seed=3))
+        assert third.version == 3
+        assert store.versions() == [1, 2, 3]
+        assert parameter_fingerprint(store.load()) == third.fingerprint
+
+    def test_truncated_archive_is_not_latest(self, tmp_path):
+        store = CheckpointStore(tmp_path / "store")
+        first = store.save(tiny_agent(seed=0))
+        self.drop_archive(tmp_path, tiny_agent(seed=7), store.path_for(2))
+        whole = store.path_for(2).read_bytes()
+        store.path_for(2).write_bytes(whole[: len(whole) // 2])
+        assert parameter_fingerprint(store.load()) == first.fingerprint
+        assert store.info().version == 1
+        with pytest.raises(ValueError, match="not an npz"):
+            store.load(2)
+        assert store.save(tiny_agent(seed=3)).version == 3
+
+    def test_interrupted_save_leaves_no_archive_and_a_loadable_store(
+        self, tmp_path, monkeypatch
+    ):
+        store = CheckpointStore(tmp_path)
+        first = store.save(tiny_agent(seed=0))
+        real_replace = os.replace
+
+        def dying_replace(source, destination):
+            if str(destination).endswith(".npz"):
+                raise OSError("killed before the rename")
+            return real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="killed"):
+            store.save(tiny_agent(seed=7))
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.glob("ckpt-*")) == ["ckpt-000001.npz"]
+        assert parameter_fingerprint(store.load()) == first.fingerprint
+        assert store.save(tiny_agent(seed=3)).version == 2
+
+    def test_save_interrupted_before_the_pointer_flip_serves_the_old_version(
+        self, tmp_path, monkeypatch
+    ):
+        store = CheckpointStore(tmp_path)
+        first = store.save(tiny_agent(seed=0))
+        real_replace = os.replace
+
+        def dying_replace(source, destination):
+            if str(destination).endswith("latest.json"):
+                raise OSError("killed before the pointer flip")
+            return real_replace(source, destination)
+
+        monkeypatch.setattr(os, "replace", dying_replace)
+        with pytest.raises(OSError, match="killed"):
+            store.save(tiny_agent(seed=7))
+        monkeypatch.undo()
+        assert store.versions() == [1, 2]  # the archive landed, complete
+        assert parameter_fingerprint(store.load()) == first.fingerprint
+        assert store.save(tiny_agent(seed=3)).version == 3
 
 
 # ------------------------------------------------------------- serving config
@@ -223,6 +296,35 @@ class TestServingConfigFactory:
         info = CheckpointStore(tmp_path).save(tiny_agent(seed=5))
         server = build_server(ServingConfig(checkpoint_dir=str(tmp_path)))
         assert parameter_fingerprint(server.agent) == info.fingerprint
+
+    def test_stored_agent_is_served_and_survives_online_learning_start_up(
+        self, tmp_path
+    ):
+        """README's "train, then keep learning in production" recipe: what
+        ``--store-dir`` holds is what is served, and starting the online loop
+        on top leaves those weights — not an untrained network's — latest."""
+        trained = tiny_agent(seed=5)
+        for parameter in trained.parameters():
+            parameter.data += 0.125  # no seed reproduces these weights
+        fingerprint = CheckpointStore(tmp_path).save(trained).fingerprint
+
+        server = build_server(ServingConfig(checkpoint_dir=str(tmp_path)))
+        assert parameter_fingerprint(server.agent) == fingerprint
+        config = OnlineLearningConfig(trainer_process=False)
+        with OnlineLearningManager(server, CheckpointStore(tmp_path), config):
+            assert CheckpointStore(tmp_path).info().fingerprint == fingerprint
+
+        # The same through the serving example's own flags.
+        example = load_example("run_policy_server")
+        args = example.build_parser().parse_args(
+            ["--store-dir", str(tmp_path), "--online"]
+        )
+        server = example.build_policy_server(args)
+        assert parameter_fingerprint(server.agent) == fingerprint
+        with example.attach_online_learning(server, args):
+            latest = CheckpointStore(tmp_path).info()
+        assert latest.fingerprint == fingerprint
+        assert parameter_fingerprint(CheckpointStore(tmp_path).load()) == fingerprint
 
     def test_agent_required_without_store(self):
         with pytest.raises(ValueError, match="agent or set checkpoint_dir"):

@@ -23,6 +23,7 @@ import pytest
 from _helpers import make_tpch_env as make_env
 
 from repro.core import (
+    CheckpointStore,
     DecimaAgent,
     DecimaConfig,
     FeatureConfig,
@@ -30,11 +31,8 @@ from repro.core import (
     GraphCache,
     MergedStructureCache,
     build_graph_features,
-    load_agent,
-    load_latest,
     merge_structures,
     parameter_fingerprint,
-    save_agent,
 )
 from repro.core.features import GraphStructure
 from repro.schedulers import (
@@ -128,42 +126,31 @@ class TestCheckpointLatest:
 
     def test_save_writes_latest_pointer(self, tmp_path):
         agent = self.agent()
-        save_agent(agent, tmp_path / "iter_0007.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(agent)
         assert (tmp_path / "latest.json").exists()
-        loaded = load_latest(tmp_path)
-        assert parameter_fingerprint(loaded) == parameter_fingerprint(agent)
+        assert parameter_fingerprint(store.load()) == parameter_fingerprint(agent)
 
     def test_latest_tracks_newest_save(self, tmp_path):
+        store = CheckpointStore(tmp_path)
         first = self.agent()
-        save_agent(first, tmp_path / "iter_1.npz")
+        store.save(first)
         second = self.agent()
         for parameter in second.parameters():
             parameter.data += 0.25
-        save_agent(second, tmp_path / "iter_2.npz")
-        loaded = load_latest(tmp_path)
+        store.save(second)
+        loaded = CheckpointStore(tmp_path).load()  # a reader that saw no save
         assert parameter_fingerprint(loaded) == parameter_fingerprint(second)
         assert parameter_fingerprint(loaded) != parameter_fingerprint(first)
 
     def test_load_agent_rebuilds_architecture(self, tmp_path):
         agent = self.agent()
-        path = save_agent(agent, tmp_path / "model.npz")
-        loaded = load_agent(path)
+        CheckpointStore(tmp_path).save(agent)
+        loaded = CheckpointStore(tmp_path).load()
         assert loaded.total_executors == 6
         assert loaded.config.hidden_sizes == (16, 8)
         assert loaded.config.embedding_dim == 4
         assert loaded.config.feature.include_interarrival_hint is True
-        assert parameter_fingerprint(loaded) == parameter_fingerprint(agent)
-
-    def test_missing_pointer_raises(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="latest.json"):
-            load_latest(tmp_path)
-
-    def test_save_without_npz_suffix_normalises_path(self, tmp_path):
-        agent = self.agent()
-        path = save_agent(agent, tmp_path / "model")  # np.savez appends .npz
-        assert path.name == "model.npz"
-        assert path.exists()
-        loaded = load_latest(tmp_path)  # pointer must name the real file
         assert parameter_fingerprint(loaded) == parameter_fingerprint(agent)
 
 
@@ -724,14 +711,15 @@ class TestPolicyServerEndToEnd:
             ),
             seed=0,
         )
-        save_agent(trained, tmp_path / "trained.npz")
+        store = CheckpointStore(tmp_path)
+        store.save(trained)
 
         def job_set():
             rng = np.random.default_rng(42)
             return batched_arrivals(sample_tpch_jobs(3, rng, sizes=(2.0, 5.0)))
 
         # In-process reference: greedy decisions straight from the agent.
-        reference_agent = load_latest(tmp_path)
+        reference_agent = store.load()
         reference_agent.reset()
         env = SchedulingEnvironment(SimulatorConfig(num_executors=6, seed=0))
         observation = env.reset(job_set(), seed=0)
@@ -744,7 +732,7 @@ class TestPolicyServerEndToEnd:
             )
             observation, _, done = env.step(action)
 
-        served_agent = load_latest(tmp_path)
+        served_agent = store.load()
         assert parameter_fingerprint(served_agent) == parameter_fingerprint(trained)
         with PolicyServer(served_agent) as server:
             host, port = server.address
