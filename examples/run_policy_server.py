@@ -41,14 +41,9 @@ import time
 
 from repro.core import CheckpointStore, DecimaAgent, DecimaConfig
 from repro.learning import OnlineLearningConfig, OnlineLearningManager, OnlineTrainerConfig
-from repro.obs import configure_logging, summarize_snapshot
+from repro.obs import configure_logging, sample_value, summarize_snapshot
 from repro.schedulers import scheduler_names
 from repro.service import ControlClient, ServingConfig, build_server
-
-
-def _sample(snapshot: dict, name: str):
-    samples = (snapshot.get(name) or {}).get("samples") or []
-    return samples[0].get("value") if samples else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,9 +169,9 @@ def main() -> None:
                 metrics = control.metrics()
                 stats = control.stats()
             router = metrics.get("router", {})
-            sessions = _sample(router, "router_active_sessions")
-            healthy = _sample(router, "router_healthy_shards")
-            rejected = _sample(router, "router_sessions_rejected_total")
+            sessions = sample_value(router, "router_active_sessions")
+            healthy = sample_value(router, "router_healthy_shards")
+            rejected = sample_value(router, "router_sessions_rejected_total")
             print(f"[router] sessions={sessions:.0f} healthy_shards={healthy:.0f} "
                   f"rejected={rejected:.0f}"
                   if sessions is not None else "[router] no metrics")

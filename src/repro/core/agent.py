@@ -134,12 +134,18 @@ class StageTimings:
     Stages: ``features`` (graph cache + dynamic feature refresh, incl. the
     batch merge), ``propagation`` (GNN message passing + summaries),
     ``policy`` (node-scoring head) and ``sampling`` (softmax + draw + the
-    parallelism-limit and executor-class heads).  The broker surfaces a
-    snapshot through its SLO stats so the control plane can show where
-    decision time goes.
+    parallelism-limit and executor-class heads).  The broker relays the
+    ``STATS`` rows through its stats section so the control plane can show
+    where decision time goes.
     """
 
     STAGES = ("features", "propagation", "policy", "sampling")
+    STATS = (
+        ("num_steps", "stage_steps_total", "counter",
+         "act()/act_batch() calls timed by the stage clock"),
+        ("mean_ms", "stage_mean_ms", "gauge",
+         "Per-step mean wall time of each hot-path stage", "stage"),
+    )
 
     __slots__ = ("num_steps", "features_s", "propagation_s", "policy_s", "sampling_s")
 
@@ -168,17 +174,14 @@ class StageTimings:
         emits one child span per stage under each parent span."""
         return _StageClock(self, parent_spans)
 
-    def snapshot(self) -> dict:
-        """Totals and per-step means in milliseconds, JSON-ready."""
+    @property
+    def mean_ms(self) -> dict:
+        """Per-step mean wall time of each stage, in milliseconds."""
         steps = self.num_steps
-        stages = {}
-        for stage in self.STAGES:
-            total_s = getattr(self, f"{stage}_s")
-            stages[stage] = {
-                "total_ms": total_s * 1e3,
-                "mean_ms": (total_s / steps * 1e3) if steps else 0.0,
-            }
-        return {"num_steps": steps, "stages": stages}
+        return {
+            stage: (getattr(self, f"{stage}_s") / steps * 1e3) if steps else 0.0
+            for stage in self.STAGES
+        }
 
 
 class _StageClock:

@@ -777,6 +777,11 @@ class MergedStructureCache:
     Strong references to the components make the ``id()`` key collision-safe.
     """
 
+    STATS = (
+        ("num_rebuilds", "merged_structure_rebuilds_total", "counter",
+         "Mega-graph merged-structure rebuilds"),
+    )
+
     def __init__(self) -> None:
         self._components: Optional[tuple[GraphStructure, ...]] = None
         self._merged: Optional[GraphStructure] = None

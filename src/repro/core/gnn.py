@@ -88,6 +88,15 @@ class GraphEmbeddings:
 class GraphNeuralNetwork(Module):
     """Per-node, per-job and global embeddings via message passing."""
 
+    # Equal on graphs of ``REUSE_MIN_NODES`` rows or more means the data path
+    # is dropping what it remembers on every call.
+    STATS = (
+        ("rows_seen", "gnn_rows_seen_total", "counter",
+         "Node rows handed to the GNN data path"),
+        ("rows_recomputed", "gnn_rows_recomputed_total", "counter",
+         "Node rows the GNN data path re-embedded (not reused)"),
+    )
+
     def __init__(self, config: GNNConfig, rng: np.random.Generator):
         self.config = config
         dim = config.embedding_dim

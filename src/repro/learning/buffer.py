@@ -115,6 +115,18 @@ class ExperienceCollector:
 class ReplayBuffer:
     """Bounded episode buffer over the interleaved serving step stream."""
 
+    STATS = (
+        ("num_episodes", "learning_buffer_episodes", "gauge",
+         "Complete episodes in the replay buffer."),
+        ("num_pending_steps", "learning_buffer_pending_steps", "gauge",
+         "Steps awaiting episode cut in the replay buffer."),
+        ("num_steps_added", "learning_buffer_steps_added_total", "counter",
+         "Experience steps pumped into the replay buffer."),
+        ("num_episodes_cut",),
+        ("segment_steps",),
+        ("max_episodes",),
+    )
+
     def __init__(
         self,
         segment_steps: int = 8,
@@ -160,6 +172,10 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return len(self._episodes)
 
+    @property
+    def num_episodes(self) -> int:
+        return len(self._episodes)
+
     def num_pending_steps(self) -> int:
         return sum(len(pending) for pending in self._pending.values())
 
@@ -178,13 +194,3 @@ class ReplayBuffer:
             for i in rng.choice(len(self._episodes), size=count, replace=False)
         )
         return [self._episodes[index] for index in indices]
-
-    def stats(self) -> dict:
-        return {
-            "num_episodes": len(self._episodes),
-            "num_pending_steps": self.num_pending_steps(),
-            "num_steps_added": self.num_steps_added,
-            "num_episodes_cut": self.num_episodes_cut,
-            "segment_steps": self.segment_steps,
-            "max_episodes": self.max_episodes,
-        }

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.checkpoints import CheckpointStore, agent_spec, build_agent
-from ..obs import get_logger, log_event
+from ..obs import get_logger, log_event, stat_values
 from ..service.batcher import RequestBroker
 from .buffer import ExperienceCollector, ReplayBuffer
 from .trainer import OnlineReinforceTrainer, OnlineTrainerConfig, OnlineTrainerPool
@@ -116,6 +116,20 @@ class OnlineLearningManager:
     verification recorder's).
     """
 
+    STATS = (
+        ("policy_version",),
+        ("current_checkpoint_version", "learning_checkpoint_version", "gauge",
+         "Checkpoint version currently published."),
+        ("previous_checkpoint_version",),
+        ("last_good_checkpoint_version",),
+        ("num_updates_applied", "learning_updates_total", "counter",
+         "Background REINFORCE updates applied."),
+        ("num_rollbacks", "learning_rollbacks_total", "counter",
+         "Guard-triggered policy rollbacks."),
+        ("guard_armed", "learning_guard_armed", "gauge",
+         "1 while a fresh version is on probation."),
+    )
+
     def __init__(
         self,
         target,
@@ -157,7 +171,7 @@ class OnlineLearningManager:
         self.current_checkpoint_version = info.version
         self.previous_checkpoint_version: Optional[int] = None
         self._last_good_state = self._current_state
-        self._last_good_checkpoint = info.version
+        self.last_good_checkpoint_version = info.version
         self.buffer = ReplayBuffer(
             segment_steps=self.config.segment_steps,
             max_episodes=self.config.max_episodes,
@@ -197,31 +211,27 @@ class OnlineLearningManager:
         self._serving_version = version
 
     def _slo_snapshot(self) -> dict:
-        """Aggregate decision/breaker counters across the whole target."""
-        totals = {"num_decisions": 0, "num_slo_breaches": 0, "num_breaker_opens": 0}
+        """Decision/breaker counters summed over the target's ``broker``
+        stats sections (one per live shard, or the in-process broker's)."""
         if self._is_fleet:
-            for entry in self.target.shard_stats():
-                if not entry:
-                    continue
-                broker = entry.get("broker") or {}
-                totals["num_decisions"] += int(broker.get("num_decisions", 0))
-                totals["num_slo_breaches"] += int(broker.get("num_slo_breaches", 0))
-                breaker = broker.get("breaker") or {}
-                totals["num_breaker_opens"] += int(breaker.get("num_opens", 0))
-            return totals
-        assert self._broker is not None
-        totals["num_decisions"] = self._broker.num_decisions
-        totals["num_slo_breaches"] = self._broker.num_slo_breaches
-        if self._broker.breaker is not None:
-            totals["num_breaker_opens"] = self._broker.breaker.num_opens
-        return totals
+            brokers = [entry["broker"] for entry in self.target.shard_stats() if entry]
+        else:
+            assert self._broker is not None
+            brokers = [self._broker.stats()]
+        return {
+            "num_decisions": sum(b["num_decisions"] for b in brokers),
+            "num_slo_breaches": sum(b["num_slo_breaches"] for b in brokers),
+            "num_breaker_opens": sum(
+                b["breaker"]["num_opens"] for b in brokers if b["breaker"]
+            ),
+        }
 
     def _publish_learning_info(self) -> None:
         router = getattr(self.target, "router", None)
         if router is not None:
             router.learning_info = self.learning_info()
-        # A fleet's router only exists after start(); attach the learning
-        # collector as soon as there is a registry to attach it to.
+        # A fleet's router only exists after start(); put the learning series
+        # on its registry as soon as there is one.
         self._register_learning_metrics()
 
     # --------------------------------------------------------- observability
@@ -244,47 +254,9 @@ class OnlineLearningManager:
         registry = self._metrics_registry()
         if registry is None:
             return  # bare broker target, or fleet whose router is not up yet
-        registry.register_collector(self._collect_learning_metrics)
+        registry.expose(self)
+        registry.expose(self.buffer)
         self._metrics_registered = True
-
-    def _collect_learning_metrics(self) -> dict:
-        def family(kind: str, help_text: str, value) -> dict:
-            return {
-                "type": kind,
-                "help": help_text,
-                "samples": [{"labels": {}, "value": float(value)}],
-            }
-
-        buffer = self.buffer.stats()
-        return {
-            "learning_updates_total": family(
-                "counter", "Background REINFORCE updates applied.",
-                self.num_updates_applied,
-            ),
-            "learning_rollbacks_total": family(
-                "counter", "Guard-triggered policy rollbacks.", self.num_rollbacks
-            ),
-            "learning_guard_armed": family(
-                "gauge", "1 while a fresh version is on probation.",
-                1.0 if self.guard.armed else 0.0,
-            ),
-            "learning_checkpoint_version": family(
-                "gauge", "Checkpoint version currently published.",
-                self.current_checkpoint_version,
-            ),
-            "learning_buffer_episodes": family(
-                "gauge", "Complete episodes in the replay buffer.",
-                buffer["num_episodes"],
-            ),
-            "learning_buffer_pending_steps": family(
-                "gauge", "Steps awaiting episode cut in the replay buffer.",
-                buffer["num_pending_steps"],
-            ),
-            "learning_buffer_steps_added_total": family(
-                "counter", "Experience steps pumped into the replay buffer.",
-                buffer["num_steps_added"],
-            ),
-        }
 
     # ------------------------------------------------------------- the loop
     def pump(self) -> int:
@@ -326,7 +298,7 @@ class OnlineLearningManager:
             )
             self.guard.disarm()
             self._last_good_state = self._current_state
-            self._last_good_checkpoint = self.current_checkpoint_version
+            self.last_good_checkpoint_version = self.current_checkpoint_version
         if len(self.buffer) < self.config.episodes_per_update:
             return status
         episodes = self.buffer.sample(self.config.episodes_per_update, self._rng)
@@ -367,7 +339,7 @@ class OnlineLearningManager:
         rolled_back_from = self._serving_version
         self._current_state = self._last_good_state
         self.previous_checkpoint_version = self.current_checkpoint_version
-        self.current_checkpoint_version = self._last_good_checkpoint
+        self.current_checkpoint_version = self.last_good_checkpoint_version
         self._install(self._last_good_state, self._serving_version + 1)
         self.num_rollbacks += 1
         log_event(
@@ -376,7 +348,7 @@ class OnlineLearningManager:
             level=logging.WARNING,
             from_version=rolled_back_from,
             to_version=self._serving_version,
-            checkpoint_version=self._last_good_checkpoint,
+            checkpoint_version=self.last_good_checkpoint_version,
         )
         flight = self._flight()
         if flight is not None:
@@ -384,7 +356,7 @@ class OnlineLearningManager:
                 "policy_rollback",
                 from_version=rolled_back_from,
                 to_version=self._serving_version,
-                checkpoint_version=self._last_good_checkpoint,
+                checkpoint_version=self.last_good_checkpoint_version,
             )
             flight.dump("slo_guard_rollback")
         self._publish_learning_info()
@@ -432,15 +404,10 @@ class OnlineLearningManager:
     def policy_version(self) -> int:
         return self._serving_version
 
+    @property
+    def guard_armed(self) -> bool:
+        return self.guard.armed
+
     def learning_info(self) -> dict:
         """Control-plane payload: versions, rollbacks, buffer occupancy."""
-        return {
-            "policy_version": self._serving_version,
-            "current_checkpoint_version": self.current_checkpoint_version,
-            "previous_checkpoint_version": self.previous_checkpoint_version,
-            "last_good_checkpoint_version": self._last_good_checkpoint,
-            "num_updates_applied": self.num_updates_applied,
-            "num_rollbacks": self.num_rollbacks,
-            "guard_armed": self.guard.armed,
-            "buffer": self.buffer.stats(),
-        }
+        return {**stat_values(self), "buffer": stat_values(self.buffer)}

@@ -3,9 +3,9 @@
 Zero-dependency observability for the serving + learning stack.  Four parts:
 
 - :mod:`~repro.obs.registry` — a lock-cheap metrics registry (counters,
-  gauges, fixed-bucket histograms) with collector callbacks that absorb the
-  legacy per-component ``stats()`` schemas at snapshot time, rendered as
-  JSON or Prometheus text.
+  gauges, fixed-bucket histograms) whose function-backed series read each
+  owner's ``STATS`` table at snapshot time (the same table a ``stats`` reply
+  renders), as JSON or Prometheus text.
 - :mod:`~repro.obs.tracing` — per-decision trace/span IDs minted at the
   client and carried through router → shard → broker → model stages, stored
   in bounded per-process :class:`SpanStore` rings.
@@ -16,8 +16,9 @@ Zero-dependency observability for the serving + learning stack.  Four parts:
   ``logging``; dark until :func:`configure_logging`.
 
 Everything here is off the decision path by construction: untraced requests
-never allocate a span, collectors read existing counters only when scraped,
-and loggers guard on ``isEnabledFor``.  See ``docs/OBSERVABILITY.md``.
+never allocate a span, function-backed series read existing counters only
+when scraped, and loggers guard on ``isEnabledFor``.  See
+``docs/OBSERVABILITY.md``.
 """
 
 from .flight import FLIGHT_DIR_ENV, FlightRecorder
@@ -29,6 +30,8 @@ from .registry import (
     Histogram,
     MetricsRegistry,
     render_prometheus,
+    sample_value,
+    stat_values,
     summarize_snapshot,
 )
 from .tracing import Span, SpanStore, new_span_id, new_trace_id
@@ -46,6 +49,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "render_prometheus",
+    "sample_value",
+    "stat_values",
     "summarize_snapshot",
     "Span",
     "SpanStore",

@@ -34,6 +34,15 @@ _logger = get_logger("obs.flight")
 class FlightRecorder:
     """Bounded ring buffer of recent events with dump-on-demand."""
 
+    STATS = (
+        ("capacity",),
+        ("num_events", "flight_events_total", "counter",
+         "Events appended to the flight recorder"),
+        ("buffered",),
+        ("num_dumps", "flight_dumps_total", "counter", "Flight-recorder dumps taken"),
+        ("last_dump_reason",),
+    )
+
     def __init__(
         self,
         capacity: int = 512,
@@ -106,11 +115,6 @@ class FlightRecorder:
             payload["path"] = path
         return payload
 
-    def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "num_events": self.num_events,
-            "buffered": len(self._events),
-            "num_dumps": self.num_dumps,
-            "last_dump_reason": self.last_dump_reason,
-        }
+    @property
+    def buffered(self) -> int:
+        return len(self._events)

@@ -1,15 +1,20 @@
 """The metrics registry: one snapshot API over every operational counter.
 
-Before this module, operational state lived in five bespoke ``stats()`` dict
-schemas (session, broker, breaker, replay buffer, ``StageTimings``) that only
-existed when polled and disagreed on key names and units.  The registry is
-the single place those numbers now surface: components either own explicit
-:class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments, or — for
-hot-path counters that must stay plain Python ints — register a *collector*
-callback that translates their internal state into samples at snapshot time.
-Collectors are the reason telemetry stays off the decision path: the broker
-keeps bumping the same bare attributes it always did, and the registry reads
-them only when someone actually scrapes.
+Every operational number is declared once, beside the attribute that holds
+it: an owner (broker, breaker, batch window, ``StageTimings``, flight
+recorder, router counters, replay buffer, ...) carries a ``STATS`` table of
+``(attribute, series, kind, help)`` rows.  Two renderings read that table:
+
+* :meth:`MetricsRegistry.expose` registers one *function-backed* series per
+  row that names one — ``registry.counter(name, help, read=...)`` — whose
+  value is read off the owner only when someone scrapes, so the hot path
+  keeps bumping plain Python ints and an unscraped registry costs nothing;
+* :func:`stat_values` is the owner's section of a ``stats`` reply:
+  ``{attribute: value}`` over the same rows.
+
+Components may also own explicit :class:`Counter` / :class:`Gauge` /
+:class:`Histogram` instruments they update themselves (the broker's
+``decision_latency_ms``).
 
 Snapshots are JSON-ready dicts (the control plane ships them in ``metrics``
 replies) and render to the Prometheus text exposition format via
@@ -26,16 +31,20 @@ contract: reads may be momentarily stale, updates never block the hot path.
 
 from __future__ import annotations
 
+import functools
 import threading
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "Stat",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "render_prometheus",
+    "sample_value",
+    "stat_values",
     "summarize_snapshot",
 ]
 
@@ -44,6 +53,34 @@ __all__ = [
 DEFAULT_LATENCY_BUCKETS_MS = (
     0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
 )
+
+
+class Stat(NamedTuple):
+    """One row of an owner's ``STATS`` table.
+
+    ``attribute`` names a plain attribute, property or zero-argument method
+    of the owner and is the number's key in a ``stats`` reply.  Rows that also
+    name a ``series`` are registry series of ``kind`` (``"counter"`` or
+    ``"gauge"``); with a ``label`` the attribute holds a ``{label value:
+    number}`` mapping and the series carries one sample per entry.  Owners
+    write rows as plain tuples (a shorter tuple is a ``stats``-only number).
+    """
+
+    attribute: str
+    series: Optional[str] = None
+    kind: Optional[str] = None
+    help: str = ""
+    label: Optional[str] = None
+
+
+def _read_stat(owner, attribute: str):
+    value = getattr(owner, attribute)
+    return value() if callable(value) else value
+
+
+def stat_values(owner) -> dict:
+    """An owner's section of a ``stats`` reply: its ``STATS`` rows, read now."""
+    return {row[0]: _read_stat(owner, row[0]) for row in owner.STATS}
 
 
 def _label_key(label_names: Sequence[str], labels: dict) -> tuple:
@@ -75,14 +112,48 @@ class _Instrument:
         }
 
 
-class Counter(_Instrument):
+class _ValueInstrument(_Instrument):
+    """One number per label set: set by the owner, or read when scraped.
+
+    ``read`` callables make a series *function-backed*: nothing runs until
+    :meth:`_samples` (a snapshot) calls them.  An unlabelled series reads one
+    number; a series with one label reads a ``{label value: number}`` mapping.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        help: str = "",
+        label_names: Sequence[str] = (),
+        read: Optional[Callable[[], object]] = None,
+    ):
+        super().__init__(name, help, label_names)
+        if read is not None and len(self.label_names) > 1:
+            raise ValueError("a function-backed series takes at most one label")
+        self._values: dict[tuple, float] = {}
+        self._readers: list = [] if read is None else [read]
+
+    def value(self, **labels) -> float:
+        return self._values.get(_label_key(self.label_names, labels), 0.0)
+
+    def _samples(self) -> list:
+        values = sorted(self._values.items())
+        for read in self._readers:
+            result = read()
+            if self.label_names:
+                values.extend(((str(key),), value) for key, value in result.items())
+            else:
+                values.append(((), result))
+        return [
+            {"labels": dict(zip(self.label_names, key)), "value": float(value)}
+            for key, value in values
+        ]
+
+
+class Counter(_ValueInstrument):
     """A monotonically increasing count (events, decisions, errors)."""
 
     kind = "counter"
-
-    def __init__(self, name: str, help: str = "", label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple, float] = {}
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         if amount < 0:
@@ -90,24 +161,11 @@ class Counter(_Instrument):
         key = _label_key(self.label_names, labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels) -> float:
-        return self._values.get(_label_key(self.label_names, labels), 0.0)
 
-    def _samples(self) -> list:
-        return [
-            {"labels": dict(zip(self.label_names, key)), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
-
-
-class Gauge(_Instrument):
+class Gauge(_ValueInstrument):
     """A value that can go both ways (live sessions, buffer occupancy)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help: str = "", label_names: Sequence[str] = ()):
-        super().__init__(name, help, label_names)
-        self._values: dict[tuple, float] = {}
 
     def set(self, value: float, **labels) -> None:
         self._values[_label_key(self.label_names, labels)] = float(value)
@@ -118,15 +176,6 @@ class Gauge(_Instrument):
 
     def dec(self, amount: float = 1.0, **labels) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels) -> float:
-        return self._values.get(_label_key(self.label_names, labels), 0.0)
-
-    def _samples(self) -> list:
-        return [
-            {"labels": dict(zip(self.label_names, key)), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
 
 
 class Histogram(_Instrument):
@@ -190,13 +239,12 @@ class Histogram(_Instrument):
 
 
 class MetricsRegistry:
-    """Create instruments, run collectors, produce one merged snapshot."""
+    """Create instruments and produce one snapshot of all of them."""
 
     def __init__(self, namespace: str = "decima"):
         self.namespace = namespace
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
-        self._collectors: list[Callable[[], dict]] = []
 
     # ------------------------------------------------------------ instruments
     def _register(self, instrument: _Instrument) -> _Instrument:
@@ -208,15 +256,31 @@ class MetricsRegistry:
                         f"metric {instrument.name!r} already registered as "
                         f"{existing.kind}"
                     )
+                if isinstance(instrument, _ValueInstrument):
+                    # Registering a name again adds the new reader to the one
+                    # family (one more sample source), never a second family.
+                    existing._readers.extend(instrument._readers)
                 return existing
             self._instruments[instrument.name] = instrument
             return instrument
 
-    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Counter:
-        return self._register(Counter(name, help, labels))  # type: ignore[return-value]
+    def counter(
+        self,
+        name: str,
+        help: str = "",
+        labels: Sequence[str] = (),
+        read: Optional[Callable[[], object]] = None,
+    ) -> Counter:
+        return self._register(Counter(name, help, labels, read))  # type: ignore[return-value]
 
-    def gauge(self, name: str, help: str = "", labels: Sequence[str] = ()) -> Gauge:
-        return self._register(Gauge(name, help, labels))  # type: ignore[return-value]
+    def gauge(
+        self,
+        name: str,
+        help: str = "",
+        labels: Sequence[str] = (),
+        read: Optional[Callable[[], object]] = None,
+    ) -> Gauge:
+        return self._register(Gauge(name, help, labels, read))  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -227,38 +291,26 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._register(Histogram(name, help, buckets, labels))  # type: ignore[return-value]
 
-    # ------------------------------------------------------------- collectors
-    def register_collector(self, collector: Callable[[], dict]) -> None:
-        """Register a callback run at snapshot time.
-
-        The callback returns a snapshot *fragment*: ``{metric_name:
-        {"type", "help", "samples": [...]}}`` — the shape
-        :meth:`snapshot` itself produces.  This is the bridge for hot-path
-        components whose counters must stay plain attributes: zero cost per
-        decision, translated only when scraped.
-        """
-        with self._lock:
-            self._collectors.append(collector)
+    def expose(self, owner) -> None:
+        """Put every ``STATS`` row of ``owner`` that names a series on this
+        registry, read off the owner's attribute at snapshot time."""
+        for row in (Stat(*row) for row in owner.STATS):
+            if row.series is None:
+                continue
+            create = {"counter": self.counter, "gauge": self.gauge}[row.kind]
+            create(
+                row.series,
+                row.help,
+                labels=() if row.label is None else (row.label,),
+                read=functools.partial(_read_stat, owner, row.attribute),
+            )
 
     # --------------------------------------------------------------- snapshot
     def snapshot(self) -> dict:
-        """Every instrument + collector output as one JSON-ready dict."""
+        """Every instrument as one JSON-ready dict."""
         with self._lock:
             instruments = list(self._instruments.values())
-            collectors = list(self._collectors)
-        merged: dict[str, dict] = {}
-        for instrument in instruments:
-            merged[instrument.name] = instrument.describe()
-        for collector in collectors:
-            for name, family in collector().items():
-                existing = merged.get(name)
-                if existing is None:
-                    merged[name] = family
-                else:
-                    existing["samples"] = list(existing["samples"]) + list(
-                        family["samples"]
-                    )
-        return merged
+        return {instrument.name: instrument.describe() for instrument in instruments}
 
     def prometheus(self, extra_labels: Optional[dict] = None) -> str:
         """The snapshot in Prometheus text exposition format."""
@@ -315,7 +367,7 @@ def render_prometheus(
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _sample_value(snapshot: dict, name: str, labels: Optional[dict] = None):
+def sample_value(snapshot: dict, name: str, labels: Optional[dict] = None):
     family = snapshot.get(name)
     if not family:
         return None
@@ -339,13 +391,13 @@ def summarize_snapshot(snapshot: dict) -> str:
     def fmt(value, spec="{:.0f}"):
         return "-" if value is None else spec.format(value)
 
-    version = _sample_value(snapshot, "policy_version")
-    decisions = _sample_value(snapshot, "decisions_total")
-    fallbacks = _sample_value(snapshot, "fallback_decisions_total")
-    sessions = _sample_value(snapshot, "sessions_open")
-    delta = _sample_value(snapshot, "graph_delta_refreshes_total")
-    full = _sample_value(snapshot, "graph_full_refreshes_total")
-    rebuilds = _sample_value(snapshot, "graph_rebuilds_total")
+    version = sample_value(snapshot, "policy_version")
+    decisions = sample_value(snapshot, "decisions_total")
+    fallbacks = sample_value(snapshot, "fallback_decisions_total")
+    sessions = sample_value(snapshot, "sessions_open")
+    delta = sample_value(snapshot, "graph_delta_refreshes_total")
+    full = sample_value(snapshot, "graph_full_refreshes_total")
+    rebuilds = sample_value(snapshot, "graph_rebuilds_total")
     parts = [
         f"v{fmt(version)}",
         f"sessions={fmt(sessions)}",
@@ -368,15 +420,3 @@ def summarize_snapshot(snapshot: dict) -> str:
                 f"(n={sample['count']})"
             )
     return " | ".join(parts)
-
-
-def histogram_family_from_stats(stats: dict, help: str = "") -> dict:
-    """Adapt a :func:`repro.simulator.metrics.latency_histogram` dict into a
-    snapshot family (gauge samples per quantile) — the deprecation bridge for
-    code still holding the old five-schema stat dicts."""
-    samples = []
-    for key in ("p50", "p95", "p99", "mean", "max"):
-        value = stats.get(key)
-        if value is not None:
-            samples.append({"labels": {"quantile": key}, "value": float(value)})
-    return {"type": "gauge", "help": help, "samples": samples}

@@ -127,6 +127,11 @@ class SpanStore:
     (control-plane scrapes, tests) read them.
     """
 
+    STATS = (
+        ("num_spans", "trace_spans_total", "counter", "Spans filed in the span store"),
+        ("num_evicted_traces",),
+    )
+
     def __init__(self, max_traces: int = 256, max_spans_per_trace: int = 64):
         self.max_traces = max_traces
         self.max_spans_per_trace = max_spans_per_trace

@@ -34,6 +34,7 @@ from typing import Callable, Optional, Sequence
 
 from ..core.agent import DecimaAgent
 from ..core.features import MergedStructureCache
+from ..obs import stat_values
 from ..simulator.environment import Action, Observation
 from ..simulator.metrics import latency_histogram
 from .session import SessionState
@@ -68,6 +69,13 @@ class AdaptiveBatchWindow:
     trade-off knob.
     """
 
+    STATS = (
+        ("ema_batch_size", "batch_ema_size", "gauge", "EMA of dispatched batch sizes"),
+        ("window_ms", "batch_window_ms", "gauge", "Current adaptive coalescing window"),
+        ("min_ms",),
+        ("max_ms",),
+    )
+
     def __init__(
         self,
         min_ms: float = 0.2,
@@ -101,17 +109,21 @@ class AdaptiveBatchWindow:
         fraction = min(1.0, max(0.0, load))
         return (self.min_ms + (self.max_ms - self.min_ms) * fraction) / 1000.0
 
-    def stats(self) -> dict:
-        return {
-            "ema_batch_size": self._ema_batch_size,
-            "window_ms": self.seconds() * 1000.0,
-            "min_ms": self.min_ms,
-            "max_ms": self.max_ms,
-        }
+    @property
+    def window_ms(self) -> float:
+        return self.seconds() * 1000.0
 
 
 class CircuitBreaker:
     """Decision-counted SLO breaker for the shared policy path."""
+
+    STATS = (
+        ("state",),
+        ("is_open", "breaker_open", "gauge", "1 while the SLO circuit-breaker is open"),
+        ("slo_seconds",),
+        ("num_opens", "breaker_opens_total", "counter", "Circuit-breaker trips"),
+        ("cooldown_remaining",),
+    )
 
     def __init__(
         self,
@@ -129,7 +141,7 @@ class CircuitBreaker:
         self.state = "closed"
         self.num_opens = 0
         self._consecutive_breaches = 0
-        self._cooldown_remaining = 0
+        self.cooldown_remaining = 0
         # Observability hook: called (with this breaker) every time the
         # breaker trips open — the server wires it to the flight recorder so
         # an SLO trip auto-dumps the events leading up to it.
@@ -142,7 +154,7 @@ class CircuitBreaker:
         spent on fallback decisions; the first decision after that is the
         half-open trial.
         """
-        return self.state == "closed" or self._cooldown_remaining <= 0
+        return self.state == "closed" or self.cooldown_remaining <= 0
 
     def record_policy(self, latency_seconds: float) -> None:
         breached = latency_seconds > self.slo_seconds
@@ -162,24 +174,20 @@ class CircuitBreaker:
             self._consecutive_breaches = 0
 
     def record_fallback(self) -> None:
-        if self.state == "open" and self._cooldown_remaining > 0:
-            self._cooldown_remaining -= 1
+        if self.state == "open" and self.cooldown_remaining > 0:
+            self.cooldown_remaining -= 1
 
     def _open(self) -> None:
         self.state = "open"
-        self._cooldown_remaining = self.cooldown_decisions
+        self.cooldown_remaining = self.cooldown_decisions
         self._consecutive_breaches = 0
         self.num_opens += 1
         if self.on_open is not None:
             self.on_open(self)
 
-    def stats(self) -> dict:
-        return {
-            "state": self.state,
-            "slo_seconds": self.slo_seconds,
-            "num_opens": self.num_opens,
-            "cooldown_remaining": self._cooldown_remaining,
-        }
+    @property
+    def is_open(self) -> bool:
+        return self.state == "open"
 
 
 @dataclass
@@ -210,6 +218,30 @@ class DecisionResult:
 
 class RequestBroker:
     """Answer pending decision requests through one (batched) policy pass."""
+
+    STATS = (
+        ("batched",),
+        ("greedy",),
+        ("policy_version", "policy_version", "gauge",
+         "Monotonic id of the serving weights"),
+        ("pending_policy_version",),
+        ("num_policy_swaps", "policy_swaps_total", "counter",
+         "Hot-swapped policy installs applied"),
+        ("num_batches", "batches_total", "counter", "Dispatched decision batches"),
+        ("max_batch_size", "max_batch_size", "gauge", "Largest batch dispatched so far"),
+        ("num_decisions", "decisions_total", "counter",
+         "Answered decisions (policy + fallback)"),
+        ("num_fallback_decisions", "fallback_decisions_total", "counter",
+         "Decisions answered by the fallback heuristic"),
+        ("num_slo_breaches", "slo_breaches_total", "counter",
+         "Decisions over the latency SLO"),
+        ("graph_delta_refreshes", "graph_delta_refreshes_total", "counter",
+         "GraphCache row-level delta refreshes"),
+        ("graph_full_refreshes", "graph_full_refreshes_total", "counter",
+         "GraphCache full feature refreshes"),
+        ("graph_rebuilds", "graph_rebuilds_total", "counter",
+         "GraphCache structure rebuilds"),
+    )
 
     def __init__(
         self,
@@ -249,13 +281,10 @@ class RequestBroker:
         self.latencies: deque = deque(maxlen=_BROKER_LATENCY_WINDOW)
         # Aggregated GraphCache telemetry across every served session: the
         # per-session counters are sampled after each round and the broker
-        # accumulates their non-negative increments (a counter moving
-        # backwards means a new session object recycled the id — reset its
-        # baseline rather than under-count).
+        # accumulates what they gained since the session's ``cache_mark``.
         self.graph_delta_refreshes = 0
         self.graph_full_refreshes = 0
         self.graph_rebuilds = 0
-        self._cache_marks: dict[int, tuple[int, int, int]] = {}
         # Observability seams, wired by the hosting server (None = dark):
         # ``flight`` is the shard's FlightRecorder (decision-round / swap
         # events), ``latency_metric`` a registry Histogram fed one
@@ -460,57 +489,40 @@ class RequestBroker:
                 * 1000.0,
             )
         for request in requests:
-            cache = request.session.graph_cache
+            session = request.session
+            cache = session.graph_cache
             current = (
                 cache.num_delta_refreshes,
                 cache.num_full_refreshes,
                 cache.num_rebuilds,
             )
-            mark = self._cache_marks.get(id(request.session), (0, 0, 0))
-            if any(now < seen for now, seen in zip(current, mark)):
-                mark = (0, 0, 0)
+            mark = session.cache_mark
             self.graph_delta_refreshes += current[0] - mark[0]
             self.graph_full_refreshes += current[1] - mark[1]
             self.graph_rebuilds += current[2] - mark[2]
-            self._cache_marks[id(request.session)] = current
+            session.cache_mark = current
         if self.decision_tap is not None:
             for request, result in zip(requests, results):
                 self.decision_tap(request, result)  # type: ignore[arg-type]
         return [result for result in results]  # type: ignore[misc]
 
     def stats(self) -> dict:
+        """The ``broker`` section of a ``stats`` reply.
+
+        The broker's own rows, the recent-latency histogram, and the rows of
+        what it drives: where decision time goes inside the agent
+        (``stage_timing``), how much propagation work was reused
+        (``embedding_reuse``), the batch merge cache and the breaker.
+        """
         return {
-            "batched": self.batched,
-            "greedy": self.greedy,
-            "policy_version": self.policy_version,
-            "pending_policy_version": self.pending_policy_version,
-            "num_policy_swaps": self.num_policy_swaps,
-            "num_batches": self.num_batches,
-            "max_batch_size": self.max_batch_size,
-            "num_decisions": self.num_decisions,
-            "num_fallback_decisions": self.num_fallback_decisions,
-            "num_slo_breaches": self.num_slo_breaches,
+            **stat_values(self),
+            # Copied first: the dispatch thread appends while a pipe or
+            # manager thread asks, and a deque may not grow under iteration.
             "latency_ms": latency_histogram(
-                [seconds * 1000.0 for seconds in self.latencies]
+                [seconds * 1000.0 for seconds in tuple(self.latencies)]
             ),
-            "merged_structure_rebuilds": self.merge_cache.num_rebuilds,
-            # Where decision time goes inside the agent (features /
-            # propagation / policy / sampling), cumulative over every
-            # act()/act_batch() this agent ran — the control plane relays
-            # this per shard so hot-path regressions show up in production.
-            "stage_timing": self.agent.stage_timings.snapshot(),
-            # Node rows the network's data path was handed and how many of
-            # them it recomputed (the rest kept last decision's embeddings);
-            # equal on graphs of ``REUSE_MIN_NODES`` rows or more, the network
-            # is dropping what it remembers on every call.
-            "embedding_reuse": {
-                "rows_seen": self.agent.gnn.rows_seen,
-                "rows_recomputed": self.agent.gnn.rows_recomputed,
-            },
-            "graph_cache": {
-                "delta_refreshes": self.graph_delta_refreshes,
-                "full_refreshes": self.graph_full_refreshes,
-                "rebuilds": self.graph_rebuilds,
-            },
-            "breaker": self.breaker.stats() if self.breaker is not None else None,
+            "stage_timing": stat_values(self.agent.stage_timings),
+            "embedding_reuse": stat_values(self.agent.gnn),
+            "merge_cache": stat_values(self.merge_cache),
+            "breaker": None if self.breaker is None else stat_values(self.breaker),
         }

@@ -46,7 +46,6 @@ class ServingConfig:
     greedy: bool = True
     max_batch_size: int = 64
     batch_window_ms: float = 2.0
-    adaptive_batch_window: bool = True
     # Agent sourcing.
     checkpoint_dir: Optional[str] = None
     # Online learning (fleet only): record per-decision experience in each
@@ -75,7 +74,6 @@ class ServingConfig:
             "greedy": self.greedy,
             "max_batch_size": self.max_batch_size,
             "batch_window_ms": self.batch_window_ms,
-            "adaptive_batch_window": self.adaptive_batch_window,
             "flight_dir": self.flight_dir,
             "flight_capacity": self.flight_capacity,
             "trace_capacity": self.trace_capacity,

@@ -46,7 +46,8 @@ def _shard_main(
     * ``("stop",)`` — shut down;
     * ``("install", state, version)`` — stage a policy hot-swap, ack with
       ``("installed", version)`` (the swap applies at the next decision);
-    * ``("stats",)`` — reply ``("stats", {...})`` with the broker snapshot;
+    * ``("stats",)`` — reply ``("stats", payload)`` with the server's own
+      ``stats`` reply (:meth:`PolicyServer.stats_payload`);
     * ``("drain",)`` — reply ``("experience", [...])`` with the experience
       steps collected since the last drain (empty unless the shard was
       started with ``collect_experience``).
@@ -82,16 +83,7 @@ def _shard_main(
                     server.install_policy(new_state, version)
                     connection.send(("installed", int(version)))
                 elif kind == "stats":
-                    connection.send(
-                        (
-                            "stats",
-                            {
-                                "policy_version": server.policy_version,
-                                "broker": server.broker.stats(),
-                                "num_sessions": server.num_live_sessions(),
-                            },
-                        )
-                    )
+                    connection.send(("stats", server.stats_payload(None)))
                 elif kind == "drain":
                     steps = collector.drain() if collector is not None else []
                     connection.send(("experience", steps))
@@ -281,7 +273,7 @@ class ServingFleet:
         return sum(1 for ack in acks if ack is not None)
 
     def shard_stats(self) -> list:
-        """Per-shard broker snapshots over the command channel (None = dead)."""
+        """Per-shard ``stats`` replies over the command channel (None = dead)."""
         return self._command(("stats",), expect="stats")
 
     def drain_experience(self) -> list:

@@ -44,6 +44,7 @@ from ..obs import (
     get_logger,
     log_event,
     render_prometheus,
+    stat_values,
 )
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -101,8 +102,18 @@ class _RouterCounters:
     forwarded_frames: int = 0
     reconfigurations: int = 0
 
-    def describe(self) -> dict:
-        return dict(self.__dict__)
+    STATS = (
+        ("routed_sessions", "router_sessions_routed_total", "counter",
+         "Sessions admitted and placed on a shard"),
+        ("rejected_sessions", "router_sessions_rejected_total", "counter",
+         "Sessions refused by admission control"),
+        ("shard_failures", "router_shard_failures_total", "counter",
+         "Shard failures observed by the router"),
+        ("forwarded_frames", "router_forwarded_frames_total", "counter",
+         "Frames relayed shard-ward"),
+        ("reconfigurations", "router_reconfigurations_total", "counter",
+         "Applied live reconfigurations"),
+    )
 
 
 class ShardRouter:
@@ -134,17 +145,39 @@ class ShardRouter:
         self.connect_timeout = float(connect_timeout)
         self.probe_timeout = float(probe_timeout)
         self.counters = _RouterCounters()
-        # Router-side observability: its own registry (collector over the
-        # relay counters), span store (the router.forward hop of traced
+        # Router-side observability: its own registry (the relay counters,
+        # read when scraped), span store (the router.forward hop of traced
         # decisions) and flight recorder (admission rejections, shard
         # failures, reconfigures; auto-dumped on a shard death).  The control
         # plane's metrics/trace/flight commands merge these with every
         # shard's own, so one query sees the whole fleet.
-        self.metrics = MetricsRegistry()
-        self.metrics.register_collector(self._collect_metrics)
         self.spans = SpanStore(max_traces=int(trace_capacity))
         self.flight = FlightRecorder(
             capacity=int(flight_capacity), service="router", dump_dir=flight_dir
+        )
+        self.metrics = MetricsRegistry()
+        self.metrics.expose(self.counters)
+        self.metrics.gauge(
+            "router_active_sessions",
+            "Sessions currently live across the fleet",
+            read=lambda: self._active_sessions,
+        )
+        self.metrics.gauge(
+            "router_healthy_shards",
+            "Shards currently marked healthy",
+            read=lambda: sum(shard.healthy for shard in self.shards),
+        )
+        # Registered by hand, not through the recorder's rows: the router's
+        # help text names whose ring this is.
+        self.metrics.counter(
+            "flight_events_total",
+            "Events appended to the router's flight recorder",
+            read=lambda: self.flight.num_events,
+        )
+        self.metrics.counter(
+            "flight_dumps_total",
+            "Router flight-recorder dumps taken",
+            read=lambda: self.flight.num_dumps,
         )
         # Online-learning bookkeeping published through control-plane stats.
         # The learning manager owns the content (current/previous checkpoint
@@ -252,59 +285,6 @@ class ShardRouter:
             if shard.accepts_new_sessions():
                 return shard
         return None
-
-    def _collect_metrics(self) -> dict:
-        """Router counters as registry families (read at snapshot time)."""
-
-        def counter(help: str, value) -> dict:
-            return {
-                "type": "counter",
-                "help": help,
-                "samples": [{"labels": {}, "value": float(value)}],
-            }
-
-        counters = self.counters
-        return {
-            "router_sessions_routed_total": counter(
-                "Sessions admitted and placed on a shard", counters.routed_sessions
-            ),
-            "router_sessions_rejected_total": counter(
-                "Sessions refused by admission control", counters.rejected_sessions
-            ),
-            "router_shard_failures_total": counter(
-                "Shard failures observed by the router", counters.shard_failures
-            ),
-            "router_forwarded_frames_total": counter(
-                "Frames relayed shard-ward", counters.forwarded_frames
-            ),
-            "router_reconfigurations_total": counter(
-                "Applied live reconfigurations", counters.reconfigurations
-            ),
-            "router_active_sessions": {
-                "type": "gauge",
-                "help": "Sessions currently live across the fleet",
-                "samples": [{"labels": {}, "value": float(self._active_sessions)}],
-            },
-            "router_healthy_shards": {
-                "type": "gauge",
-                "help": "Shards currently marked healthy",
-                "samples": [
-                    {
-                        "labels": {},
-                        "value": float(
-                            sum(1 for shard in self.shards if shard.healthy)
-                        ),
-                    }
-                ],
-            },
-            "flight_events_total": counter(
-                "Events appended to the router's flight recorder",
-                self.flight.num_events,
-            ),
-            "flight_dumps_total": counter(
-                "Router flight-recorder dumps taken", self.flight.num_dumps
-            ),
-        }
 
     def _mark_failed(self, shard: ShardState) -> None:
         was_healthy = shard.healthy
@@ -682,7 +662,7 @@ class ShardRouter:
         payload = {
             "type": "stats",
             "router": {
-                **self.counters.describe(),
+                **stat_values(self.counters),
                 "active_sessions": self._active_sessions,
                 "max_sessions": self.max_sessions,
             },

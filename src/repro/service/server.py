@@ -27,8 +27,15 @@ import asyncio
 import threading
 from typing import Optional
 
-from ..core.agent import DecimaAgent, StageTimings
-from ..obs import FlightRecorder, MetricsRegistry, SpanStore, get_logger, log_event
+from ..core.agent import DecimaAgent
+from ..obs import (
+    FlightRecorder,
+    MetricsRegistry,
+    SpanStore,
+    get_logger,
+    log_event,
+    stat_values,
+)
 from ..schedulers import make_scheduler, scheduler_names
 from ..simulator.environment import SimulatorConfig
 from .batcher import (
@@ -55,22 +62,6 @@ _QUEUE_SENTINEL = None
 _logger = get_logger("service.server")
 
 
-def _gauge_family(help: str, samples: list) -> dict:
-    return {"type": "gauge", "help": help, "samples": samples}
-
-
-def _counter_family(help: str, value: float) -> dict:
-    return {
-        "type": "counter",
-        "help": help,
-        "samples": [{"labels": {}, "value": float(value)}],
-    }
-
-
-def _gauge_value(help: str, value: float) -> dict:
-    return _gauge_family(help, [{"labels": {}, "value": float(value)}])
-
-
 class PolicyServer:
     """Serve scheduling decisions for many concurrent cluster sessions.
 
@@ -94,7 +85,6 @@ class PolicyServer:
         greedy: bool = True,
         max_batch_size: int = 64,
         batch_window_ms: float = 2.0,
-        adaptive_batch_window: bool = True,
         service_name: str = "server",
         flight_dir: Optional[str] = None,
         flight_capacity: int = 512,
@@ -108,10 +98,7 @@ class PolicyServer:
         self.port = int(port)
         self.default_fallback = fallback
         self.max_batch_size = int(max_batch_size)
-        self.batch_window_s = float(batch_window_ms) / 1000.0
-        self.adaptive_window: Optional[AdaptiveBatchWindow] = None
-        if adaptive_batch_window:
-            self.adaptive_window = AdaptiveBatchWindow(max_ms=float(batch_window_ms))
+        self.adaptive_window = AdaptiveBatchWindow(max_ms=float(batch_window_ms))
         breaker = None
         if slo_ms is not None:
             breaker = CircuitBreaker(
@@ -125,9 +112,10 @@ class PolicyServer:
         self._session_counter = 0
         # --- observability (see docs/OBSERVABILITY.md) ---------------------
         # One registry, span store and flight recorder per server/shard.
-        # Everything here reads existing state lazily (collectors) or sits
-        # behind None checks on the hot path, so an unscraped, untraced
-        # server does the same work it did before telemetry existed.
+        # Everything here reads existing state when scraped (the owners'
+        # ``STATS`` rows) or sits behind None checks on the hot path, so an
+        # unscraped, untraced server does the same work as one without
+        # telemetry.
         self.service_name = str(service_name)
         self.metrics = MetricsRegistry()
         self.spans = SpanStore(max_traces=int(trace_capacity))
@@ -140,8 +128,23 @@ class PolicyServer:
         self.broker.latency_metric = self.metrics.histogram(
             "decision_latency_ms", "End-to-end broker decision latency"
         )
-        self.metrics.register_collector(self._collect_metrics)
+        self.metrics.gauge(
+            "sessions_open",
+            "Currently connected cluster sessions",
+            read=self.num_live_sessions,
+        )
+        for owner in (
+            self.broker,
+            self.adaptive_window,
+            self.broker.merge_cache,
+            agent.gnn,
+            agent.stage_timings,
+            self.flight,
+            self.spans,
+        ):
+            self.metrics.expose(owner)
         if breaker is not None:
+            self.metrics.expose(breaker)
             breaker.on_open = self._on_breaker_open
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -227,105 +230,6 @@ class PolicyServer:
         self.stop()
 
     # ------------------------------------------------------------ observability
-    def _collect_metrics(self) -> dict:
-        """Snapshot-time bridge from the legacy stat counters to the registry.
-
-        This is what absorbs the old ad-hoc ``stats()`` schemas: the broker,
-        breaker, window and :class:`StageTimings` keep their plain counters
-        (zero per-decision registry cost) and this collector translates them
-        into metric families only when someone scrapes.
-        """
-        broker = self.broker
-        timings = self.agent.stage_timings.snapshot()
-        fragment = {
-            "policy_version": _gauge_value(
-                "Monotonic id of the serving weights", broker.policy_version
-            ),
-            "sessions_open": _gauge_value(
-                "Currently connected cluster sessions", self.num_live_sessions()
-            ),
-            "decisions_total": _counter_family(
-                "Answered decisions (policy + fallback)", broker.num_decisions
-            ),
-            "fallback_decisions_total": _counter_family(
-                "Decisions answered by the fallback heuristic",
-                broker.num_fallback_decisions,
-            ),
-            "slo_breaches_total": _counter_family(
-                "Decisions over the latency SLO", broker.num_slo_breaches
-            ),
-            "policy_swaps_total": _counter_family(
-                "Hot-swapped policy installs applied", broker.num_policy_swaps
-            ),
-            "batches_total": _counter_family(
-                "Dispatched decision batches", broker.num_batches
-            ),
-            "max_batch_size": _gauge_value(
-                "Largest batch dispatched so far", broker.max_batch_size
-            ),
-            "graph_delta_refreshes_total": _counter_family(
-                "GraphCache row-level delta refreshes", broker.graph_delta_refreshes
-            ),
-            "graph_full_refreshes_total": _counter_family(
-                "GraphCache full feature refreshes", broker.graph_full_refreshes
-            ),
-            "graph_rebuilds_total": _counter_family(
-                "GraphCache structure rebuilds", broker.graph_rebuilds
-            ),
-            "gnn_rows_seen_total": _counter_family(
-                "Node rows handed to the GNN data path", self.agent.gnn.rows_seen
-            ),
-            "gnn_rows_recomputed_total": _counter_family(
-                "Node rows the GNN data path re-embedded (not reused)",
-                self.agent.gnn.rows_recomputed,
-            ),
-            "merged_structure_rebuilds_total": _counter_family(
-                "Mega-graph merged-structure rebuilds",
-                broker.merge_cache.num_rebuilds,
-            ),
-            "stage_steps_total": _counter_family(
-                "act()/act_batch() calls timed by the stage clock",
-                timings["num_steps"],
-            ),
-            "stage_mean_ms": _gauge_family(
-                "Per-step mean wall time of each hot-path stage",
-                [
-                    {
-                        "labels": {"stage": stage},
-                        "value": timings["stages"][stage]["mean_ms"],
-                    }
-                    for stage in StageTimings.STAGES
-                ],
-            ),
-            "flight_events_total": _counter_family(
-                "Events appended to the flight recorder", self.flight.num_events
-            ),
-            "flight_dumps_total": _counter_family(
-                "Flight-recorder dumps taken", self.flight.num_dumps
-            ),
-            "trace_spans_total": _counter_family(
-                "Spans filed in the span store", self.spans.num_spans
-            ),
-        }
-        if broker.breaker is not None:
-            breaker = broker.breaker
-            fragment["breaker_open"] = _gauge_value(
-                "1 while the SLO circuit-breaker is open",
-                1.0 if breaker.state == "open" else 0.0,
-            )
-            fragment["breaker_opens_total"] = _counter_family(
-                "Circuit-breaker trips", breaker.num_opens
-            )
-        if self.adaptive_window is not None:
-            window = self.adaptive_window
-            fragment["batch_window_ms"] = _gauge_value(
-                "Current adaptive coalescing window", window.seconds() * 1000.0
-            )
-            fragment["batch_ema_size"] = _gauge_value(
-                "EMA of dispatched batch sizes", window.ema_batch_size
-            )
-        return fragment
-
     def _on_breaker_open(self, breaker: CircuitBreaker) -> None:
         """SLO trip: record it, dump the flight ring, log the event."""
         self.flight.record(
@@ -401,7 +305,7 @@ class PolicyServer:
             "type": "flight",
             "service": self.service_name,
             "recorder": recorder,
-            "stats": self.flight.stats(),
+            "stats": stat_values(self.flight),
         }
 
     # ---------------------------------------------------------------- hot-swap
@@ -544,13 +448,14 @@ class PolicyServer:
         return reply
 
     def stats_payload(self, session: Optional[SessionState]) -> dict:
+        """The ``stats`` reply: what a client, the router's relay and the
+        fleet's shard pipe all receive."""
         payload = {
             "type": "stats",
             "broker": self.broker.stats(),
+            "batch_window": stat_values(self.adaptive_window),
             "num_sessions": self.num_live_sessions(),
         }
-        if self.adaptive_window is not None:
-            payload["batch_window"] = self.adaptive_window.stats()
         if session is not None:
             payload["session"] = session.stats()
         return payload
@@ -655,18 +560,14 @@ class PolicyServer:
     async def _fill_batch(self, batch: list) -> None:
         """Coalesce pending requests: up to ``max_batch_size`` distinct sessions.
 
-        After the first request lands we wait at most the batch window (the
-        adaptive one when enabled) for more sessions to show up — long enough
-        for concurrently blocked clients to coalesce, far below any reasonable
-        decision SLO.
+        After the first request lands we wait at most the adaptive batch
+        window for more sessions to show up — long enough for concurrently
+        blocked clients to coalesce, far below any reasonable decision SLO.
         """
         assert self._queue is not None
         sessions = {id(request.session) for request, _ in batch}
         loop = asyncio.get_running_loop()
-        window = self.adaptive_window
-        deadline = loop.time() + (
-            self.batch_window_s if window is None else window.seconds()
-        )
+        deadline = loop.time() + self.adaptive_window.seconds()
         # Once every live session has a request in the batch, no further
         # request can arrive (the protocol is synchronous per session) —
         # don't make a lone client sit out the full window.
@@ -702,8 +603,7 @@ class PolicyServer:
                     return
                 batch = [item]
                 await self._fill_batch(batch)
-                if self.adaptive_window is not None:
-                    self.adaptive_window.observe(len(batch))
+                self.adaptive_window.observe(len(batch))
                 try:
                     results = self.broker.decide([request for request, _ in batch])
                 except Exception as error:  # noqa: BLE001 - must answer every request

@@ -60,6 +60,9 @@ class SessionState:
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
         self.graph_cache = GraphCache()
+        # The graph cache's (delta, full, rebuild) counters as of the last
+        # round the broker added them to its totals.
+        self.cache_mark = (0, 0, 0)
         self.fallback = fallback
         # job id (client-side) -> shadow JobDAG, plus the reverse mapping used
         # to translate chosen shadow nodes back into wire ids.  The per-job

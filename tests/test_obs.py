@@ -3,8 +3,8 @@
 The observability layer's own guarantees, independent of the serving stack:
 
 * **registry** — counters/gauges/histograms share one snapshot schema,
-  collector callbacks merge hot-path state in at scrape time only, and the
-  snapshot renders to valid Prometheus text exposition;
+  function-backed series and ``STATS`` tables read hot-path state at scrape
+  time only, and the snapshot renders to valid Prometheus text exposition;
 * **tracing** — spans reconstruct a parent chain across processes from
   nothing but random hex ids, and the store is bounded (LRU traces, capped
   spans per trace) so a long-lived server can't grow without bound;
@@ -39,9 +39,9 @@ from repro.obs import (
     new_span_id,
     new_trace_id,
     render_prometheus,
+    stat_values,
     summarize_snapshot,
 )
-from repro.obs.registry import histogram_family_from_stats
 
 
 # -------------------------------------------------------------- instruments
@@ -108,37 +108,84 @@ class TestMetricsRegistry:
         registry.counter("own_total", help="owned").inc(2)
         calls = {"count": 0}
 
-        def collector():
+        def read():
             calls["count"] += 1
-            return {
-                "legacy_total": {
-                    "type": "counter",
-                    "help": "from a bare attribute",
-                    "samples": [{"labels": {}, "value": 7.0}],
-                }
-            }
+            return 7
 
-        registry.register_collector(collector)
+        registry.counter("bare_total", "from a bare attribute", read=read)
         assert calls["count"] == 0  # zero cost until scraped
         snapshot = registry.snapshot()
         assert calls["count"] == 1
         assert snapshot["own_total"]["samples"][0]["value"] == 2
-        assert snapshot["legacy_total"]["samples"][0]["value"] == 7.0
+        assert snapshot["bare_total"] == {
+            "type": "counter",
+            "help": "from a bare attribute",
+            "samples": [{"labels": {}, "value": 7.0}],
+        }
+        registry.prometheus()
+        assert calls["count"] == 2
 
     def test_collector_samples_append_to_existing_family(self):
         registry = MetricsRegistry()
         registry.gauge("mixed", labels=("source",)).set(1.0, source="own")
-        registry.register_collector(
-            lambda: {
-                "mixed": {
-                    "type": "gauge",
-                    "help": "",
-                    "samples": [{"labels": {"source": "legacy"}, "value": 2.0}],
-                }
-            }
-        )
+        registry.gauge("mixed", labels=("source",), read=lambda: {"read": 2.0})
         samples = registry.snapshot()["mixed"]["samples"]
-        assert {s["labels"]["source"] for s in samples} == {"own", "legacy"}
+        assert {s["labels"]["source"]: s["value"] for s in samples} == {
+            "own": 1.0, "read": 2.0,
+        }
+
+    def test_function_backed_series_take_at_most_one_label(self):
+        with pytest.raises(ValueError, match="at most one label"):
+            MetricsRegistry().gauge("wide", labels=("a", "b"), read=dict)
+
+    def test_stats_table_renders_both_surfaces_and_reads_only_when_asked(self):
+        """One ``STATS`` table, two renderings: registry series for the rows
+        that name one, ``{attribute: value}`` for a stats reply — and neither
+        touches the owner until it is asked to."""
+        reads = []
+
+        class Owner:
+            STATS = (
+                ("num_things", "things_total", "counter", "Things seen"),
+                ("by_stage", "stage_ms", "gauge", "Per stage", "stage"),
+                ("pending",),  # a zero-argument method, stats reply only
+                ("note",),
+            )
+            num_things = 3
+            note = None
+
+            @property
+            def by_stage(self):
+                reads.append("by_stage")
+                return {"features": 0.5, "policy": 0.25}
+
+            def pending(self):
+                reads.append("pending")
+                return 4
+
+        owner = Owner()
+        registry = MetricsRegistry()
+        registry.expose(owner)
+        owner.num_things += 2  # a plain attribute bump, no registry call
+        assert reads == []
+        snapshot = registry.snapshot()
+        assert reads == ["by_stage"]
+        assert set(snapshot) == {"things_total", "stage_ms"}
+        assert snapshot["things_total"] == {
+            "type": "counter",
+            "help": "Things seen",
+            "samples": [{"labels": {}, "value": 5.0}],
+        }
+        assert snapshot["stage_ms"]["samples"] == [
+            {"labels": {"stage": "features"}, "value": 0.5},
+            {"labels": {"stage": "policy"}, "value": 0.25},
+        ]
+        assert stat_values(owner) == {
+            "num_things": 5,
+            "by_stage": {"features": 0.5, "policy": 0.25},
+            "pending": 4,
+            "note": None,
+        }
 
     def test_prometheus_rendering(self):
         registry = MetricsRegistry(namespace="decima")
@@ -181,13 +228,6 @@ class TestMetricsRegistry:
         line = summarize_snapshot(registry.snapshot())
         assert "v4" in line
         assert "decisions=12" in line
-
-    def test_histogram_family_from_stats_bridges_quantiles(self):
-        family = histogram_family_from_stats(
-            {"p50": 1.0, "p95": 2.0, "p99": 3.0, "count": 9}
-        )
-        quantiles = {s["labels"]["quantile"] for s in family["samples"]}
-        assert quantiles == {"p50", "p95", "p99"}
 
 
 # ------------------------------------------------------------------ tracing
@@ -260,7 +300,7 @@ class TestFlightRecorder:
         assert payload["service"] == "shard-0"
         assert payload["reason"] == "slo_breaker_open"
         assert payload["events"][0]["kind"] == "breaker_open"
-        stats = recorder.stats()
+        stats = stat_values(recorder)
         assert stats["num_dumps"] == 1
         assert stats["last_dump_reason"] == "slo_breaker_open"
 
@@ -322,8 +362,8 @@ class TestStageClock:
         durations = self.mark_all(timings.clock())
         assert len(durations) == len(StageTimings.STAGES)
         assert timings.num_steps == 1
-        snapshot = timings.snapshot()
-        assert set(snapshot["stages"]) == set(StageTimings.STAGES)
+        assert stat_values(timings)["num_steps"] == 1
+        assert tuple(timings.mean_ms) == StageTimings.STAGES
 
     def test_traced_clock_emits_one_child_span_per_stage(self):
         store = SpanStore()

@@ -30,6 +30,7 @@ from repro.learning import (
     OnlineLearningManager,
     OnlineTrainerConfig,
 )
+from repro.obs import sample_value
 from repro.service import (
     ControlClient,
     PolicyClient,
@@ -67,15 +68,6 @@ def serve_episode(address, seed=0, trace_every=None, max_decisions=None):
             max_decisions=max_decisions, trace_every=trace_every,
         )
     return summary
-
-
-def sample_value(snapshot, name, labels=None):
-    for sample in (snapshot.get(name) or {}).get("samples", []):
-        if labels is None or all(
-            sample.get("labels", {}).get(k) == v for k, v in labels.items()
-        ):
-            return sample.get("value", sample.get("count"))
-    return None
 
 
 # ------------------------------------------------------------ metrics scrape

@@ -613,7 +613,7 @@ class TestSLOFallback:
                     ),
                 )
             )
-        cooldown_before = breaker._cooldown_remaining
+        cooldown_before = breaker.cooldown_remaining
         results = broker.decide(requests)
         assert results[0].source == "fallback"
         assert results[1].source == "policy"
@@ -622,7 +622,7 @@ class TestSLOFallback:
         # half-open trial: the breaker stays open and only the fallback
         # decision consumed cooldown.
         assert breaker.state == "open"
-        assert breaker._cooldown_remaining == cooldown_before - 1
+        assert breaker.cooldown_remaining == cooldown_before - 1
         assert breaker.num_opens == 1
 
     def test_breaker_recovers_when_policy_is_fast_again(self):

@@ -27,6 +27,7 @@ import pytest
 
 from repro.core import DecimaAgent, DecimaConfig
 from repro.service import (
+    AdaptiveBatchWindow,
     ControlClient,
     DecisionRequest,
     PolicyClient,
@@ -228,9 +229,8 @@ class TestShutdown:
     def test_nothing_stays_parked_when_the_dispatcher_ends(self):
         """The batch being coalesced and a deferred same-session request
         fail with ``server shutting down``."""
-        server = PolicyServer(
-            big_agent(), adaptive_batch_window=False, batch_window_ms=60_000.0
-        )
+        server = PolicyServer(big_agent())
+        server.adaptive_window = AdaptiveBatchWindow(min_ms=60_000.0, max_ms=60_000.0)
         first, second, third = (
             SessionState(name, NUM_EXECUTORS) for name in ("first", "second", "third")
         )
@@ -263,9 +263,8 @@ class TestShutdown:
     def test_stop_answers_the_batch_in_flight(self, server_factory):
         """A graceful stop does not wait out the window, and the request
         being coalesced still gets its reply."""
-        server = server_factory(
-            big_agent(), adaptive_batch_window=False, batch_window_ms=60_000.0
-        )
+        server = server_factory(big_agent())
+        server.adaptive_window = AdaptiveBatchWindow(min_ms=60_000.0, max_ms=60_000.0)
         observation = tpch_observation(2)
         replies = []
         with PolicyClient(*server.address) as waiting, \
