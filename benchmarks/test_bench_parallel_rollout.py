@@ -54,7 +54,7 @@ def _train(backend):
 def _compare_backends():
     serial_history, serial_time = _train(SerialRolloutBackend())
     parallel_history, parallel_time = _train(
-        ParallelRolloutBackend(num_workers=NUM_WORKERS, seed=0)
+        ParallelRolloutBackend(num_workers=NUM_WORKERS)
     )
     return {
         "serial_time": serial_time,

@@ -161,7 +161,6 @@ def main() -> None:
             max_sessions=args.max_sessions,
             slo_ms=args.slo_ms,
             batched=not args.serial,
-            collect_experience=args.online,
         )
         server = build_server(config, agent=agent)
         host, port = server.start()

@@ -115,7 +115,6 @@ def build_policy_server(args):
         batched=not args.serial,
         greedy=not args.sample,
         checkpoint_dir=args.store_dir if agent is None else None,
-        collect_experience=args.online,
     )
     return build_server(config, agent=agent)
 

@@ -40,9 +40,10 @@ import abc
 import ctypes
 import multiprocessing as mp
 import os
+import threading
 import traceback
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -78,10 +79,7 @@ class EpisodeSpec:
     jobs: list[JobDAG]
     episode_time: float
     env_seed: int
-    # Seed of the per-episode action-sampling generator.  ``None`` falls back
-    # to the worker's own persistent generator (seeded per worker at startup),
-    # at the cost of results depending on the episode-to-worker assignment.
-    action_seed: Optional[int] = None
+    action_seed: int  # seeds the episode's own action-sampling generator
     max_actions: Optional[int] = None
 
 
@@ -138,7 +136,6 @@ def run_episode(
     agent: DecimaAgent,
     simulator_config: SimulatorConfig,
     spec: EpisodeSpec,
-    rng: Optional[np.random.Generator] = None,
     step_hook: Optional[Callable] = None,
 ) -> Trajectory:
     """Collect one episode described by ``spec`` (used by workers and tests).
@@ -146,10 +143,6 @@ def run_episode(
     ``step_hook`` passes through to :func:`~repro.core.rollout.collect_rollout`
     — the verification harness's instrumentation seam.
     """
-    if rng is None:
-        if spec.action_seed is None:
-            raise ValueError("EpisodeSpec.action_seed is required when no rng is given")
-        rng = np.random.default_rng(spec.action_seed)
     environment = SchedulingEnvironment(
         replace(simulator_config, max_time=spec.episode_time)
     )
@@ -157,7 +150,7 @@ def run_episode(
         environment,
         agent,
         spec.jobs,
-        rng=rng,
+        rng=np.random.default_rng(spec.action_seed),
         seed=spec.env_seed,
         max_actions=spec.max_actions,
         step_hook=step_hook,
@@ -279,67 +272,6 @@ class SerialRolloutBackend(RolloutBackend):
 
 
 # ----------------------------------------------------------------- worker pool
-def _worker_main(
-    conn,
-    simulator_config: SimulatorConfig,
-    spec: AgentSpec,
-    worker_seed: int,
-) -> None:
-    """Loop of one rollout worker process.
-
-    Protocol (one ``(command, payload)`` tuple per message, reply is
-    ``("ok", value)`` or ``("error", traceback)``):
-
-    * ``collect``: payload ``(state_dict, interarrival_hint, [EpisodeSpec])``
-      → list of :class:`EpisodeOutcome`.  Trajectories (with their decision
-      records) stay in the worker for the gradient phase.  ``state_dict`` is
-      ``None`` when the worker has no episodes this iteration.
-    * ``gradients``: payload ``([advantages], entropy_weight)`` → list of
-      per-parameter gradient sums (numpy arrays or ``None``).
-    * ``close``: exit the loop.
-    """
-    agent = build_agent(spec)
-    worker_rng = np.random.default_rng(worker_seed)
-    trajectories: list[Trajectory] = []
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            return
-        command, payload = message
-        if command == "close":
-            return
-        try:
-            if command == "collect":
-                state, interarrival_hint, episode_specs = payload
-                if state is not None:
-                    agent.load_state_dict(state)
-                    agent.interarrival_hint = interarrival_hint
-                trajectories = [
-                    run_episode(
-                        agent,
-                        simulator_config,
-                        episode_spec,
-                        rng=worker_rng if episode_spec.action_seed is None else None,
-                    )
-                    for episode_spec in episode_specs
-                ]
-                reply = [outcome_from_trajectory(t) for t in trajectories]
-            elif command == "gradients":
-                advantages, entropy_weight = payload
-                reply = accumulate_episode_gradients(
-                    agent, trajectories, advantages, entropy_weight
-                )
-            else:
-                raise ValueError(f"unknown worker command {command!r}")
-            conn.send(("ok", reply))
-        except Exception:
-            try:
-                conn.send(("error", traceback.format_exc()))
-            except (BrokenPipeError, OSError):
-                return
-
-
 # Names of OpenBLAS's thread-count setter: numpy >= 1.26 wheels (symbol-prefixed
 # ILP64 build), older ILP64 wheels, a system OpenBLAS.
 _OPENBLAS_SET_NUM_THREADS = (
@@ -383,87 +315,188 @@ def single_threaded_blas() -> int:
     return limited
 
 
-def _pipe_worker(target: Callable, conn, *args) -> None:
-    """Entry point of every pool process: single-threaded BLAS, then the loop."""
+def _serve(connection, parent_end, worker: Callable[..., dict], args: tuple) -> None:
+    """Body of every pool process: the one loop that reads a worker's pipe.
+
+    ``worker(*args)`` builds the process's state and returns its
+    ``{command: callable}`` table.  Each ``(ticket, command, payload)``
+    request is answered with ``(ticket, "ok", table[command](*payload))`` or
+    ``(ticket, "error", traceback)`` — an exception in a handler, an unknown
+    command or an unpicklable result is an answer, and the loop keeps serving.
+    It ends on ``close`` or when the parent is gone; either way the table's
+    own ``"close"`` entry, if it has one, runs last (a shard stops its server
+    there).
+    """
+    # This process's copy of the parent's end: while it is open the pipe
+    # never reads EOF, and a worker whose parent was killed would live on.
+    parent_end.close()
     single_threaded_blas()
-    target(conn, *args)
+    handlers = worker(*args)
+    try:
+        while True:
+            try:
+                ticket, command, payload = connection.recv()
+            except (EOFError, OSError, KeyboardInterrupt):
+                return  # the parent died or closed its end
+            if command == "close":
+                return
+            try:
+                if command not in handlers:
+                    raise ValueError(f"unknown worker command {command!r}")
+                connection.send((ticket, "ok", handlers[command](*payload)))
+            except Exception:
+                try:
+                    connection.send((ticket, "error", traceback.format_exc()))
+                except (BrokenPipeError, OSError):
+                    return
+    finally:
+        handlers.get("close", lambda: None)()
+        connection.close()
 
 
 class PipeWorkerPool:
     """A persistent pool of pipe-connected worker processes.
 
-    The shared master/worker plumbing behind :class:`RolloutWorkerPool` and
-    the sweep engine's pool: workers are started once (fork where available,
-    else spawn) on a ``target`` loop that serves ``(command, payload)``
-    requests — replying ``("ok", value)`` or ``("error", traceback)`` — until
-    :meth:`close`.  ``worker_args(index)`` supplies each worker's extra
-    constructor arguments (after the pipe connection).
-    """
+    The only code that starts a process, reads a pipe or defines a reply
+    shape: rollout workers, sweep workers, the online trainer and the serving
+    fleet's shards are all this pool around a different ``worker`` function
+    (see :func:`_serve`; ``worker_args(index)`` supplies each process's
+    arguments).  Processes are forked where the platform can, spawned
+    otherwise, and limit their BLAS to one thread on entry.
 
-    worker_description = "worker"
+    :meth:`ask` is the request primitive and never raises on a worker's
+    account; :meth:`run` and :meth:`map` turn anything but ``"ok"`` into one
+    ``RuntimeError`` naming the workers.
+    """
 
     def __init__(
         self,
         num_workers: int,
-        target: Callable,
+        worker: Callable[..., dict],
         worker_args: Callable[[int], tuple],
-        start_method: Optional[str] = None,
+        description: str = "worker",
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        context = mp.get_context(start_method)
+        context = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
         self.num_workers = int(num_workers)
-        self._connections = []
-        self._processes = []
+        self.description = description
+        self.processes: list = []
+        self._connections: list = []
         self._closed = False
+        # Requests are strict request/reply per pipe and callers may sit on
+        # different threads (a learning loop beside a stats reader).
+        self._lock = threading.Lock()
+        self._ticket = 0
         for index in range(self.num_workers):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
-                target=_pipe_worker,
-                args=(target, child_conn, *worker_args(index)),
-                name=f"{self.worker_description.replace(' ', '-')}-{index}",
+                target=_serve,
+                args=(child_conn, parent_conn, worker, worker_args(index)),
+                name=f"{description.replace(' ', '-')}-{index}",
                 daemon=True,
             )
             process.start()
             child_conn.close()
             self._connections.append(parent_conn)
-            self._processes.append(process)
+            self.processes.append(process)
 
     @property
     def is_alive(self) -> bool:
-        return not self._closed and all(p.is_alive() for p in self._processes)
+        return not self._closed and all(p.is_alive() for p in self.processes)
 
-    def run(self, command: str, payloads: list) -> list:
-        """Send one payload per worker, wait for and return every reply."""
+    def ask(
+        self, command: str, payloads: Sequence[tuple], timeout: Optional[float] = None
+    ) -> list[tuple[str, object]]:
+        """Send ``payloads[i]`` to worker ``i``; one ``(status, value)`` each.
+
+        ``"ok"`` carries the handler's result, ``"error"`` the child's
+        traceback, ``"dead"`` why there is no answer: the pipe is broken, the
+        process ended mid-request, or nothing came within ``timeout`` seconds
+        (``None`` waits).  Every worker is sent to before any reply is read —
+        the workers run concurrently — and every reply is read whatever
+        happened to the others, so no answer stays queued to be mistaken for
+        the next request's; a reply that does arrive after its timeout is
+        recognised by its ticket and dropped.  Fewer payloads than workers
+        asks only the first ``len(payloads)`` workers.
+        """
         if self._closed:
             raise RuntimeError("worker pool is closed")
+        if len(payloads) > self.num_workers:
+            raise ValueError(
+                f"expected at most {self.num_workers} payloads, got {len(payloads)}"
+            )
+        with self._lock:
+            self._ticket += 1
+            outcomes: list = []
+            for connection, payload in zip(self._connections, payloads):
+                try:
+                    connection.send((self._ticket, command, payload))
+                    outcomes.append(None)
+                except (BrokenPipeError, OSError):
+                    outcomes.append(("dead", "is not running (broken pipe)"))
+            for index, connection in enumerate(self._connections[: len(payloads)]):
+                if outcomes[index] is None:
+                    outcomes[index] = self._reply(connection, timeout)
+        return outcomes
+
+    def _reply(self, connection, timeout: Optional[float]) -> tuple[str, object]:
+        try:
+            while True:
+                if timeout is not None and not connection.poll(timeout):
+                    return "dead", f"did not reply within {timeout:g} s"
+                ticket, status, value = connection.recv()
+                if ticket == self._ticket:
+                    return status, value
+        except (EOFError, OSError):
+            return "dead", "died without replying"
+
+    def _values(self, outcomes: list) -> list:
+        """The ``"ok"`` values, or one ``RuntimeError`` naming every other worker."""
+        errors = [
+            f"{self.description} {index} failed:\n{value}"
+            if status == "error"
+            else f"{self.description} {index} {value}"
+            for index, (status, value) in enumerate(outcomes)
+            if status != "ok"
+        ]
+        if errors:
+            raise RuntimeError("\n".join(errors))
+        return [value for _, value in outcomes]
+
+    def run(
+        self, command: str, payloads: Sequence[tuple], timeout: Optional[float] = None
+    ) -> list:
+        """Send one payload per worker, wait for and return every reply."""
         if len(payloads) != self.num_workers:
             raise ValueError(
                 f"expected {self.num_workers} payloads, got {len(payloads)}"
             )
-        for connection, payload in zip(self._connections, payloads):
-            connection.send((command, payload))
-        # Drain every reply before raising so one worker's failure cannot
-        # leave other workers' replies queued and desynchronize later runs.
-        replies = []
-        errors = []
-        for index, connection in enumerate(self._connections):
-            try:
-                status, value = connection.recv()
-            except EOFError:
-                errors.append(f"{self.worker_description} {index} died without replying")
-                continue
-            if status != "ok":
-                errors.append(f"{self.worker_description} {index} failed:\n{value}")
-            else:
-                replies.append(value)
-        if errors:
-            raise RuntimeError("\n".join(errors))
-        return replies
+        return self._values(self.ask(command, payloads, timeout))
+
+    def deal(self, items: Sequence) -> list[list]:
+        """Round-robin ``items`` into one hand per worker."""
+        return [
+            list(items[worker :: self.num_workers])
+            for worker in range(self.num_workers)
+        ]
+
+    def map(self, command: str, items: Sequence, *shared) -> list:
+        """``command`` over ``items``, results in item order.
+
+        Items are dealt round-robin, a worker is sent ``(hand, *shared)`` and
+        answers one result per item of its hand (a worker left without a hand
+        is not asked); re-interleaving makes the output independent of the
+        worker count.
+        """
+        hands = [hand for hand in self.deal(items) if hand]
+        replies = self._values(
+            self.ask(command, [(hand, *shared) for hand in hands])
+        )
+        return [
+            replies[index % self.num_workers][index // self.num_workers]
+            for index in range(len(items))
+        ]
 
     def close(self) -> None:
         """Shut every worker down; idempotent."""
@@ -472,16 +505,20 @@ class PipeWorkerPool:
         self._closed = True
         for connection in self._connections:
             try:
-                connection.send(("close", None))
+                connection.send((0, "close", ()))
             except (BrokenPipeError, OSError):
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
+                pass  # already dead (e.g. fault injection killed it)
+        for process in self.processes:
+            process.join(timeout=10.0)
+        for process in self.processes:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=5.0)
         for connection in self._connections:
-            connection.close()
+            try:
+                connection.close()
+            except OSError:
+                pass
 
     def __enter__(self) -> "PipeWorkerPool":
         return self
@@ -496,30 +533,46 @@ class PipeWorkerPool:
             pass
 
 
-class RolloutWorkerPool(PipeWorkerPool):
-    """A persistent pool of rollout worker processes.
+def _rollout_worker(simulator_config: SimulatorConfig, spec: AgentSpec) -> dict:
+    """A rollout worker: its own agent, and the episodes of its last ``collect``.
 
-    Workers rebuild the agent from its
-    :class:`~repro.core.checkpoints.AgentSpec` and then serve
-    ``collect``/``gradients`` requests until :meth:`close`.  Worker ``i`` is
-    seeded with ``seed + i`` for the fallback per-worker generator.
+    * ``collect(episode_specs, state_dict, interarrival_hint)`` → one
+      :class:`EpisodeOutcome` per spec.  The trajectories (with their decision
+      records) stay here for the gradient phase.
+    * ``gradients(advantages, entropy_weight)`` → per-parameter gradient sums
+      (numpy arrays or ``None``) over those trajectories.
     """
+    agent = build_agent(spec)
+    trajectories: list[Trajectory] = []
 
-    worker_description = "rollout worker"
+    def collect(episode_specs, state, interarrival_hint):
+        agent.load_state_dict(state)
+        agent.interarrival_hint = interarrival_hint
+        trajectories[:] = [
+            run_episode(agent, simulator_config, episode_spec)
+            for episode_spec in episode_specs
+        ]
+        return [outcome_from_trajectory(t) for t in trajectories]
+
+    def gradients(advantages, entropy_weight):
+        return accumulate_episode_gradients(
+            agent, trajectories, advantages, entropy_weight
+        )
+
+    return {"collect": collect, "gradients": gradients}
+
+
+class RolloutWorkerPool(PipeWorkerPool):
+    """A persistent pool of rollout worker processes (:func:`_rollout_worker`)."""
 
     def __init__(
-        self,
-        simulator_config: SimulatorConfig,
-        spec: AgentSpec,
-        num_workers: int,
-        seed: int = 0,
-        start_method: Optional[str] = None,
+        self, simulator_config: SimulatorConfig, spec: AgentSpec, num_workers: int
     ) -> None:
         super().__init__(
             num_workers,
-            target=_worker_main,
-            worker_args=lambda index: (simulator_config, spec, seed + index),
-            start_method=start_method,
+            _rollout_worker,
+            lambda index: (simulator_config, spec),
+            description="rollout worker",
         )
 
 
@@ -534,21 +587,14 @@ class ParallelRolloutBackend(RolloutBackend):
 
     name = "parallel"
 
-    def __init__(
-        self,
-        num_workers: Optional[int] = None,
-        seed: int = 0,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, num_workers: Optional[int] = None) -> None:
         if num_workers is None:
             num_workers = max(1, os.cpu_count() or 1)
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.num_workers = int(num_workers)
-        self.seed = int(seed)
-        self.start_method = start_method
         self._pool: Optional[RolloutWorkerPool] = None
-        self._assignment: list[int] = []
+        self._num_episodes = 0
 
     @property
     def pool(self) -> Optional[RolloutWorkerPool]:
@@ -562,11 +608,7 @@ class ParallelRolloutBackend(RolloutBackend):
             self._pool = None
         if self._pool is None:
             self._pool = RolloutWorkerPool(
-                simulator_config,
-                agent_spec(agent),
-                self.num_workers,
-                seed=self.seed,
-                start_method=self.start_method,
+                simulator_config, agent_spec(agent), self.num_workers
             )
         return self._pool
 
@@ -592,26 +634,8 @@ class ParallelRolloutBackend(RolloutBackend):
                     max_actions=plan.max_actions,
                 )
             )
-        self._assignment = [index % pool.num_workers for index in range(len(specs))]
-        state = agent.state_dict()
-        payloads = []
-        for worker in range(pool.num_workers):
-            worker_specs = [
-                spec for spec, owner in zip(specs, self._assignment) if owner == worker
-            ]
-            if worker_specs:
-                payloads.append((state, agent.interarrival_hint, worker_specs))
-            else:
-                # Idle worker this iteration: skip the weight payload entirely.
-                payloads.append((None, None, []))
-        replies = pool.run("collect", payloads)
-        # Re-interleave the per-worker replies back into episode order.
-        cursors = [0] * pool.num_workers
-        outcomes = []
-        for worker in self._assignment:
-            outcomes.append(replies[worker][cursors[worker]])
-            cursors[worker] += 1
-        return outcomes
+        self._num_episodes = len(specs)
+        return pool.map("collect", specs, agent.state_dict(), agent.interarrival_hint)
 
     def compute_gradients(
         self,
@@ -619,14 +643,13 @@ class ParallelRolloutBackend(RolloutBackend):
         advantages: list[np.ndarray],
         entropy_weight: float,
     ) -> list[Optional[np.ndarray]]:
-        if self._pool is None or len(advantages) != len(self._assignment):
+        if self._pool is None or len(advantages) != self._num_episodes:
             raise RuntimeError("compute_gradients() requires a matching collect() first")
-        per_worker: list[list[np.ndarray]] = [[] for _ in range(self._pool.num_workers)]
-        for episode_advantages, worker in zip(advantages, self._assignment):
-            per_worker[worker].append(episode_advantages)
+        # The same deal as collect's map: each worker gets the advantages of
+        # the episodes it still holds.
         replies = self._pool.run(
             "gradients",
-            [(worker_advantages, entropy_weight) for worker_advantages in per_worker],
+            [(hand, entropy_weight) for hand in self._pool.deal(advantages)],
         )
         totals: list[Optional[np.ndarray]] = [None] * len(agent.parameters())
         for worker_grads in replies:
@@ -643,4 +666,4 @@ class ParallelRolloutBackend(RolloutBackend):
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        self._assignment = []
+        self._num_episodes = 0

@@ -1,8 +1,8 @@
 """Parallel sweep engine over the (scenario x scheduler x seed) matrix.
 
 The engine fans the evaluation cells of a scenario matrix out across a
-persistent pool of worker processes (the master/worker pipe protocol of
-:mod:`repro.core.parallel`), then folds the per-cell results into per-scenario
+persistent :class:`~repro.core.parallel.PipeWorkerPool` of worker processes,
+then folds the per-cell results into per-scenario
 JSON artifacts (``SWEEP_<scenario>.json``) with mean/p95 JCT and bootstrap
 confidence intervals.
 
@@ -21,7 +21,6 @@ Determinism is a design constraint, not an afterthought:
 from __future__ import annotations
 
 import json
-import traceback
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +38,6 @@ from .scenarios import scenario_registry, scenario_workload_rng
 __all__ = [
     "SweepCell",
     "CellResult",
-    "SCHEDULER_NAMES",
     "make_scheduler",
     "run_cell",
     "SweepWorkerPool",
@@ -48,14 +46,6 @@ __all__ = [
 ]
 
 _BOOTSTRAP_SAMPLES = 1000
-
-# The name → factory mapping now lives in the scheduler registry
-# (``repro.schedulers.register_scheduler``), shared with the policy-serving
-# fallback path.  This tuple is a snapshot taken at import time, kept as a
-# stable import point for existing tests; anything that must see schedulers
-# registered later should call ``scheduler_names()`` instead (run_sweep's
-# validation and the sweep CLI's help text both do).
-SCHEDULER_NAMES = scheduler_names()
 
 
 # ------------------------------------------------------------------- the cell
@@ -133,87 +123,62 @@ def run_cell(
 
 
 # ----------------------------------------------------------------- worker pool
-def _sweep_worker_main(
-    conn,
-    num_jobs: Optional[int],
-    num_executors: Optional[int],
-) -> None:
-    """Loop of one sweep worker process.
+def _sweep_worker(num_jobs: Optional[int], num_executors: Optional[int]) -> dict:
+    """A sweep worker: ``run`` and ``trace`` each take a list of
+    :class:`SweepCell` and return one answer per cell."""
 
-    Protocol mirrors :func:`repro.core.parallel._worker_main`: one
-    ``(command, payload)`` tuple per message, replies are ``("ok", value)`` or
-    ``("error", traceback)``.  ``run`` takes a list of :class:`SweepCell` and
-    returns the matching list of :class:`CellResult`.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            return
-        command, payload = message
-        if command == "close":
-            return
-        try:
-            if command == "run":
-                reply = [
-                    run_cell(cell, num_jobs=num_jobs, num_executors=num_executors)
-                    for cell in payload
-                ]
-            elif command == "trace":
-                # Record each cell's episode trace and return its content
-                # digest (the full trace stays in the worker: digests are all
-                # the worker-count-invariance check needs, and they're cheap
-                # to ship).  Imported lazily — repro.verify imports this
-                # module's scenario registry at import time.
-                from ..verify.recorder import record_scenario_trace
+    def run(cells):
+        return [
+            run_cell(cell, num_jobs=num_jobs, num_executors=num_executors)
+            for cell in cells
+        ]
 
-                reply = [
-                    record_scenario_trace(
-                        cell.scenario,
-                        scheduler=cell.scheduler,
-                        seed=cell.seed,
-                        num_jobs=num_jobs,
-                        num_executors=num_executors,
-                    ).digest
-                    for cell in payload
-                ]
-            else:
-                raise ValueError(f"unknown sweep worker command {command!r}")
-            conn.send(("ok", reply))
-        except Exception:
-            try:
-                conn.send(("error", traceback.format_exc()))
-            except (BrokenPipeError, OSError):
-                return
+    def trace(cells):
+        # Record each cell's episode trace and return its content digest (the
+        # full trace stays in the worker: digests are all the
+        # worker-count-invariance check needs, and they're cheap to ship).
+        # Imported lazily — repro.verify imports this module's scenario
+        # registry at import time.
+        from ..verify.recorder import record_scenario_trace
+
+        return [
+            record_scenario_trace(
+                cell.scenario,
+                scheduler=cell.scheduler,
+                seed=cell.seed,
+                num_jobs=num_jobs,
+                num_executors=num_executors,
+            ).digest
+            for cell in cells
+        ]
+
+    return {"run": run, "trace": trace}
 
 
 class SweepWorkerPool(PipeWorkerPool):
-    """A persistent pool of sweep worker processes.
+    """A persistent pool of sweep worker processes (:func:`_sweep_worker`).
 
-    The process/pipe lifecycle (start-up, reply draining, shutdown) comes
-    from :class:`~repro.core.parallel.PipeWorkerPool`; this class only routes
-    cells to workers and re-interleaves the replies.
+    Cells are dealt to the workers and the answers re-interleaved by
+    :meth:`~repro.core.parallel.PipeWorkerPool.map`, so results come back in
+    cell order whatever the worker count.
     """
-
-    worker_description = "sweep worker"
 
     def __init__(
         self,
         num_workers: int,
         num_jobs: Optional[int] = None,
         num_executors: Optional[int] = None,
-        start_method: Optional[str] = None,
     ) -> None:
         super().__init__(
             num_workers,
-            target=_sweep_worker_main,
-            worker_args=lambda index: (num_jobs, num_executors),
-            start_method=start_method,
+            _sweep_worker,
+            lambda index: (num_jobs, num_executors),
+            description="sweep worker",
         )
 
     def run_cells(self, cells: Sequence[SweepCell]) -> list[CellResult]:
         """Fan ``cells`` out over the workers; results come back in cell order."""
-        return self._fan_out("run", cells)
+        return self.map("run", cells)
 
     def record_trace_digests(self, cells: Sequence[SweepCell]) -> list[str]:
         """Record each cell's episode trace in a worker; returns the digests.
@@ -223,22 +188,7 @@ class SweepWorkerPool(PipeWorkerPool):
         are identical for any worker count — which is exactly what the
         golden-replay invariance test asserts.
         """
-        return self._fan_out("trace", cells)
-
-    def _fan_out(self, command: str, cells: Sequence[SweepCell]) -> list:
-        assignment = [index % self.num_workers for index in range(len(cells))]
-        payloads: list[list[SweepCell]] = [[] for _ in range(self.num_workers)]
-        for cell, owner in zip(cells, assignment):
-            payloads[owner].append(cell)
-        replies = self.run(command, payloads)
-        # Re-interleave the per-worker replies back into cell order so the
-        # output is invariant to the worker count.
-        cursors = [0] * self.num_workers
-        results = []
-        for owner in assignment:
-            results.append(replies[owner][cursors[owner]])
-            cursors[owner] += 1
-        return results
+        return self.map("trace", cells)
 
 
 # ----------------------------------------------------------------- aggregation
@@ -363,7 +313,6 @@ def run_sweep(
     out_dir=None,
     num_jobs: Optional[int] = None,
     num_executors: Optional[int] = None,
-    start_method: Optional[str] = None,
 ) -> dict[str, dict]:
     """Evaluate the (scenario x scheduler x seed) matrix and aggregate it.
 
@@ -403,7 +352,6 @@ def run_sweep(
             num_workers=min(num_workers, len(cells)),
             num_jobs=num_jobs,
             num_executors=num_executors,
-            start_method=start_method,
         ) as pool:
             results = pool.run_cells(cells)
     aggregates = aggregate_results(

@@ -92,7 +92,7 @@ def train_decima_agent(
     )
     backend = rollout_backend
     if backend is None and num_workers > 1:
-        backend = ParallelRolloutBackend(num_workers=num_workers, seed=seed)
+        backend = ParallelRolloutBackend(num_workers=num_workers)
     trainer = ReinforceTrainer(
         agent, simulator_config, job_sequence_factory, training_config, backend=backend
     )

@@ -177,7 +177,9 @@ class ReplayBuffer:
         return len(self._episodes)
 
     def num_pending_steps(self) -> int:
-        return sum(len(pending) for pending in self._pending.values())
+        # Copied first: the manager's thread adds sessions while a stats or
+        # metrics reader asks, and a dict may not grow under iteration.
+        return sum(len(pending) for pending in tuple(self._pending.values()))
 
     def sample(self, num_episodes: int, rng: np.random.Generator) -> list:
         """Deterministic sample (fixed seed + same contents → same pick).

@@ -3,9 +3,8 @@
 :class:`OnlineLearningManager` closes Decima's loop around a live serving
 target.  One ``maybe_update()`` tick:
 
-1. **pump** — drain newly recorded experience out of the target (the broker's
-   ``decision_tap`` collector in-process, or every fleet shard's collector
-   over the shard command pipes) into the bounded :class:`ReplayBuffer`;
+1. **pump** — drain newly recorded experience out of the target
+   (``drain_experience()``) into the bounded :class:`ReplayBuffer`;
 2. **guard** — if a freshly installed version is still on probation, check
    the SLO counters: not enough decisions yet → wait; circuit-breaker opens
    regressed → **roll back** to the last good checkpoint (republished under a
@@ -33,10 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.checkpoints import CheckpointStore, agent_spec, build_agent
+from ..core.checkpoints import CheckpointStore, build_agent
 from ..obs import get_logger, log_event, stat_values
-from ..service.batcher import RequestBroker
-from .buffer import ExperienceCollector, ReplayBuffer
+from .buffer import ReplayBuffer
 from .trainer import OnlineReinforceTrainer, OnlineTrainerConfig, OnlineTrainerPool
 
 __all__ = ["OnlineLearningConfig", "OnlineLearningManager", "RolloutGuard"]
@@ -106,14 +104,14 @@ class OnlineLearningConfig:
 class OnlineLearningManager:
     """Drive background learning + checkpoint rollout for one serving target.
 
-    ``target`` is either a fleet (anything with ``drain_experience`` /
-    ``install_policy`` / ``shard_stats``, i.e.
-    :class:`~repro.service.fleet.ServingFleet`) or an in-process broker
-    owner: a :class:`~repro.service.server.PolicyServer` or a bare
-    :class:`~repro.service.batcher.RequestBroker` (the differential
-    harness).  In-process targets get an experience collector chained onto
-    their ``decision_tap`` (preserving any tap already installed, e.g. the
-    verification recorder's).
+    ``target`` is anything with the learning-target surface
+    :class:`~repro.service.batcher.RequestBroker` defines — ``served_policy``,
+    ``record_experience``, ``drain_experience``, ``install_policy``,
+    ``broker_stats``, ``report_learning`` and the nearest ``metrics`` /
+    ``flight`` (either may be ``None``): a bare broker (the differential
+    harness), a :class:`~repro.service.server.PolicyServer`, or a started
+    :class:`~repro.service.fleet.ServingFleet`.  Attaching the manager is
+    what switches experience collection on.
     """
 
     STATS = (
@@ -128,6 +126,8 @@ class OnlineLearningManager:
          "Guard-triggered policy rollbacks."),
         ("guard_armed", "learning_guard_armed", "gauge",
          "1 while a fresh version is on probation."),
+        ("num_update_failures", "learning_update_failures_total", "counter",
+         "Background ticks that raised (trainer died, checkpoint write failed)."),
     )
 
     def __init__(
@@ -139,28 +139,8 @@ class OnlineLearningManager:
         self.target = target
         self.store = store
         self.config = config if config is not None else OnlineLearningConfig()
-        self._is_fleet = hasattr(target, "drain_experience")
-        self._collector: Optional[ExperienceCollector] = None
-        if self._is_fleet:
-            spec, state = target._spec, target._state
-            self._broker: Optional[RequestBroker] = None
-            self._serving_version = 1  # shards construct their brokers at 1
-        else:
-            broker = target if isinstance(target, RequestBroker) else target.broker
-            self._broker = broker
-            spec, state = agent_spec(broker.agent), broker.agent.state_dict()
-            self._serving_version = broker.policy_version
-            self._collector = ExperienceCollector()
-            existing = broker.decision_tap
-            if existing is None:
-                broker.decision_tap = self._collector
-            else:
-                def chained(request, result, _tap=existing, _collector=self._collector):
-                    _tap(request, result)
-                    _collector(request, result)
-
-                broker.decision_tap = chained
-        self._spec = spec
+        target.record_experience()
+        spec, state, self._serving_version = target.served_policy()
         # Shadow agent: holds whatever weights the manager last published;
         # used for checkpoint saves (the store fingerprints real agents).
         self._shadow = build_agent(spec, state)
@@ -187,37 +167,19 @@ class OnlineLearningManager:
         self._rng = np.random.default_rng(self.config.seed)
         self.num_updates_applied = 0
         self.num_rollbacks = 0
+        self.num_update_failures = 0
         self.last_update_stats: Optional[dict] = None
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-        self._metrics_registered = False
-        self._register_learning_metrics()
-        self._publish_learning_info()
-
-    # ------------------------------------------------------------ target I/O
-    def _drain(self) -> list:
-        if self._is_fleet:
-            return self.target.drain_experience()
-        assert self._collector is not None
-        return self._collector.drain()
-
-    def _install(self, state: dict, version: int) -> None:
-        if self._is_fleet:
-            self.target.install_policy(state, version)
-        elif self._broker is self.target:
-            self._broker.install(state, version)
-        else:
-            self.target.install_policy(state, version)
-        self._serving_version = version
+        if target.metrics is not None:
+            target.metrics.expose(self)
+            target.metrics.expose(self.buffer)
+        target.report_learning(self.learning_info)
 
     def _slo_snapshot(self) -> dict:
         """Decision/breaker counters summed over the target's ``broker``
-        stats sections (one per live shard, or the in-process broker's)."""
-        if self._is_fleet:
-            brokers = [entry["broker"] for entry in self.target.shard_stats() if entry]
-        else:
-            assert self._broker is not None
-            brokers = [self._broker.stats()]
+        stats sections (one per live serving process)."""
+        brokers = self.target.broker_stats()
         return {
             "num_decisions": sum(b["num_decisions"] for b in brokers),
             "num_slo_breaches": sum(b["num_slo_breaches"] for b in brokers),
@@ -226,42 +188,16 @@ class OnlineLearningManager:
             ),
         }
 
-    def _publish_learning_info(self) -> None:
-        router = getattr(self.target, "router", None)
-        if router is not None:
-            router.learning_info = self.learning_info()
-        # A fleet's router only exists after start(); put the learning series
-        # on its registry as soon as there is one.
-        self._register_learning_metrics()
-
-    # --------------------------------------------------------- observability
-    def _metrics_registry(self):
-        """The registry nearest this target: the server's own for in-process
-        targets, the router's for a fleet (shard registries live in the shard
-        processes and are scraped over the control plane instead)."""
-        if self._is_fleet:
-            return getattr(getattr(self.target, "router", None), "metrics", None)
-        return getattr(self.target, "metrics", None)
-
-    def _flight(self):
-        if self._is_fleet:
-            return getattr(getattr(self.target, "router", None), "flight", None)
-        return getattr(self.target, "flight", None)
-
-    def _register_learning_metrics(self) -> None:
-        if self._metrics_registered:
-            return
-        registry = self._metrics_registry()
-        if registry is None:
-            return  # bare broker target, or fleet whose router is not up yet
-        registry.expose(self)
-        registry.expose(self.buffer)
-        self._metrics_registered = True
+    def _record(self, event: str, level: int = logging.INFO, **fields) -> None:
+        """One structured log line, and a flight event where there is a recorder."""
+        log_event(_logger, event, level=level, **fields)
+        if self.target.flight is not None:
+            self.target.flight.record(event, **fields)
 
     # ------------------------------------------------------------- the loop
     def pump(self) -> int:
         """Drain target experience into the buffer; returns episodes cut."""
-        return self.buffer.add_steps(self._drain())
+        return self.buffer.add_steps(self.target.drain_experience())
 
     def maybe_update(self) -> dict:
         """One control-loop tick; returns what happened (for observability)."""
@@ -310,27 +246,19 @@ class OnlineLearningManager:
         self.current_checkpoint_version = info.version
         self._current_state = new_state
         snapshot = self._slo_snapshot()
-        self._install(new_state, self._serving_version + 1)
+        self.target.install_policy(new_state, self._serving_version + 1)
+        self._serving_version += 1
         self.guard.arm(snapshot)
         self.num_updates_applied += 1
-        log_event(
-            _logger,
+        self._record(
             "checkpoint_installed",
             policy_version=self._serving_version,
             checkpoint_version=info.version,
         )
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "checkpoint_installed",
-                policy_version=self._serving_version,
-                checkpoint_version=info.version,
-            )
         status["action"] = "update"
         status["policy_version"] = self._serving_version
         status["checkpoint_version"] = info.version
         status["update_stats"] = stats
-        self._publish_learning_info()
         return status
 
     def rollback(self) -> int:
@@ -340,26 +268,18 @@ class OnlineLearningManager:
         self._current_state = self._last_good_state
         self.previous_checkpoint_version = self.current_checkpoint_version
         self.current_checkpoint_version = self.last_good_checkpoint_version
-        self._install(self._last_good_state, self._serving_version + 1)
+        self.target.install_policy(self._last_good_state, self._serving_version + 1)
+        self._serving_version += 1
         self.num_rollbacks += 1
-        log_event(
-            _logger,
+        self._record(
             "policy_rollback",
             level=logging.WARNING,
             from_version=rolled_back_from,
             to_version=self._serving_version,
             checkpoint_version=self.last_good_checkpoint_version,
         )
-        flight = self._flight()
-        if flight is not None:
-            flight.record(
-                "policy_rollback",
-                from_version=rolled_back_from,
-                to_version=self._serving_version,
-                checkpoint_version=self.last_good_checkpoint_version,
-            )
-            flight.dump("slo_guard_rollback")
-        self._publish_learning_info()
+        if self.target.flight is not None:
+            self.target.flight.dump("slo_guard_rollback")
         return self._serving_version
 
     # ------------------------------------------------------------ lifecycle
@@ -378,8 +298,9 @@ class OnlineLearningManager:
             while not self._stop.wait(timeout=interval):
                 try:
                     self.maybe_update()
-                except Exception:  # noqa: BLE001 - learning must not kill serving
-                    continue
+                except Exception as error:  # noqa: BLE001 - learning must not kill serving
+                    self.num_update_failures += 1
+                    self._record("update_failed", level=logging.WARNING, error=repr(error))
 
         self._thread = threading.Thread(
             target=loop, name="online-learning-manager", daemon=True

@@ -38,7 +38,6 @@ which is what the ``frozen_vs_online`` differential pair pins.
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass
 from typing import Optional
 
@@ -186,53 +185,19 @@ class OnlineReinforceTrainer:
         pass
 
 
-def _online_trainer_main(conn, spec: AgentSpec, config: OnlineTrainerConfig) -> None:
-    """Worker loop of the trainer process (PipeWorkerPool protocol).
-
-    * ``update``: payload ``(state_dict, [EpisodeRecord])`` →
-      ``(new_state_dict, stats)``.
-    * ``close``: exit.
-    """
-    trainer = OnlineReinforceTrainer(spec, config)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            return
-        command, payload = message
-        if command == "close":
-            return
-        try:
-            if command == "update":
-                state, episodes = payload
-                reply = trainer.update(state, episodes)
-            else:
-                raise ValueError(f"unknown trainer command {command!r}")
-            conn.send(("ok", reply))
-        except Exception:
-            try:
-                conn.send(("error", traceback.format_exc()))
-            except (BrokenPipeError, OSError):
-                return
+def _trainer_worker(spec: AgentSpec, config: OnlineTrainerConfig) -> dict:
+    """The trainer process: an :class:`OnlineReinforceTrainer` serving
+    ``update(state_dict, [EpisodeRecord])`` → ``(new_state_dict, stats)``."""
+    return {"update": OnlineReinforceTrainer(spec, config).update}
 
 
 class OnlineTrainerPool(PipeWorkerPool):
     """The background trainer process (same update, off the serving path)."""
 
-    worker_description = "online trainer"
-
-    def __init__(
-        self,
-        spec: AgentSpec,
-        config: Optional[OnlineTrainerConfig] = None,
-        start_method: Optional[str] = None,
-    ):
+    def __init__(self, spec: AgentSpec, config: Optional[OnlineTrainerConfig] = None):
         config = config if config is not None else OnlineTrainerConfig()
         super().__init__(
-            num_workers=1,
-            target=_online_trainer_main,
-            worker_args=lambda index: (spec, config),
-            start_method=start_method,
+            1, _trainer_worker, lambda index: (spec, config), description="online trainer"
         )
 
     def update(self, state: dict, episodes: list) -> tuple[dict, dict]:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ..core.agent import DecimaAgent
+from ..core.checkpoints import AgentSpec, agent_spec
 from ..core.features import MergedStructureCache
 from ..obs import stat_values
 from ..simulator.environment import Action, Observation
@@ -258,9 +259,9 @@ class RequestBroker:
         self.breaker = breaker
         # Monotonic id of the weights currently answering decisions.  Swaps
         # arrive from the online-learning manager on another thread via
-        # install(); they are staged under the lock and applied at the top of
-        # decide(), which runs serially on the dispatch thread — so weights
-        # never change mid-forward and no in-flight session is dropped.
+        # install_policy(); they are staged under the lock and applied at the
+        # top of decide(), which runs serially on the dispatch thread — so
+        # weights never change mid-forward and no in-flight session is dropped.
         self.policy_version = int(policy_version)
         self.num_policy_swaps = 0
         self._swap_lock = threading.Lock()
@@ -286,14 +287,61 @@ class RequestBroker:
         self.graph_full_refreshes = 0
         self.graph_rebuilds = 0
         # Observability seams, wired by the hosting server (None = dark):
-        # ``flight`` is the shard's FlightRecorder (decision-round / swap
-        # events), ``latency_metric`` a registry Histogram fed one
-        # millisecond sample per answered decision.
+        # ``metrics`` / ``flight`` are the shard's MetricsRegistry and
+        # FlightRecorder (decision-round / swap events), ``latency_metric`` a
+        # registry Histogram fed one millisecond sample per answered decision.
+        self.metrics = None
         self.flight = None
         self.latency_metric = None
+        # The learning side: the tap record_experience() installs, and the
+        # attached manager's report reader (None = frozen serving).
+        self._collector = None
+        self.learning_info: Optional[Callable[[], dict]] = None
 
-    # ----------------------------------------------------------------- swaps
-    def install(self, state: dict, version: int) -> None:
+    # ------------------------------------------------------- learning target
+    # What an OnlineLearningManager needs of whatever it learns on.
+    # PolicyServer forwards these and ServingFleet broadcasts them to its
+    # shards under the same names, so the manager never asks which it has.
+    def served_policy(self) -> tuple[AgentSpec, dict, int]:
+        """The architecture, weights and policy version being served."""
+        return agent_spec(self.agent), self.agent.state_dict(), self.policy_version
+
+    def record_experience(self) -> None:
+        """Start recording every answered request (idempotent).
+
+        The collector is chained behind whatever ``decision_tap`` is already
+        installed (e.g. the verification recorder's), never in place of it.
+        """
+        if self._collector is not None:
+            return
+        from ..learning.buffer import ExperienceCollector  # learning imports service
+
+        self._collector = collector = ExperienceCollector()
+        existing = self.decision_tap
+        if existing is None:
+            self.decision_tap = collector
+        else:
+
+            def chained(request, result):
+                existing(request, result)
+                collector(request, result)
+
+            self.decision_tap = chained
+
+    def drain_experience(self) -> list:
+        """The steps recorded since the last drain (none before collection)."""
+        return [] if self._collector is None else self._collector.drain()
+
+    def broker_stats(self) -> list[dict]:
+        """One ``broker`` stats section per live serving process: this one's."""
+        return [self.stats()]
+
+    def report_learning(self, reader: Callable[[], dict]) -> None:
+        """Put the manager's report (read when asked) where this target's
+        ``stats`` readers look."""
+        self.learning_info = reader
+
+    def install_policy(self, state: dict, version: int) -> None:
         """Stage a new policy (``state_dict`` payload) for hot-swap.
 
         Thread-safe; returns immediately.  The swap is applied atomically at

@@ -36,7 +36,6 @@ class ServingConfig:
     port: int = 0
     control_port: int = 0  # fleet only: the router's control plane listener
     max_sessions: Optional[int] = None  # fleet only: admission limit
-    start_method: Optional[str] = None  # fleet only: mp start method
     # Decision path.
     fallback: str = "fifo"
     slo_ms: Optional[float] = None
@@ -48,9 +47,6 @@ class ServingConfig:
     batch_window_ms: float = 2.0
     # Agent sourcing.
     checkpoint_dir: Optional[str] = None
-    # Online learning (fleet only): record per-decision experience in each
-    # shard so an OnlineLearningManager can drain it for background updates.
-    collect_experience: bool = False
     # Observability (see docs/OBSERVABILITY.md): where flight-recorder dumps
     # are written (None = in-memory only, or the DECIMA_FLIGHT_DIR env), how
     # many events each recorder ring holds, and how many traces each span
@@ -114,8 +110,6 @@ def build_server(
             port=config.port,
             control_port=config.control_port,
             max_sessions=config.max_sessions,
-            start_method=config.start_method,
-            collect_experience=config.collect_experience,
             **config.server_kwargs(),
         )
     return PolicyServer(

@@ -35,7 +35,7 @@ import asyncio
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..obs import (
     FlightRecorder,
@@ -181,8 +181,8 @@ class ShardRouter:
         )
         # Online-learning bookkeeping published through control-plane stats.
         # The learning manager owns the content (current/previous checkpoint
-        # version, rollback count); the router just relays the latest dict.
-        self.learning_info: Optional[dict] = None
+        # version, rollback count); the router just calls its reader.
+        self.learning_info: Optional[Callable[[], dict]] = None
         self._active_sessions = 0
         self._session_counter = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -673,7 +673,7 @@ class ShardRouter:
             ),
         }
         if self.learning_info is not None:
-            payload["learning"] = dict(self.learning_info)
+            payload["learning"] = self.learning_info()
         return payload
 
     async def _control_reply(self, message: dict) -> dict:

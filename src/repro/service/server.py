@@ -124,6 +124,7 @@ class PolicyServer:
             service=self.service_name,
             dump_dir=flight_dir,
         )
+        self.broker.metrics = self.metrics
         self.broker.flight = self.flight
         self.broker.latency_metric = self.metrics.histogram(
             "decision_latency_ms", "End-to-end broker decision latency"
@@ -308,7 +309,10 @@ class PolicyServer:
             "stats": stat_values(self.flight),
         }
 
-    # ---------------------------------------------------------------- hot-swap
+    # --------------------------------------------------------- learning target
+    # The broker owns the surface an OnlineLearningManager learns on (see
+    # RequestBroker); a server is the same target by forwarding, and these
+    # names are the fleet's shard commands.
     def install_policy(self, state: dict, version: int) -> None:
         """Stage refreshed weights for an atomic hot-swap.
 
@@ -316,7 +320,22 @@ class PolicyServer:
         decision round on the dispatch coroutine, so no in-flight
         forward ever sees mixed weights and no session is dropped.
         """
-        self.broker.install(state, version)
+        self.broker.install_policy(state, version)
+
+    def served_policy(self) -> tuple:
+        return self.broker.served_policy()
+
+    def record_experience(self) -> None:
+        self.broker.record_experience()
+
+    def drain_experience(self) -> list:
+        return self.broker.drain_experience()
+
+    def broker_stats(self) -> list:
+        return self.broker.broker_stats()
+
+    def report_learning(self, reader) -> None:
+        self.broker.report_learning(reader)
 
     @property
     def policy_version(self) -> int:
@@ -447,7 +466,7 @@ class PolicyServer:
         reply.update(session.encode_action(result.action))
         return reply
 
-    def stats_payload(self, session: Optional[SessionState]) -> dict:
+    def stats_payload(self, session: Optional[SessionState] = None) -> dict:
         """The ``stats`` reply: what a client, the router's relay and the
         fleet's shard pipe all receive."""
         payload = {
@@ -458,6 +477,8 @@ class PolicyServer:
         }
         if session is not None:
             payload["session"] = session.stats()
+        if self.broker.learning_info is not None:
+            payload["learning"] = self.broker.learning_info()
         return payload
 
     # ------------------------------------------------------------- connection

@@ -282,9 +282,9 @@ def _rollout_parallel(task: DifferentialTask) -> EpisodeTrace:
     """The same episode collected in a rollout worker process."""
     simulator_config, agent, episode, header = _rollout_setup(task)
     with RolloutWorkerPool(simulator_config, agent_spec(agent), num_workers=1) as pool:
-        payload = (agent.state_dict(), None, [copy.deepcopy(episode)])
-        (outcomes,) = pool.run("collect", [payload])
-    outcome = outcomes[0]
+        (outcome,) = pool.map(
+            "collect", [copy.deepcopy(episode)], agent.state_dict(), None
+        )
     trace = EpisodeTrace(header=header)
     for step, (reward, wall_time) in enumerate(zip(outcome.rewards, outcome.wall_times)):
         trace.decisions.append(

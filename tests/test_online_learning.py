@@ -21,8 +21,11 @@ What the serving loop's learning layer guarantees (issue 8):
   ``policy_version`` on welcome and every action reply.
 """
 
+import contextlib
+import logging
 import os
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +39,7 @@ from repro.core import (
     parameter_fingerprint,
 )
 from repro.core.checkpoints import agent_spec
+from repro.obs import sample_value
 from repro.learning import (
     ExperienceStep,
     OnlineLearningConfig,
@@ -55,6 +59,7 @@ from repro.service import (
     encode_observation,
     run_load,
 )
+from repro.service.client import decode_action
 from repro.service.batcher import CircuitBreaker, RequestBroker
 from repro.simulator.environment import Action
 
@@ -338,7 +343,7 @@ class TestBrokerHotSwap:
         clusters = make_clusters(2)
         first, _ = run_rounds(broker, clusters, max_rounds=1)
         assert {version for _, version in first} == {1}
-        broker.install(new_weights.state_dict(), 2)
+        broker.install_policy(new_weights.state_dict(), 2)
         assert broker.policy_version == 1  # staged, not yet applied
         assert broker.pending_policy_version == 2
         more, _ = run_rounds(broker, clusters, max_rounds=1)
@@ -355,11 +360,11 @@ class TestBrokerHotSwap:
         broker = RequestBroker(tiny_agent())
         state = tiny_agent(seed=1).state_dict()
         with pytest.raises(ValueError, match="monotonic"):
-            broker.install(state, 1)
-        broker.install(state, 2)
+            broker.install_policy(state, 1)
+        broker.install_policy(state, 2)
         # Even a *staged* version blocks re-use of its number.
         with pytest.raises(ValueError, match="monotonic"):
-            broker.install(state, 2)
+            broker.install_policy(state, 2)
 
     def test_hot_swap_under_concurrent_sessions_drops_nothing(self):
         """Swapping mid-stream: every session finishes its episode and every
@@ -370,7 +375,7 @@ class TestBrokerHotSwap:
 
         def swap_mid_stream(round_index):
             if round_index in (2, 5):
-                broker.install(
+                broker.install_policy(
                     tiny_agent(seed=round_index).state_dict(), next(versions)
                 )
 
@@ -575,6 +580,135 @@ class TestManagerLoop:
             assert info["last_good_checkpoint_version"] > 1
 
 
+# ------------------------------------------------------ one learning target
+def serve_clusters(decide, tick=None, num_clusters=3, max_rounds=20):
+    """Round-robin ``num_clusters`` simulated clusters through
+    ``decide(index, observation)`` (an encoded action); returns each
+    cluster's action stream.  ``tick`` runs after every third round."""
+    environments, observations = zip(
+        *(make_tpch_env(num_jobs=2, num_executors=6, seed=i) for i in range(num_clusters))
+    )
+    observations = list(observations)
+    streams = [[] for _ in environments]
+    for round_index in range(max_rounds):
+        for index, environment in enumerate(environments):
+            observation = observations[index]
+            if observation is None:
+                continue
+            action = decode_action(decide(index, observation), observation)
+            streams[index].append(
+                action
+                and (action.node.job.name, action.node.node_id, action.parallelism_limit)
+            )
+            observation, _, done = environment.step(action)
+            observations[index] = None if done else observation
+        if tick is not None and round_index % 3 == 2:
+            tick()
+    return streams
+
+
+def broker_decider(broker, num_clusters=3):
+    sessions = [
+        SessionState(f"s{index}", num_executors=6, seed=100 + index)
+        for index in range(num_clusters)
+    ]
+
+    def decide(index, observation):
+        session = sessions[index]
+        request = DecisionRequest(
+            session=session,
+            observation=session.observation_from_snapshot(encode_observation(observation)),
+        )
+        return session.encode_action(broker.decide([request])[0].action)
+
+    return decide
+
+
+class TestOneLearningTarget:
+    """The manager runs the same statements whatever it is attached to."""
+
+    CONFIG = dict(
+        episodes_per_update=1,
+        segment_steps=2,
+        guard_min_decisions=10**9,  # probation never ends: exactly one update
+        trainer_process=False,
+        trainer=OnlineTrainerConfig(learning_rate=0.0),
+    )
+
+    def test_lr0_loop_is_the_same_on_a_broker_a_server_and_a_fleet(
+        self, server_factory, tmp_path
+    ):
+        frozen = serve_clusters(broker_decider(RequestBroker(tiny_agent())))
+        assert sum(len(stream) for stream in frozen) > 20
+        outcomes = {}
+        for name in ("broker", "server", "fleet"):
+            with contextlib.ExitStack() as stack:
+                if name == "broker":
+                    target = RequestBroker(tiny_agent())
+                    decide = broker_decider(target)
+                else:
+                    target = server_factory(
+                        tiny_agent(), num_shards=2 if name == "fleet" else 1
+                    )
+                    clients = [
+                        stack.enter_context(PolicyClient(*target.address))
+                        for _ in range(3)
+                    ]
+                    for index, client in enumerate(clients):
+                        client.hello(f"s{index}", num_executors=6, seed=100 + index)
+                    decide = lambda index, observation: clients[index].decide(observation)  # noqa: E731
+                manager = stack.enter_context(
+                    OnlineLearningManager(
+                        target,
+                        CheckpointStore(tmp_path / name),
+                        OnlineLearningConfig(**self.CONFIG),
+                    )
+                )
+                streams = serve_clusters(decide, tick=manager.maybe_update)
+                outcomes[name] = (
+                    streams, manager.num_updates_applied, manager.policy_version
+                )
+                assert manager.buffer.num_steps_added > 20, name
+        for name, outcome in outcomes.items():
+            assert outcome == (frozen, 1, 2), name
+
+    def test_a_failed_tick_is_counted_logged_and_survived(
+        self, server_factory, tmp_path, caplog
+    ):
+        """The trainer process dies; learning says so on every surface and the
+        loop thread and the serving path carry on.  (The parent commit's loop
+        was ``except Exception: continue`` — no counter, no record.)"""
+        server = server_factory(tiny_agent())
+        config = dict(self.CONFIG, trainer_process=True)
+        manager = OnlineLearningManager(
+            server, CheckpointStore(tmp_path), OnlineLearningConfig(**config)
+        )
+        trainer_process = manager.trainer.processes[0]
+        trainer_process.kill()
+        trainer_process.join(timeout=10.0)
+        environment, observation = make_tpch_env(num_jobs=2, num_executors=6, seed=0)
+        with manager, PolicyClient(*server.address) as client, \
+                caplog.at_level(logging.WARNING, logger="repro"):
+            client.hello(num_executors=6)
+            manager.start(interval_seconds=0.02)
+            deadline = time.monotonic() + 30.0
+            answered = 0
+            while manager.num_update_failures < 2 and time.monotonic() < deadline:
+                assert client.decide(observation)["type"] == "action"
+                answered += 1
+            # Two failures: the thread outlived the first and ticked again.
+            assert manager.num_update_failures >= 2
+            assert manager._thread.is_alive()
+            assert client.decide(observation)["source"] == "policy"
+            assert client.stats()["learning"]["num_update_failures"] >= 2
+        records = [r for r in caplog.records if r.msg == "update_failed"]
+        assert records and "online trainer 0" in records[0].fields["error"]
+        assert manager.num_updates_applied == 0 and answered > 0
+        assert "update_failed" in [event["kind"] for event in server.flight.events()]
+        snapshot = server.metrics.snapshot()
+        assert sample_value(snapshot, "learning_update_failures_total") >= 2
+
+
 # ------------------------------------------------------------- wire protocol
 class TestProtocolVersioning:
     def test_welcome_and_replies_carry_protocol_and_policy_version(self, server_factory):
@@ -638,7 +772,7 @@ class TestProtocolVersioning:
 # ------------------------------------------------------------ fleet online
 class TestFleetOnlineLearning:
     def test_fleet_collects_installs_and_updates_with_no_dropped_sessions(self):
-        config = ServingConfig(num_shards=2, collect_experience=True)
+        config = ServingConfig(num_shards=2)
         fleet = build_server(config, agent=tiny_agent(seed=0, total_executors=8))
         import tempfile
 

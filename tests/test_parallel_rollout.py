@@ -27,6 +27,7 @@ from repro.core.parallel import (
     single_threaded_blas,
 )
 from repro.experiments.training import tpch_batch_factory, train_decima_agent
+from repro.service.fleet import _shard_worker
 from repro.simulator import SimulatorConfig
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
@@ -107,19 +108,17 @@ class TestPooledEpisodeEquivalence:
             run_episode(agent, config, copy.deepcopy(spec))
         )
         with RolloutWorkerPool(config, agent_spec(agent), num_workers=1) as pool:
-            payload = (agent.state_dict(), None, [spec])
-            (outcomes,) = pool.run("collect", [payload])
-        pooled = outcomes[0]
+            (pooled,) = pool.map("collect", [spec], agent.state_dict(), None)
         assert np.array_equal(local.rewards, pooled.rewards)
         assert np.array_equal(local.wall_times, pooled.wall_times)
         assert local.num_finished_jobs == pooled.num_finished_jobs
 
     def test_parallel_training_invariant_to_worker_count(self):
         params_one, history_one = train_params(
-            backend=ParallelRolloutBackend(num_workers=1, seed=0)
+            backend=ParallelRolloutBackend(num_workers=1)
         )
         params_three, history_three = train_params(
-            backend=ParallelRolloutBackend(num_workers=3, seed=0)
+            backend=ParallelRolloutBackend(num_workers=3)
         )
         for p, q in zip(params_one, params_three):
             assert np.array_equal(p, q)
@@ -128,7 +127,7 @@ class TestPooledEpisodeEquivalence:
     def test_parallel_history_matches_serial_shape_and_semantics(self):
         params_serial, serial = train_params(backend=SerialRolloutBackend())
         params_parallel, parallel = train_params(
-            backend=ParallelRolloutBackend(num_workers=2, seed=0)
+            backend=ParallelRolloutBackend(num_workers=2)
         )
         assert len(parallel.iterations) == len(serial.iterations)
         assert parallel.rewards().shape == serial.rewards().shape
@@ -149,7 +148,7 @@ class TestPooledEpisodeEquivalence:
 class TestWorkerPoolLifecycle:
     def test_pool_persists_across_iterations(self):
         config, agent, factory = small_setup()
-        backend = ParallelRolloutBackend(num_workers=2, seed=0)
+        backend = ParallelRolloutBackend(num_workers=2)
         trainer = ReinforceTrainer(
             agent,
             config,
@@ -174,7 +173,7 @@ class TestWorkerPoolLifecycle:
 
     def test_close_is_idempotent_and_collect_restarts_pool(self):
         config, agent, _ = small_setup()
-        backend = ParallelRolloutBackend(num_workers=2, seed=0)
+        backend = ParallelRolloutBackend(num_workers=2)
         trainer = ReinforceTrainer(
             agent,
             config,
@@ -197,19 +196,6 @@ class TestWorkerPoolLifecycle:
         assert stats.mean_num_actions > 0
         backend.close()
 
-    def test_worker_error_propagates(self):
-        config, agent, _ = small_setup()
-        with RolloutWorkerPool(config, agent_spec(agent), num_workers=1) as pool:
-            with pytest.raises(RuntimeError, match="rollout worker 0 failed"):
-                pool.run("collect", [({"param_0": np.zeros(1)}, None, [])])
-
-    def test_closed_pool_rejects_work(self):
-        config, agent, _ = small_setup()
-        pool = RolloutWorkerPool(config, agent_spec(agent), num_workers=1)
-        pool.close()
-        with pytest.raises(RuntimeError):
-            pool.run("collect", [(agent.state_dict(), None, [])])
-
     def test_invalid_worker_count_rejected(self):
         config, agent, _ = small_setup()
         with pytest.raises(ValueError):
@@ -218,29 +204,37 @@ class TestWorkerPoolLifecycle:
             ParallelRolloutBackend(num_workers=0)
 
 
-def _gemm_probe_main(conn):
-    """Pool worker: time tall gemms (the shape of a merged replay chunk)."""
-    while True:
-        command, _ = conn.recv()
-        if command == "close":
-            return
-        left, right = np.ones((20_000, 32)), np.ones((32, 16))
-        # The BLAS threads a forked worker inherits spin for ~0.15 s before
-        # they go to sleep for good; measure after that.
-        settled = time.perf_counter() + 0.5
-        while time.perf_counter() < settled:
-            left @ right
-        wall, cpu = time.perf_counter(), time.process_time()
-        for _ in range(200):
-            left @ right
-        wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-        conn.send(("ok", (single_threaded_blas(), wall, cpu)))
+def _gemm_probe():
+    """Time tall gemms (the shape of a merged replay chunk) in a pool process."""
+    left, right = np.ones((20_000, 32)), np.ones((32, 16))
+    # The BLAS threads a forked worker inherits spin for ~0.15 s before
+    # they go to sleep for good; measure after that.
+    settled = time.perf_counter() + 0.5
+    while time.perf_counter() < settled:
+        left @ right
+    wall, cpu = time.perf_counter(), time.process_time()
+    for _ in range(200):
+        left @ right
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return single_threaded_blas(), wall, cpu
+
+
+def _gemm_probe_worker():
+    return {"probe": _gemm_probe}
+
+
+def _probing_shard_worker():
+    """A fleet shard as the fleet starts it, with the probe beside its commands."""
+    agent = DecimaAgent(total_executors=5, config=DecimaConfig(seed=0))
+    commands = _shard_worker(agent_spec(agent), agent.state_dict(), "127.0.0.1", {})
+    return {**commands, "probe": _gemm_probe}
 
 
 class TestWorkersRunSingleThreadedBlas:
-    def test_pool_worker_gemms_stay_on_one_thread(self):
-        with PipeWorkerPool(1, _gemm_probe_main, lambda index: ()) as pool:
-            ((limited, wall, cpu),) = pool.run("probe", [None])
+    @pytest.mark.parametrize("worker", [_gemm_probe_worker, _probing_shard_worker])
+    def test_pool_worker_gemms_stay_on_one_thread(self, worker):
+        with PipeWorkerPool(1, worker, lambda index: ()) as pool:
+            ((limited, wall, cpu),) = pool.run("probe", [()])
         if not limited:
             pytest.skip("no OpenBLAS found in the worker process")
         # A BLAS thread pool would burn ~one extra core per thread here.

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.agent import DecimaAgent
 from repro.experiments import (
-    SCHEDULER_NAMES,
     SweepCell,
     SweepWorkerPool,
     aggregate_results,
@@ -27,6 +26,7 @@ from repro.experiments import (
     write_sweep_artifacts,
 )
 from repro.experiments.sweep import _bootstrap_ci
+from repro.schedulers import scheduler_names
 from repro.schedulers.base import Scheduler
 
 TINY = dict(num_jobs=2, num_executors=6)
@@ -96,7 +96,7 @@ class TestScenarioRegistry:
 class TestSchedulerFactory:
     def test_all_names_build_schedulers(self):
         config = get_scenario("tpch_batched", **TINY).build_config(seed=0)
-        for name in SCHEDULER_NAMES:
+        for name in scheduler_names():
             assert isinstance(make_scheduler(name, config), Scheduler)
 
     def test_decima_enables_class_head_on_multi_class_clusters(self):
@@ -194,14 +194,6 @@ class TestSweepEngine:
         assert [(r.scenario, r.scheduler, r.seed) for r in results] == [
             (c.scenario, c.scheduler, c.seed) for c in cells
         ]
-
-    def test_worker_pool_surfaces_worker_errors(self):
-        with SweepWorkerPool(num_workers=2, **TINY) as pool:
-            with pytest.raises(RuntimeError, match="sweep worker"):
-                pool.run_cells([SweepCell("no_such_scenario", "fifo", 0)])
-            pool.close()
-            with pytest.raises(RuntimeError, match="closed"):
-                pool.run_cells([])
 
     def test_validation_errors(self):
         with pytest.raises(KeyError):

@@ -18,6 +18,8 @@ here can race on ports.  The fleet fixtures always stop their processes in
 teardown, even when a test body fails.
 """
 
+import time
+
 import pytest
 
 from repro.core import DecimaAgent, DecimaConfig, FeatureConfig
@@ -259,6 +261,32 @@ class TestFaultInjection:
                         num_executors=6,
                     )
                     assert welcome["type"] == "welcome"
+
+    def test_command_channel_works_around_a_dead_shard(self):
+        """What ``ServingFleet``'s docstrings promise of a lost shard: every
+        learning-target call answers for the survivor, without raising and
+        without waiting out the 30 s reply timeout."""
+        with ServingFleet(tiny_agent(), num_shards=2) as fleet:
+            fleet.record_experience()
+            env = SchedulingEnvironment(SimulatorConfig(num_executors=6, seed=1))
+            observation = env.reset(tiny_jobs(1), seed=1)
+            with PolicyClient(*fleet.address) as client:
+                client.hello(session_id=session_id_on_shard(1, 2), num_executors=6)
+                for _ in range(3):
+                    assert client.decide(observation)["type"] == "action"
+                fleet.kill_shard(0)
+                started = time.monotonic()
+                assert fleet.install_policy(tiny_agent().state_dict(), 2) == 1
+                dead, alive = fleet.shard_stats()
+                assert dead is None
+                assert alive["type"] == "stats"
+                assert alive["broker"]["num_decisions"] == 3
+                assert alive["broker"]["pending_policy_version"] == 2
+                assert [b["num_decisions"] for b in fleet.broker_stats()] == [3]
+                steps = fleet.drain_experience()
+                assert [step.session_id for step in steps] == [client.session_id] * 3
+                assert fleet.drain_experience() == []
+                assert time.monotonic() - started < 10.0
 
     def test_all_shards_dead_rejects_new_sessions(self):
         with ServingFleet(tiny_agent(), num_shards=1) as fleet:

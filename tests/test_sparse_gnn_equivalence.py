@@ -442,7 +442,7 @@ class TestEndToEndEquivalence:
             self.train_fingerprint(False, SerialRolloutBackend)
 
     def test_training_fingerprints_match_parallel_backend(self):
-        factory = lambda: ParallelRolloutBackend(num_workers=2, seed=0)  # noqa: E731
+        factory = lambda: ParallelRolloutBackend(num_workers=2)  # noqa: E731
         assert self.train_fingerprint(True, factory) == \
             self.train_fingerprint(False, factory)
 

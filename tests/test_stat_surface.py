@@ -144,7 +144,7 @@ class TestCatalog:
 LEARNING_KEYS = {
     "policy_version", "current_checkpoint_version", "previous_checkpoint_version",
     "last_good_checkpoint_version", "num_updates_applied", "num_rollbacks",
-    "guard_armed", "buffer",
+    "guard_armed", "num_update_failures", "buffer",
 }
 BUFFER_KEYS = {
     "num_episodes", "num_pending_steps", "num_steps_added", "num_episodes_cut",
@@ -158,7 +158,6 @@ class TestStatsFrame:
     ):
         fleet = server_factory(
             tiny_agent(), num_shards=2, slo_ms=60_000.0, max_sessions=4,
-            collect_experience=True,
         )
         manager = OnlineLearningManager(
             fleet,
