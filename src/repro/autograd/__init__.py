@@ -15,6 +15,7 @@ from .functional import (
     masked_log_softmax,
     masked_log_softmax_data,
     masked_softmax,
+    segment_log_softmax,
     softmax,
 )
 
@@ -31,5 +32,6 @@ __all__ = [
     "masked_softmax",
     "masked_log_softmax",
     "masked_log_softmax_data",
+    "segment_log_softmax",
     "entropy_from_log_probs",
 ]

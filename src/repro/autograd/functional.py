@@ -17,6 +17,7 @@ __all__ = [
     "masked_softmax",
     "masked_log_softmax",
     "masked_log_softmax_data",
+    "segment_log_softmax",
     "entropy_from_log_probs",
 ]
 
@@ -37,6 +38,48 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     shifted = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
     log_norm = shifted.exp().sum(axis=axis, keepdims=True).log()
     return shifted - log_norm
+
+
+def segment_log_softmax(logits: Tensor, lengths, mask=None) -> Tensor:
+    """Log-softmax of each consecutive segment of the 1-D ``logits``, as ONE op.
+
+    Segment ``k`` is the next ``lengths[k]`` entries.  Per segment the values
+    are those of :func:`masked_log_softmax` (entries where ``mask`` is False
+    get the same -1e9 offset; no ``mask`` means every entry is valid), but a
+    whole chunk of decisions costs a handful of array calls and one tape
+    node.  The backward is ``grad - p * repeat(segment_sum(grad))`` with
+    ``p = exp(output)``.
+    """
+    logits = as_tensor(logits)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if logits.ndim != 1 or lengths.sum() != logits.shape[0]:
+        raise ValueError(
+            f"segment lengths sum to {lengths.sum()}, logits have shape {logits.shape}"
+        )
+    if (lengths < 1).any():
+        raise ValueError("masked softmax requires at least one valid entry")
+    starts = np.cumsum(lengths) - lengths
+    shifted = logits.data
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != logits.shape:
+            raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
+        if not np.logical_or.reduceat(mask, starts).all():
+            raise ValueError("masked softmax requires at least one valid entry")
+        shifted = shifted + np.where(mask, 0.0, _NEG_INF)
+    shifted = shifted - np.repeat(np.maximum.reduceat(shifted, starts), lengths)
+    log_norm = np.log(np.add.reduceat(np.exp(shifted), starts))
+    out_data = shifted - np.repeat(log_norm, lengths)
+
+    def backward(grad):
+        grad = np.asarray(grad)
+        totals = np.repeat(np.add.reduceat(grad, starts), lengths)
+        return (grad - np.exp(out_data) * totals,)
+
+    if Tensor._needs_graph(logits):
+        return Tensor(out_data, _parents=(logits,), _backward=backward)
+    return Tensor(out_data)
+
 
 def _masked_logits(logits: Tensor, mask) -> tuple[Tensor, np.ndarray]:
     logits = as_tensor(logits)

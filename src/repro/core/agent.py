@@ -21,6 +21,9 @@ from ..autograd import (
     entropy_from_log_probs,
     masked_log_softmax,
     masked_log_softmax_data,
+    scatter_add_rows,
+    segment_log_softmax,
+    segment_sum,
 )
 from ..schedulers.base import Scheduler
 from ..simulator.environment import Action, Observation
@@ -76,7 +79,8 @@ class DecimaConfig:
 
 @dataclass
 class StepInfo:
-    """Training byproducts of one action (summed over its heads with ``+``)."""
+    """Training byproducts of one action, or ``(K,)`` tensors of ``K`` actions
+    (:meth:`DecimaAgent.score_actions`); heads are summed with ``+``."""
 
     log_prob: Tensor
     entropy: Tensor
@@ -91,6 +95,31 @@ def _scored(logits: Tensor, row: int, mask: Optional[np.ndarray] = None) -> Step
         mask = np.ones(logits.shape[0], dtype=bool)
     log_probs = masked_log_softmax(logits, mask)
     return StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
+
+
+def _segments_scored(
+    logits: Tensor,
+    lengths: Sequence[int],
+    rows: Sequence[int],
+    mask: Optional[np.ndarray] = None,
+) -> StepInfo:
+    """:func:`_scored` of every consecutive segment of ``logits`` at once.
+
+    Segment ``k`` is the next ``lengths[k]`` entries and ``rows[k]`` its
+    chosen entry; the result holds ``(K,)`` tensors — one segment
+    log-softmax, one gather and one segment sum whatever ``K`` is.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    log_probs = segment_log_softmax(logits, lengths, mask)
+    contrib = log_probs.exp() * log_probs
+    if mask is not None:
+        contrib = contrib * Tensor(np.asarray(mask, dtype=np.float64))
+    count = len(lengths)
+    chosen = np.cumsum(lengths) - lengths + np.asarray(rows, dtype=np.intp)
+    return StepInfo(
+        log_probs[chosen],
+        -segment_sum(contrib, np.repeat(np.arange(count), lengths), count),
+    )
 
 
 def _row_of(choice, candidates: Sequence, what: str, owner: str) -> int:
@@ -454,52 +483,69 @@ class DecimaAgent(Module, Scheduler):
     ) -> tuple[Tensor, Tensor]:
         """Log-probability and entropy of a *given* action, on the autograd graph.
 
-        :meth:`score_actions` of the one :meth:`record_action` record.
+        Entry ``[0]`` of :meth:`score_actions` of the one :meth:`record_action`
+        record.
         """
         record = self.record_action(
             observation, node, parallelism_limit, graph_cache, executor_class
         )
-        (info,) = self.score_actions([record])
-        return info.log_prob, info.entropy
+        info = self.score_actions([record])
+        return info.log_prob[0], info.entropy[0]
 
-    def score_actions(self, records: Sequence[ActionRecord]) -> list[StepInfo]:
-        """Log-probability and entropy of recorded choices, on ONE autograd graph.
+    def score_actions(self, records: Sequence[ActionRecord]) -> StepInfo:
+        """Log-probabilities and entropies of recorded choices, on ONE autograd graph.
 
         The records (typically a chunk of consecutive decisions of one
         episode) merge into a single disconnected mega-graph exactly as
-        concurrent sessions do in :meth:`act_batch`; one autograd forward
-        covers them all and every record is then scored as the training path
-        of :meth:`act` would have scored that decision — its own masked
-        softmax slice over its schedulable nodes, its rows of one stacked
-        limit-head pass, the class head where the record carries a class
-        choice.  REINFORCE gradients flow through the returned tensors; the
-        graph lives exactly as long as they do.
+        concurrent sessions do in :meth:`act_batch`, and one autograd forward
+        covers them all.  Each head is then scored once for the whole chunk:
+        one segment log-softmax over the merged node logits (a record's
+        segment is its own nodes, masked to its schedulable ones), one over
+        the stacked limit-head pass, one over the stacked class-head pass of
+        the records that carry a class choice.  The returned ``log_prob`` and
+        ``entropy`` are ``(K,)`` tensors, entry ``k`` the heads of record
+        ``k`` summed — the numbers the training path of :meth:`act` gives
+        that decision.  REINFORCE gradients flow through them; the graph
+        lives exactly as long as they do.
         """
         batch = GraphBatch.merge([record.graph for record in records])
         graph = batch.features
         embeddings = self.gnn(graph)
         node_logits = self.policy.node_logits(graph, embeddings)
-        infos = [
-            _scored(node_logits[rows], record.node_row, record.graph.schedulable_mask)
-            for record, rows in zip(records, batch.node_slices)
-        ]
-        job_rows = [
-            int(graph.job_ids[rows.start + record.node_row])
-            for record, rows in zip(records, batch.node_slices)
-        ]
+        node_rows = np.array([record.node_row for record in records], dtype=np.intp)
+        info = _segments_scored(
+            node_logits,
+            [record.graph.num_nodes for record in records],
+            node_rows,
+            graph.schedulable_mask,
+        )
+        starts = np.array([rows.start for rows in batch.node_slices], dtype=np.intp)
+        job_rows = graph.job_ids[starts + node_rows]
         if self.config.use_parallelism_control:
-            stacked_logits, limit_slices = self._limit_logits(
-                graph, embeddings, job_rows, [record.limits for record in records]
+            limits = [record.limits for record in records]
+            stacked_logits, _ = self._limit_logits(graph, embeddings, job_rows, limits)
+            info += _segments_scored(
+                stacked_logits,
+                [len(candidates) for candidates in limits],
+                [record.limit_row for record in records],
             )
-            for position, (record, rows) in enumerate(zip(records, limit_slices)):
-                infos[position] += _scored(stacked_logits[rows], record.limit_row)
-        for position, record in enumerate(records):
-            if record.classes:
-                class_logits = self.policy.class_logits(
-                    graph, embeddings, job_rows[position], record.classes
-                )
-                infos[position] += _scored(class_logits, record.class_row)
-        return infos
+        classed = [position for position, record in enumerate(records) if record.classes]
+        if classed:
+            counts = [len(records[position].classes) for position in classed]
+            class_logits = self.policy.class_logits(
+                graph,
+                embeddings,
+                np.repeat(job_rows[classed], counts),
+                [cls for position in classed for cls in records[position].classes],
+            )
+            scored = _segments_scored(
+                class_logits, counts, [records[position].class_row for position in classed]
+            )
+            info = StepInfo(
+                scatter_add_rows(info.log_prob, classed, scored.log_prob),
+                scatter_add_rows(info.entropy, classed, scored.entropy),
+            )
+        return info
 
     def act_batch(
         self,

@@ -164,39 +164,52 @@ class PolicyNetwork(Module):
                 f"limit inputs have width {limit_inputs.shape[1]}, "
                 f"policy expects {self.config.limit_input_dim}"
             )
+        return self._job_row_logits(
+            self.limit_score, graph, embeddings, job_rows, limit_inputs
+        )
+
+    def _job_row_logits(
+        self,
+        score: MLP,
+        graph: GraphFeatures,
+        embeddings: GraphEmbeddings,
+        job_rows: np.ndarray,
+        extra_inputs: np.ndarray,
+    ) -> Tensor:
+        """``score(y_{job_rows[i]}, z, extra_inputs[i])`` for every row ``i``."""
+        num_rows = len(job_rows)
         if self.config.use_graph_embedding:
             job_emb = embeddings.job_embeddings[job_rows]
             global_emb = embeddings.global_embedding[graph.job_graph_ids[job_rows]]
         else:
             zeros = Tensor(np.zeros((num_rows, self.config.embedding_dim)))
             job_emb = global_emb = zeros
-        inputs = concat([job_emb, global_emb, Tensor(limit_inputs)], axis=1)
-        return self.limit_score(inputs).reshape(num_rows)
+        inputs = concat([job_emb, global_emb, Tensor(extra_inputs)], axis=1)
+        return score(inputs).reshape(num_rows)
 
     # ---------------------------------------------------------------- classes
     def class_logits(
         self,
         graph: GraphFeatures,
         embeddings: GraphEmbeddings,
-        job_index: int,
+        job_rows: "int | np.ndarray",
         executor_classes: list[ExecutorClass],
     ) -> Tensor:
-        """One logit per executor class for the multi-resource action head."""
+        """One logit per executor class for the multi-resource action head.
+
+        Row ``i`` scores ``executor_classes[i]`` for job row ``job_rows[i]``,
+        or for job row ``job_rows`` when it is one number — a decision's own
+        classes, or several decisions' classes stacked into one pass like
+        :meth:`limit_logits_rows`.
+        """
         if self.class_score is None:
             raise RuntimeError("executor-class head is disabled in this policy")
-        num_classes = len(executor_classes)
-        if self.config.use_graph_embedding:
-            rows = np.full(num_classes, job_index, dtype=np.intp)
-            job_emb = embeddings.job_embeddings[rows]
-            global_row = int(graph.job_graph_ids[job_index])
-            global_emb = embeddings.global_embedding[
-                np.full(num_classes, global_row, dtype=np.intp)
-            ]
-        else:
-            zeros = Tensor(np.zeros((num_classes, self.config.embedding_dim)))
-            job_emb = global_emb = zeros
-        class_features = Tensor(
-            np.array([[cls.cpu, cls.memory] for cls in executor_classes], dtype=np.float64)
+        class_features = np.array(
+            [[cls.cpu, cls.memory] for cls in executor_classes], dtype=np.float64
         )
-        inputs = concat([job_emb, global_emb, class_features], axis=1)
-        return self.class_score(inputs).reshape(num_classes)
+        job_rows = np.broadcast_to(
+            np.asarray(job_rows, dtype=np.intp), (len(executor_classes),)
+        )
+        return self._job_row_logits(
+            self.class_score, graph, embeddings, job_rows, class_features
+        )

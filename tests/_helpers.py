@@ -1,4 +1,4 @@
-"""Shared fixed-seed factories for the test suite.
+"""Shared fixed-seed factories (and the finite-difference gradient) for the test suite.
 
 Consolidates the environment/agent/training factories that used to be
 duplicated across ``test_sparse_gnn_equivalence.py``,
@@ -62,6 +62,23 @@ def make_training_setup(seed=0, num_executors=5, num_jobs=2, sizes=(2.0,)):
     agent = make_decima_agent(total_executors=num_executors, seed=seed)
     factory = tpch_batch_factory(num_jobs, sizes=sizes)
     return config, agent, factory
+
+
+def numerical_gradient(fn, x, eps=1e-6):
+    """Central-difference gradient of a scalar function of a numpy array."""
+    grad = np.zeros_like(x, dtype=float)
+    it = np.nditer(x, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        orig = x[idx]
+        x[idx] = orig + eps
+        plus = fn(x)
+        x[idx] = orig - eps
+        minus = fn(x)
+        x[idx] = orig
+        grad[idx] = (plus - minus) / (2 * eps)
+        it.iternext()
+    return grad
 
 
 def load_example(name):

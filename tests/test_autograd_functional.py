@@ -9,8 +9,11 @@ from repro.autograd import (
     log_softmax,
     masked_log_softmax,
     masked_softmax,
+    segment_log_softmax,
     softmax,
 )
+
+from _helpers import numerical_gradient
 
 
 class TestSoftmax:
@@ -93,3 +96,89 @@ class TestEntropy:
         entropy_from_log_probs(log_softmax(logits)).backward()
         assert logits.grad is not None
         assert np.all(np.isfinite(logits.grad))
+
+
+# Segments of one entry, of one valid entry among masked ones, of ±1e3 logits.
+SEGMENT_CASES = {
+    "mixed": (
+        np.array([0.4, 1.2, -0.3, 2.0, 0.7, -1.1, 0.0, 3.3, 0.5]),
+        [4, 1, 3, 1],
+        np.array([True, False, True, True, True, True, False, True, True]),
+    ),
+    "one_entry_segments": (np.array([0.3, -2.0, 5.0]), [1, 1, 1], None),
+    "masked_to_one": (
+        np.array([1.5, -0.2, 0.8, 0.1, 2.2]),
+        [3, 2],
+        np.array([False, True, False, True, True]),
+    ),
+    "large_logits": (
+        np.array([1000.0, -1000.0, 999.5, -999.0, 1000.2, 3.0]),
+        [3, 3],
+        np.array([True, True, True, True, False, True]),
+    ),
+    "unmasked": (np.random.default_rng(3).normal(size=12) * 4, [5, 7], None),
+}
+
+
+def per_segment_reference(logits, lengths, mask):
+    """:func:`masked_log_softmax` of each segment, concatenated."""
+    mask = np.ones(len(logits), dtype=bool) if mask is None else mask
+    bounds = np.cumsum([0] + list(lengths))
+    return np.concatenate([
+        masked_log_softmax(Tensor(logits[a:b]), mask[a:b]).data
+        for a, b in zip(bounds, bounds[1:])
+    ])
+
+
+class TestSegmentLogSoftmax:
+    @pytest.mark.parametrize("case", sorted(SEGMENT_CASES))
+    def test_values_equal_per_segment_masked_log_softmax(self, case):
+        logits, lengths, mask = SEGMENT_CASES[case]
+        ours = segment_log_softmax(Tensor(logits), lengths, mask).data
+        np.testing.assert_allclose(
+            ours, per_segment_reference(logits, lengths, mask), rtol=1e-12, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("case", sorted(SEGMENT_CASES))
+    def test_backward_matches_finite_differences(self, case):
+        logits, lengths, mask = SEGMENT_CASES[case]
+        # Weight only valid entries, as the policy does (the chosen row and
+        # the masked entropy): a -1e9 entry would drown the difference.
+        valid = np.ones(len(logits), dtype=bool) if mask is None else mask
+        weights = np.random.default_rng(5).normal(size=len(logits)) * valid
+        x = Tensor(logits.copy(), requires_grad=True)
+        (segment_log_softmax(x, lengths, mask) * Tensor(weights)).sum().backward()
+
+        def loss(values):
+            return float((segment_log_softmax(Tensor(values), lengths, mask).data * weights).sum())
+
+        np.testing.assert_allclose(
+            x.grad, numerical_gradient(loss, logits.copy()), rtol=1e-6, atol=1e-6
+        )
+
+    def test_backward_equals_the_per_segment_ops(self):
+        logits, lengths, mask = SEGMENT_CASES["mixed"]
+        weights = np.random.default_rng(6).normal(size=len(logits)) * mask
+        ours = Tensor(logits.copy(), requires_grad=True)
+        (segment_log_softmax(ours, lengths, mask) * Tensor(weights)).sum().backward()
+        bounds = np.cumsum([0] + lengths)
+        theirs = Tensor(logits.copy(), requires_grad=True)
+        total = None
+        for a, b in zip(bounds, bounds[1:]):
+            term = (masked_log_softmax(theirs[a:b], mask[a:b]) * Tensor(weights[a:b])).sum()
+            total = term if total is None else total + term
+        total.backward()
+        np.testing.assert_allclose(ours.grad, theirs.grad, rtol=1e-12, atol=1e-12)
+
+    def test_a_segment_with_no_valid_entry_raises(self):
+        logits = Tensor([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="at least one valid entry"):
+            segment_log_softmax(logits, [1, 2], np.array([True, False, False]))
+        with pytest.raises(ValueError, match="at least one valid entry"):
+            segment_log_softmax(logits, [3, 0])
+
+    def test_shape_mismatches_raise(self):
+        with pytest.raises(ValueError, match="sum to 2"):
+            segment_log_softmax(Tensor([1.0, 2.0, 3.0]), [1, 1])
+        with pytest.raises(ValueError, match="mask shape"):
+            segment_log_softmax(Tensor([1.0, 2.0]), [2], np.array([True]))

@@ -5,22 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, concat, gather_rows, scatter_add_rows, segment_sum, stack
 
-
-def numerical_gradient(fn, x, eps=1e-6):
-    """Central-difference gradient of a scalar function of a numpy array."""
-    grad = np.zeros_like(x, dtype=float)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        orig = x[idx]
-        x[idx] = orig + eps
-        plus = fn(x)
-        x[idx] = orig - eps
-        minus = fn(x)
-        x[idx] = orig
-        grad[idx] = (plus - minus) / (2 * eps)
-        it.iternext()
-    return grad
+from _helpers import numerical_gradient
 
 
 class TestTensorBasics:

@@ -10,12 +10,15 @@ here:
   whole-episode ``backward()``, the training step this replaced, kept below
   as the reference — at every chunk boundary and across a chunk whose merged
   components have different structures;
-* scoring a chunk is scoring its records one by one (hypothesis);
+* scoring a chunk is scoring its records one by one (hypothesis), and its
+  autograd graph is as large for ``REPLAY_CHUNK`` records as for one — each
+  head is one segment log-softmax per chunk, not one softmax per record;
 * no autograd graph, and no view of the feature arena, survives a rollout,
   and nothing of an iteration survives its gradients.
 """
 
 import copy
+import dataclasses
 import gc
 
 import numpy as np
@@ -30,7 +33,12 @@ from repro.core import (
     SerialRolloutBackend,
 )
 from repro.core.parallel import accumulate_episode_gradients
-from repro.core.rollout import REPLAY_CHUNK, collect_rollout
+from repro.core.rollout import (
+    REPLAY_CHUNK,
+    accumulate_record_gradients,
+    chunk_loss,
+    collect_rollout,
+)
 from repro.experiments.scenarios import get_scenario, scenario_workload_rng
 from repro.simulator import SchedulingEnvironment
 
@@ -156,6 +164,18 @@ def recorded(scenario: str):
     return _RECORDS[scenario]
 
 
+def tape_size(loss: Tensor) -> int:
+    """Tensors reachable from ``loss``: the autograd graph one backward walks."""
+    seen = set()
+    stack = [loss]
+    while stack:
+        tensor = stack.pop()
+        if id(tensor) not in seen:
+            seen.add(id(tensor))
+            stack.extend(tensor._parents)
+    return len(seen)
+
+
 class TestChunkScoring:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @settings(max_examples=15, deadline=None)
@@ -165,11 +185,39 @@ class TestChunkScoring:
         rows = data.draw(
             st.lists(st.integers(0, len(records) - 1), min_size=1, max_size=12)
         )
-        chunk = [records[row] for row in rows]  # any order, repeats allowed
-        for record, merged in zip(chunk, agent.score_actions(chunk)):
-            (single,) = agent.score_actions([record])
-            assert abs(merged.log_prob.item() - single.log_prob.item()) <= 1e-10
-            assert abs(merged.entropy.item() - single.entropy.item()) <= 1e-10
+        # Any order, repeats allowed.  Every multi_resource_packing record
+        # carries a class choice; dropping it from some of them mixes records
+        # with and without a class head in one chunk.
+        drop_class = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        chunk = [
+            dataclasses.replace(records[row], classes=()) if drop else records[row]
+            for row, drop in zip(rows, drop_class)
+        ]
+        merged = agent.score_actions(chunk)
+        assert merged.log_prob.shape == merged.entropy.shape == (len(chunk),)
+        for position, record in enumerate(chunk):
+            single = agent.score_actions([record])
+            assert single.log_prob.shape == (1,)
+            assert abs(merged.log_prob.data[position] - single.log_prob.data[0]) <= 1e-10
+            assert abs(merged.entropy.data[position] - single.entropy.data[0]) <= 1e-10
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_the_tape_does_not_grow_with_the_chunk(self, scenario):
+        agent, records = recorded(scenario)
+        record = records[REPLAY_CHUNK // 2]
+        one = chunk_loss(agent, [record], [1.0], ENTROPY_WEIGHT)
+        full = chunk_loss(
+            agent, [record] * REPLAY_CHUNK, advantages_for(REPLAY_CHUNK), ENTROPY_WEIGHT
+        )
+        assert tape_size(full) == tape_size(one)
+
+    def test_every_record_needs_an_advantage(self):
+        agent, records = recorded("tpch_poisson")
+        for count in (2, 4):
+            with pytest.raises(ValueError, match=f"3 records but {count} advantages"):
+                accumulate_record_gradients(
+                    agent, records[:3], advantages_for(count), ENTROPY_WEIGHT
+                )
 
 
 # ------------------------------------------------------------ nothing is retained
