@@ -13,7 +13,6 @@ from .functional import (
     entropy_from_log_probs,
     log_softmax,
     masked_log_softmax,
-    masked_log_softmax_data,
     masked_softmax,
     segment_log_softmax,
     softmax,
@@ -31,7 +30,6 @@ __all__ = [
     "log_softmax",
     "masked_softmax",
     "masked_log_softmax",
-    "masked_log_softmax_data",
     "segment_log_softmax",
     "entropy_from_log_probs",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "log_softmax",
     "masked_softmax",
     "masked_log_softmax",
-    "masked_log_softmax_data",
     "segment_log_softmax",
     "entropy_from_log_probs",
 ]
@@ -106,26 +105,6 @@ def masked_log_softmax(logits: Tensor, mask, axis: int = -1) -> Tensor:
     """Log of :func:`masked_softmax` (stable; masked entries are ~-1e9)."""
     shifted, _ = _masked_logits(logits, mask)
     return log_softmax(shifted, axis=axis)
-
-
-def masked_log_softmax_data(logits: np.ndarray, mask, axis: int = -1) -> np.ndarray:
-    """Pure-numpy :func:`masked_log_softmax` on raw data (no autograd graph).
-
-    Mirrors the Tensor version operation for operation, so the returned values
-    are bit-identical to ``masked_log_softmax(...).data``.  The agent's
-    inference path uses it for action selection, where the log-probabilities
-    are consumed immediately and no gradient will ever flow.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != logits.shape:
-        raise ValueError(f"mask shape {mask.shape} != logits shape {logits.shape}")
-    if not mask.any():
-        raise ValueError("masked softmax requires at least one valid entry")
-    shifted = logits + np.where(mask, 0.0, _NEG_INF)
-    shifted = shifted - shifted.max(axis=axis, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    return shifted - log_norm
 
 
 def entropy_from_log_probs(log_probs: Tensor, mask=None) -> Tensor:

@@ -10,6 +10,7 @@ log-probability and entropy tensors themselves (``training=True``).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -20,11 +21,11 @@ from ..autograd import (
     Tensor,
     entropy_from_log_probs,
     masked_log_softmax,
-    masked_log_softmax_data,
     scatter_add_rows,
     segment_log_softmax,
     segment_sum,
 )
+from ..autograd.functional import _NEG_INF
 from ..schedulers.base import Scheduler
 from ..simulator.environment import Action, Observation
 from ..simulator.executor import ExecutorClass
@@ -38,6 +39,7 @@ from .features import (
     build_graph_features,
 )
 from .gnn import GNNConfig, GraphEmbeddings, GraphNeuralNetwork
+from .kernels import Workspace
 from .nn import Module
 from .policy import PolicyConfig, PolicyNetwork
 
@@ -89,12 +91,71 @@ class StepInfo:
         return StepInfo(self.log_prob + other.log_prob, self.entropy + other.entropy)
 
 
+def sample_row(
+    logits: np.ndarray,
+    mask: Optional[np.ndarray],
+    rng: Optional[np.random.Generator],
+    greedy: bool,
+) -> int:
+    """Draw (or, ``greedy``, arg-max) an entry of the masked softmax of ``logits``.
+
+    ``mask`` marks the valid entries (``None``: all of them).  The
+    log-softmax is :func:`~repro.autograd.masked_log_softmax`'s, operation for
+    operation, so the probabilities are bit-identical to the tensor path's.
+    The draw is numpy's own algorithm for ``rng.choice(n, p=probs)`` —
+    normalised cumulative sum, one ``rng.random()``, a right-sided
+    ``searchsorted`` — so it returns the index ``choice`` would and leaves
+    the generator in the same state, without ``choice``'s per-call checks.
+    Probabilities that are not finite raise the ``ValueError`` ``choice``
+    raises.
+    """
+    if mask is None:
+        shifted = logits - logits.max()
+    else:
+        shifted = logits + np.where(mask, 0.0, _NEG_INF)
+        shifted -= shifted.max()
+    log_probs = shifted - np.log(np.exp(shifted).sum())
+    if mask is not None:
+        log_probs = np.where(mask, log_probs, -np.inf)
+    if greedy:
+        return int(np.argmax(log_probs))
+    probs = np.exp(log_probs - log_probs.max())
+    total = probs.sum()
+    if not math.isfinite(total):
+        raise ValueError("Probabilities contain NaN")
+    probs /= total
+    cdf = np.cumsum(probs, out=probs)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
+
+
 def _scored(logits: Tensor, row: int, mask: Optional[np.ndarray] = None) -> StepInfo:
     """Log-probability of entry ``row`` of ``softmax(logits)`` and its entropy."""
     if mask is None:
         mask = np.ones(logits.shape[0], dtype=bool)
     log_probs = masked_log_softmax(logits, mask)
     return StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
+
+
+def _draw(
+    logits: "Tensor | np.ndarray",
+    rows: slice,
+    rng: Optional[np.random.Generator],
+    greedy: bool,
+    training: bool,
+    mask: Optional[np.ndarray] = None,
+) -> tuple[int, Optional[StepInfo]]:
+    """:func:`sample_row` over ``logits[rows]``, and when ``training`` its score.
+
+    ``logits`` is a plain array at inference and a :class:`Tensor` when
+    ``training``; the draw reads the tensor's data, then :func:`_scored`
+    returns the chosen row's log-probability and the distribution's entropy
+    on the autograd graph.
+    """
+    if not training:
+        return sample_row(logits[rows], mask, rng, greedy), None
+    row = sample_row(logits.data[rows], mask, rng, greedy)
+    return row, _scored(logits[rows], row, mask)
 
 
 def _segments_scored(
@@ -726,10 +787,12 @@ class DecimaAgent(Module, Scheduler):
         exactly the rows a forward pass over that observation alone would
         have produced, and its rng is drawn from in the fixed order stage,
         limit, class — which is what makes a decision independent of the
-        batch it was taken in.  The log-prob/entropy tensors are only
-        assembled when ``training``; with ``components`` (observation ``k``'s
-        own :class:`GraphFeatures`) each decision comes with its
-        :class:`ActionRecord` instead.
+        batch it was taken in.  Only ``training`` runs the heads through the
+        autograd ops and assembles log-prob/entropy tensors; otherwise they
+        run on the data path (the arena of ``self.gnn.workspace``) and no
+        tape is recorded.  With ``components`` (observation ``k``'s own
+        :class:`GraphFeatures`) each decision comes with its
+        :class:`ActionRecord`.
         """
         count = len(observations)
         nodes: list[Optional[Node]] = [None] * count
@@ -737,6 +800,8 @@ class DecimaAgent(Module, Scheduler):
         limits = [self.total_executors] * count
         infos: list[Optional[StepInfo]] = [None] * count
         records: list[Optional[ActionRecord]] = [None] * count
+        workspace = None if training else self.gnn.workspace
+        stage_logits = node_logits if training else node_logits.data
 
         # Phase 1: per-observation stage selection (masked softmax over the
         # schedulable nodes, Eq. 2).
@@ -746,8 +811,8 @@ class DecimaAgent(Module, Scheduler):
             node_mask = graph.schedulable_mask[node_rows]
             if not node_mask.any():
                 continue
-            node_row, infos[position] = self._draw(
-                node_logits, node_rows, rngs[position], greedy, training, node_mask
+            node_row, infos[position] = _draw(
+                stage_logits, node_rows, rngs[position], greedy, training, node_mask
             )
             global_row = node_rows.start + node_row
             nodes[position] = graph.nodes[global_row]
@@ -764,10 +829,11 @@ class DecimaAgent(Module, Scheduler):
                 for position in chosen
             ]
             stacked_logits, limit_slices = self._limit_logits(
-                graph, embeddings, [job_rows[position] for position in chosen], candidates
+                graph, embeddings, [job_rows[position] for position in chosen],
+                candidates, workspace,
             )
             for position, candidate, rows in zip(chosen, candidates, limit_slices):
-                limit_row, info = self._draw(
+                limit_row, info = _draw(
                     stacked_logits, rows, rngs[position], greedy, training
                 )
                 limits[position] = int(candidate[limit_row])
@@ -784,9 +850,9 @@ class DecimaAgent(Module, Scheduler):
             classes = self._eligible_classes(observations[position], nodes[position])
             if classes:
                 class_logits = self.policy.class_logits(
-                    graph, embeddings, job_rows[position], classes
+                    graph, embeddings, job_rows[position], classes, workspace
                 )
-                class_row, info = self._draw(
+                class_row, info = _draw(
                     class_logits, slice(0, len(classes)), rngs[position], greedy,
                     training,
                 )
@@ -813,11 +879,13 @@ class DecimaAgent(Module, Scheduler):
         embeddings: GraphEmbeddings,
         job_rows: Sequence[int],
         candidates: Sequence[np.ndarray],
-    ) -> tuple[Tensor, list[slice]]:
+        workspace: Optional[Workspace] = None,
+    ) -> tuple["Tensor | np.ndarray", list[slice]]:
         """ONE stacked pass through the limit head for several decisions.
 
         ``candidates[k]`` are the limits scored for job row ``job_rows[k]``;
-        returns the stacked logits and each decision's row range in them.
+        returns the stacked logits (a plain array when a ``workspace`` puts
+        the head on the data path) and each decision's row range in them.
         """
         stacked_logits = self.policy.limit_logits_rows(
             graph,
@@ -827,6 +895,7 @@ class DecimaAgent(Module, Scheduler):
                 [len(candidate) for candidate in candidates],
             ),
             np.vstack([self._limit_inputs(candidate) for candidate in candidates]),
+            workspace,
         )
         slices = []
         offset = 0
@@ -844,38 +913,3 @@ class DecimaAgent(Module, Scheduler):
             for cls in observation.executor_classes
             if cls.fits(node) and observation.free_executors_by_class.get(cls, 0) > 0
         ]
-
-    def _draw(
-        self,
-        logits: Tensor,
-        rows: slice,
-        rng: Optional[np.random.Generator],
-        greedy: bool,
-        training: bool,
-        mask: Optional[np.ndarray] = None,
-    ) -> tuple[int, Optional[StepInfo]]:
-        """Softmax over ``logits[rows]`` and one draw from it.
-
-        ``mask`` marks the valid entries (default: all).  The draw reads the
-        graph-free softmax (bit-identical to the tensor one); when
-        ``training`` the chosen row's log-probability and the entropy of the
-        distribution are also returned as tensors on the autograd graph.
-        """
-        if mask is None:
-            mask = np.ones(rows.stop - rows.start, dtype=bool)
-        log_probs = masked_log_softmax_data(logits.data[rows], mask)
-        row = self._choose(log_probs, mask, rng, greedy)
-        return row, _scored(logits[rows], row, mask) if training else None
-
-    @staticmethod
-    def _choose(
-        log_probs: np.ndarray, mask: np.ndarray, rng: np.random.Generator, greedy: bool
-    ) -> int:
-        """Sample (or arg-max) an index from masked log-probabilities."""
-        masked = np.where(mask, log_probs, -np.inf)
-        if greedy:
-            return int(np.argmax(masked))
-        probs = np.exp(masked - masked.max())
-        probs[~mask] = 0.0
-        probs = probs / probs.sum()
-        return int(rng.choice(len(probs), p=probs))

@@ -45,10 +45,21 @@ class Workspace:
     next ``get`` of the same name.
     """
 
-    __slots__ = ("_buffers",)
+    __slots__ = ("_buffers", "_layer_names")
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self._layer_names: dict[str, tuple[tuple[str, str], ...]] = {}
+
+    def layer_names(self, tag: str, num_layers: int) -> tuple[tuple[str, str], ...]:
+        """Buffer names of each layer's output and leaky-ReLU scratch under
+        ``tag``, formatted once per tag rather than on every forward."""
+        names = self._layer_names.get(tag)
+        if names is None or len(names) < num_layers:
+            names = self._layer_names[tag] = tuple(
+                (f"{tag}:{index}", f"{tag}:{index}:scaled") for index in range(num_layers)
+            )
+        return names
 
     def get(self, name: str, shape: tuple) -> np.ndarray:
         buffer = self._buffers.get(name)
@@ -81,7 +92,7 @@ class Workspace:
 
 
 def leaky_relu_inplace(
-    values: np.ndarray, negative_slope: float, workspace: Workspace, tag: str
+    values: np.ndarray, negative_slope: float, workspace: Workspace, scratch: str
 ) -> None:
     """In-place leaky ReLU, bit-identical to ``Tensor.leaky_relu``.
 
@@ -89,13 +100,14 @@ def leaky_relu_inplace(
     (0, 1) that equals ``max(x, x * slope)`` exactly: positive ``x`` beats its
     scaled-down copy and is returned unchanged (``x * 1.0``), non-positive
     ``x`` loses to it, and the surviving product is the identical multiply.
-    Two array passes instead of the four a literal mask build would take.
+    Two array passes instead of the four a literal mask build would take;
+    ``scratch`` names the workspace buffer that holds the scaled copy.
     """
     if not 0.0 < negative_slope < 1.0:  # pragma: no cover - paper uses 0.2
         mask = np.where(values > 0, 1.0, negative_slope)
         values *= mask
         return
-    scaled = workspace.get(f"{tag}:scaled", values.shape)
+    scaled = workspace.get(scratch, values.shape)
     np.multiply(values, negative_slope, out=scaled)
     np.maximum(values, scaled, out=values)
 
@@ -120,16 +132,18 @@ def mlp_forward(
         raise ValueError("mlp_forward supports linear-output MLPs only")
     values = inputs
     last = len(mlp.layers) - 1
+    names = workspace.layer_names(tag, last + 1)
     for index, layer in enumerate(mlp.layers):
         weight = layer.weight.data
+        name, scratch = names[index]
         if index == last and out is not None:
             buffer = out
         else:
-            buffer = workspace.get(f"{tag}:{index}", (values.shape[0], weight.shape[1]))
+            buffer = workspace.get(name, (values.shape[0], weight.shape[1]))
         np.matmul(values, weight, out=buffer)
         buffer += layer.bias.data
         if index < last:
-            leaky_relu_inplace(buffer, mlp.negative_slope, workspace, f"{tag}:{index}")
+            leaky_relu_inplace(buffer, mlp.negative_slope, workspace, scratch)
         values = buffer
     return values
 

@@ -141,7 +141,8 @@ class PolicyNetwork(Module):
         embeddings: GraphEmbeddings,
         job_rows: np.ndarray,
         limit_inputs: np.ndarray,
-    ) -> Tensor:
+        workspace: "Workspace | None" = None,
+    ) -> "Tensor | np.ndarray":
         """Score (job, limit) pairs in one pass through ``w``.
 
         Row ``i`` scores ``limit_inputs[i]`` for job row ``job_rows[i]``.  A
@@ -151,6 +152,10 @@ class PolicyNetwork(Module):
         every pending observation's candidate limits into a single call and
         splits the logits back per observation; row results are independent,
         so that is numerically the same as one call per job.
+
+        With a ``workspace`` the head runs on the data path instead
+        (:meth:`_job_row_logits_data`): the same numbers as a plain array,
+        and no autograd tape.
         """
         limit_inputs = np.atleast_2d(np.asarray(limit_inputs, dtype=np.float64))
         job_rows = np.asarray(job_rows, dtype=np.intp)
@@ -165,18 +170,29 @@ class PolicyNetwork(Module):
                 f"policy expects {self.config.limit_input_dim}"
             )
         return self._job_row_logits(
-            self.limit_score, graph, embeddings, job_rows, limit_inputs
+            self.limit_score, "limit_score", graph, embeddings, job_rows,
+            limit_inputs, workspace,
         )
 
     def _job_row_logits(
         self,
         score: MLP,
+        tag: str,
         graph: GraphFeatures,
         embeddings: GraphEmbeddings,
         job_rows: np.ndarray,
         extra_inputs: np.ndarray,
-    ) -> Tensor:
-        """``score(y_{job_rows[i]}, z, extra_inputs[i])`` for every row ``i``."""
+        workspace: "Workspace | None",
+    ) -> "Tensor | np.ndarray":
+        """``score(y_{job_rows[i]}, z, extra_inputs[i])`` for every row ``i``.
+
+        Through the autograd ops, or with a ``workspace`` through
+        :meth:`_job_row_logits_data` under the buffer ``tag``.
+        """
+        if workspace is not None:
+            return self._job_row_logits_data(
+                score, tag, graph, embeddings, job_rows, extra_inputs, workspace
+            )
         num_rows = len(job_rows)
         if self.config.use_graph_embedding:
             job_emb = embeddings.job_embeddings[job_rows]
@@ -187,6 +203,35 @@ class PolicyNetwork(Module):
         inputs = concat([job_emb, global_emb, Tensor(extra_inputs)], axis=1)
         return score(inputs).reshape(num_rows)
 
+    def _job_row_logits_data(
+        self,
+        score: MLP,
+        tag: str,
+        graph: GraphFeatures,
+        embeddings: GraphEmbeddings,
+        job_rows: np.ndarray,
+        extra_inputs: np.ndarray,
+        workspace: Workspace,
+    ) -> np.ndarray:
+        """Arena-buffered job-row head on plain arrays (inference only).
+
+        The same concatenated input through :func:`mlp_forward` — the same
+        gemm, bias add and leaky ReLU — so the result equals the tensor
+        head's ``.data`` bit for bit.  The returned ``(rows,)`` view is
+        workspace-owned and valid until the next call with this ``tag``.
+        """
+        dim = self.config.embedding_dim
+        inputs = workspace.get(f"{tag}:in", (len(job_rows), 2 * dim + extra_inputs.shape[1]))
+        if self.config.use_graph_embedding:
+            inputs[:, :dim] = embeddings.job_embeddings.data[job_rows]
+            inputs[:, dim: 2 * dim] = embeddings.global_embedding.data[
+                graph.job_graph_ids[job_rows]
+            ]
+        else:
+            inputs[:, : 2 * dim] = 0.0
+        inputs[:, 2 * dim:] = extra_inputs
+        return mlp_forward(score, inputs, workspace, tag)[:, 0]
+
     # ---------------------------------------------------------------- classes
     def class_logits(
         self,
@@ -194,13 +239,14 @@ class PolicyNetwork(Module):
         embeddings: GraphEmbeddings,
         job_rows: "int | np.ndarray",
         executor_classes: list[ExecutorClass],
-    ) -> Tensor:
+        workspace: "Workspace | None" = None,
+    ) -> "Tensor | np.ndarray":
         """One logit per executor class for the multi-resource action head.
 
         Row ``i`` scores ``executor_classes[i]`` for job row ``job_rows[i]``,
         or for job row ``job_rows`` when it is one number — a decision's own
         classes, or several decisions' classes stacked into one pass like
-        :meth:`limit_logits_rows`.
+        :meth:`limit_logits_rows`, whose ``workspace`` it takes too.
         """
         if self.class_score is None:
             raise RuntimeError("executor-class head is disabled in this policy")
@@ -211,5 +257,6 @@ class PolicyNetwork(Module):
             np.asarray(job_rows, dtype=np.intp), (len(executor_classes),)
         )
         return self._job_row_logits(
-            self.class_score, graph, embeddings, job_rows, class_features
+            self.class_score, "class_score", graph, embeddings, job_rows,
+            class_features, workspace,
         )
