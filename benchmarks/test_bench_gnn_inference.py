@@ -24,6 +24,7 @@ import numpy as np
 from conftest import run_once
 
 from repro.core import DecimaAgent, DecimaConfig
+from repro.verify.oracles import ReferenceAgent
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
@@ -45,12 +46,8 @@ def _measure(num_jobs: int, steps: int, sparse: bool) -> dict:
     environment = SchedulingEnvironment(
         SimulatorConfig(num_executors=NUM_EXECUTORS, seed=0)
     )
-    agent = DecimaAgent(
-        total_executors=NUM_EXECUTORS,
-        config=DecimaConfig(
-            seed=0, sparse_message_passing=sparse, use_graph_cache=sparse
-        ),
-    )
+    agent_class = DecimaAgent if sparse else ReferenceAgent
+    agent = agent_class(total_executors=NUM_EXECUTORS, config=DecimaConfig(seed=0))
     agent.reset()
     observation = environment.reset(jobs, seed=0)
     act_rng = np.random.default_rng(1)

@@ -3,9 +3,10 @@
 Part 1 (``test_bench_service``): eight concurrent cluster sessions stream
 ``decide`` requests at the request broker (through the real wire encoding and
 shadow-DAG reconciliation); the batched broker answers each round with ONE
-GNN forward over the merged mega-graph, the serial reference answers session
-by session.  Decisions are identical either way (see ``tests/test_service.py``)
-— this measures the throughput axis: fleet decisions/sec, as the median ratio
+GNN forward over the merged mega-graph, the serial reference
+(:class:`repro.verify.oracles.SerialRequestBroker`) answers session by
+session.  Decisions are identical either way (differential pair
+``batched_vs_serial_service``) — this measures the throughput axis: fleet decisions/sec, as the median ratio
 over interleaved batched/serial pairs of runs.
 
 Part 2 (``test_bench_shard_scaling``): 64 concurrent sessions partitioned
@@ -41,6 +42,7 @@ from repro.service import DecisionRequest, RequestBroker, SessionState, encode_o
 from repro.service.client import decode_action
 from repro.service.router import shard_for_session
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
+from repro.verify.oracles import SerialRequestBroker
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
 # (concurrent sessions, timed decision rounds); jobs per session chosen so a
@@ -59,7 +61,8 @@ SHARD_COUNTS = (1, 2, 4)
 
 def _measure(num_sessions: int, rounds: int, batched: bool) -> dict:
     agent = DecimaAgent(total_executors=NUM_EXECUTORS, config=DecimaConfig(seed=0))
-    broker = RequestBroker(agent, batched=batched, greedy=True)
+    broker_class = RequestBroker if batched else SerialRequestBroker
+    broker = broker_class(agent, greedy=True)
     environments, observations, sessions = [], [], []
     for index in range(num_sessions):
         rng = np.random.default_rng(index)
@@ -163,7 +166,7 @@ def _fleet_shard_worker(start_event, results, shard_index, session_indices,
     router-fronted fleet gets from its long-lived shard servers.
     """
     agent = DecimaAgent(total_executors=NUM_EXECUTORS, config=DecimaConfig(seed=0))
-    broker = RequestBroker(agent, batched=True, greedy=True)
+    broker = RequestBroker(agent, greedy=True)
     environments, observations, sessions = [], [], []
     for index in session_indices:
         rng = np.random.default_rng(index)

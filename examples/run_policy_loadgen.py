@@ -109,8 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--slo-ms", type=float, default=None,
                         help="SLO for the self-hosted server (--serve only)")
-    parser.add_argument("--serial", action="store_true",
-                        help="self-hosted server answers serially (--serve only)")
     parser.add_argument("--shards", type=int, default=1,
                         help="self-host a fleet with this many shard processes")
     parser.add_argument("--max-sessions", type=int, default=None,
@@ -160,7 +158,6 @@ def main() -> None:
             num_shards=args.shards,
             max_sessions=args.max_sessions,
             slo_ms=args.slo_ms,
-            batched=not args.serial,
         )
         server = build_server(config, agent=agent)
         host, port = server.start()

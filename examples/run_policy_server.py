@@ -57,8 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default SLO-fallback heuristic for new sessions")
     parser.add_argument("--slo-ms", type=float, default=None,
                         help="per-decision latency SLO; unset disables the breaker")
-    parser.add_argument("--serial", action="store_true",
-                        help="disable cross-session batching (serial reference path)")
     parser.add_argument("--sample", action="store_true",
                         help="sample actions instead of greedy arg-max")
     parser.add_argument("--shards", type=int, default=1,
@@ -112,7 +110,6 @@ def build_policy_server(args):
         max_sessions=args.max_sessions,
         fallback=args.fallback,
         slo_ms=args.slo_ms,
-        batched=not args.serial,
         greedy=not args.sample,
         checkpoint_dir=args.store_dir if agent is None else None,
     )
@@ -140,18 +137,17 @@ def main() -> None:
         args.store_dir = store_tmp.name
     server = build_policy_server(args)
     host, port = server.start()
-    mode = "serial" if args.serial else "batched"
     slo = f"{args.slo_ms:.0f} ms SLO -> {args.fallback}" if args.slo_ms else "no SLO"
     if args.shards > 1:
         control_host, control_port = server.control_address
         limit = args.max_sessions if args.max_sessions is not None else "unlimited"
         print(f"Serving fleet: {args.shards} shards behind {host}:{port} "
-              f"({mode} inference, {slo}, admission limit {limit})")
+              f"(batched inference, {slo}, admission limit {limit})")
         print(f"Control plane (health/stats/reconfigure) on "
               f"{control_host}:{control_port}")
     else:
         print(f"Policy server listening on {host}:{port} "
-              f"({mode} inference, {slo})")
+              f"(batched inference, {slo})")
 
     manager = None
     if args.online:

@@ -17,7 +17,6 @@ from .features import (
     GraphFeatures,
     GraphStructure,
     MergedStructureCache,
-    build_graph_features,
     compute_node_heights,
     merge_structures,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "GraphFeatures",
     "GraphStructure",
     "MergedStructureCache",
-    "build_graph_features",
     "compute_node_heights",
     "merge_structures",
     "GNNConfig",

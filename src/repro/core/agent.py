@@ -36,7 +36,6 @@ from .features import (
     GraphCache,
     GraphFeatures,
     MergedStructureCache,
-    build_graph_features,
 )
 from .gnn import GNNConfig, GraphEmbeddings, GraphNeuralNetwork
 from .kernels import Workspace
@@ -60,12 +59,6 @@ class DecimaConfig:
     two_level_aggregation: bool = True
     # Multi-resource executor-class head (§7.3).
     multi_resource: bool = False
-    # Hot-path switches.  The defaults run sparse frontier-restricted message
-    # passing over a per-episode incremental GraphCache; disabling either (or
-    # both) falls back to the original dense / from-scratch formulation, which
-    # is kept as the numerical-equivalence oracle.
-    sparse_message_passing: bool = True
-    use_graph_cache: bool = True
     # Number of discrete parallelism-limit levels; ``None`` uses one level per
     # executor (the paper's encoding) capped at 64 levels for very large clusters.
     num_limit_levels: Optional[int] = None
@@ -342,7 +335,6 @@ class DecimaAgent(Module, Scheduler):
                 hidden_sizes=self.config.hidden_sizes,
                 max_message_passing_depth=self.config.max_message_passing_depth,
                 two_level_aggregation=self.config.two_level_aggregation,
-                sparse_message_passing=self.config.sparse_message_passing,
             ),
             rng,
         )
@@ -450,16 +442,12 @@ class DecimaAgent(Module, Scheduler):
         the cache's persistent arrays (inference only — see
         :meth:`GraphCache.features`).
         """
-        if self.config.use_graph_cache:
-            cache = graph_cache if graph_cache is not None else self.graph_cache
-            return cache.features(
-                observation,
-                self.config.feature,
-                interarrival_hint=self.interarrival_hint,
-                reuse_buffers=reuse_buffers,
-            )
-        return build_graph_features(
-            observation, self.config.feature, interarrival_hint=self.interarrival_hint
+        cache = graph_cache if graph_cache is not None else self.graph_cache
+        return cache.features(
+            observation,
+            self.config.feature,
+            interarrival_hint=self.interarrival_hint,
+            reuse_buffers=reuse_buffers,
         )
 
     def act(
@@ -704,13 +692,12 @@ class DecimaAgent(Module, Scheduler):
     ) -> tuple[GraphEmbeddings, Tensor]:
         """Embeddings and node logits of ``graph``; marks ``clock`` twice.
 
-        Training runs the autograd ops (gradients), and so does the dense
-        oracle, which has no data-path implementation.  Everything else runs
-        the arena-buffered data path, whose numbers — and therefore decisions
-        — match the autograd ops (differential pair
+        Training runs the autograd ops (gradients).  Everything else runs the
+        arena-buffered data path, whose numbers — and therefore decisions —
+        match the autograd ops (differential pair
         ``inference_kernels_vs_tensor``).
         """
-        if training or not self.config.sparse_message_passing:
+        if training:
             embeddings = self.gnn(graph)
             clock.mark()
             node_logits = self.policy.node_logits(graph, embeddings)

@@ -78,7 +78,16 @@ class AgentSpec:
 
 
 def agent_spec(agent: DecimaAgent) -> AgentSpec:
-    """Capture everything needed to rebuild ``agent`` in another process."""
+    """Capture everything needed to rebuild ``agent`` in another process.
+
+    Another process always rebuilds a plain :class:`DecimaAgent`, so a
+    subclass (the reference agents of :mod:`repro.verify.oracles`) is refused
+    rather than silently turned into the product agent on the other side.
+    """
+    if type(agent) is not DecimaAgent:
+        raise TypeError(
+            f"only a DecimaAgent can cross a process boundary, not {type(agent).__name__}"
+        )
     return AgentSpec(
         total_executors=agent.total_executors,
         config=copy.deepcopy(agent.config),

@@ -16,10 +16,10 @@ The graph inputs split into two parts with very different lifetimes:
 * **Dynamic state** — the ``(N, F)`` feature matrix and the schedulable mask,
   which change on every scheduling decision.
 
-:func:`build_graph_features` assembles both from scratch (the stateless
-oracle path); :class:`GraphCache` reuses the structure across consecutive
-steps and only refreshes the dynamic arrays, which is what makes the per-step
-inference hot path cheap (§5.1, Fig. 5a).
+:class:`GraphCache` reuses the structure across consecutive steps and only
+refreshes the dynamic arrays, which is what makes the per-step inference hot
+path cheap (§5.1, Fig. 5a).  Assembling both from scratch every step is the
+oracle :func:`repro.verify.oracles.build_graph_features`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "GraphCache",
     "GraphBatch",
     "MergedStructureCache",
-    "build_graph_features",
     "compute_node_heights",
     "merge_structures",
 ]
@@ -274,7 +273,6 @@ class GraphStructure:
         self.frontier_levels = _build_frontier_levels(
             node_heights, edge_parent_rows, edge_child_rows
         )
-        self._adjacency: Optional[np.ndarray] = None
         self._scaled_durations: dict[float, np.ndarray] = {}
         # Graph segmentation: merged structures (cross-session batching,
         # :func:`merge_structures`) assign every job the index of the
@@ -290,19 +288,6 @@ class GraphStructure:
     @property
     def num_jobs(self) -> int:
         return len(self.jobs)
-
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Dense ``(N, N)`` matrix with A[parent, child] = 1, built on demand.
-
-        Only the dense-oracle message-passing path reads this; the sparse
-        path works entirely from the edge and frontier index arrays.
-        """
-        if self._adjacency is None:
-            matrix = np.zeros((self.num_nodes, self.num_nodes))
-            matrix[self.edge_parent_rows, self.edge_child_rows] = 1.0
-            self._adjacency = matrix
-        return self._adjacency
 
     def scaled_task_durations(self, config: "FeatureConfig") -> np.ndarray:
         """``task_durations / duration_scale``, cached — it is fully static.
@@ -419,10 +404,6 @@ class GraphFeatures:
         return self.structure.node_heights
 
     @property
-    def adjacency(self) -> np.ndarray:
-        return self.structure.adjacency
-
-    @property
     def frontier_levels(self) -> list[FrontierLevel]:
         return self.structure.frontier_levels
 
@@ -512,19 +493,6 @@ def _refresh_dynamic_features(
     return out
 
 
-def _dynamic_node_features(
-    structure: GraphStructure,
-    observation: Observation,
-    config: FeatureConfig,
-    interarrival_hint: Optional[float],
-) -> np.ndarray:
-    """Fresh ``(N, F)`` feature matrix for the current step, fully vectorized."""
-    features = np.zeros((structure.num_nodes, config.num_features))
-    return _refresh_dynamic_features(
-        structure, observation, config, interarrival_hint, features
-    )
-
-
 def _refresh_schedulable_mask(
     structure: GraphStructure, observation: Observation, out: np.ndarray
 ) -> np.ndarray:
@@ -540,33 +508,6 @@ def _refresh_schedulable_mask(
         )
         out[rows] = True
     return out
-
-
-def _schedulable_mask(structure: GraphStructure, observation: Observation) -> np.ndarray:
-    mask = np.zeros(structure.num_nodes, dtype=bool)
-    return _refresh_schedulable_mask(structure, observation, mask)
-
-
-def build_graph_features(
-    observation: Observation,
-    config: Optional[FeatureConfig] = None,
-    interarrival_hint: Optional[float] = None,
-) -> GraphFeatures:
-    """Assemble the node-feature matrix, structure and masks for the GNN.
-
-    Stateless: rebuilds the full :class:`GraphStructure` every call.  The
-    per-step hot path should go through :class:`GraphCache` instead, which
-    only does this work when the set of live jobs changes.
-    """
-    config = config or FeatureConfig()
-    structure = GraphStructure(list(observation.job_dags))
-    return GraphFeatures(
-        structure=structure,
-        node_features=_dynamic_node_features(
-            structure, observation, config, interarrival_hint
-        ),
-        schedulable_mask=_schedulable_mask(structure, observation),
-    )
 
 
 class GraphCache:

@@ -40,12 +40,6 @@ class GNNConfig:
     # Ablation switch (Appendix E / Fig. 19): drop the outer non-linearity g so
     # the aggregation is a plain sum of transformed child embeddings.
     two_level_aggregation: bool = True
-    # Sparse frontier-restricted message passing (the default): at each height
-    # only the frontier's children run through ``node_f`` and the aggregation
-    # is a gather + segment-sum over edge index arrays.  ``False`` selects the
-    # original dense formulation (full-width MLP passes and an O(N²) adjacency
-    # matmul per height), kept as the numerical-equivalence oracle.
-    sparse_message_passing: bool = True
 
 
 # Below this many node rows ``forward_data`` remembers nothing: a forward over
@@ -131,24 +125,17 @@ class GraphNeuralNetwork(Module):
 
     # ------------------------------------------------------------------ nodes
     def node_embeddings(self, graph: GraphFeatures) -> Tensor:
-        """Bottom-up message passing over all DAGs at once (Eq. 1 / Fig. 5a)."""
-        features = Tensor(graph.node_features)
-        embeddings = self.prep(features)
-        if graph.num_nodes == 0:
-            return embeddings
-        if self.config.sparse_message_passing:
-            return self._sparse_node_embeddings(graph, embeddings)
-        return self._dense_node_embeddings(graph, embeddings)
+        """Bottom-up message passing over all DAGs at once (Eq. 1 / Fig. 5a).
 
-    def _sparse_node_embeddings(self, graph: GraphFeatures, embeddings: Tensor) -> Tensor:
-        """Frontier-restricted propagation over the cached edge index arrays.
-
-        At height ``h`` only the unique children feeding the frontier run
-        through ``node_f``; per-edge messages are gathered from those rows and
-        segment-summed into the frontier, whose updates are scattered back
-        into the embedding matrix.  Numerically equivalent to the dense path
-        (same per-node sums, different floating-point summation order).
+        Frontier-restricted: at height ``h`` only the unique children feeding
+        the frontier run through ``node_f``; per-edge messages are gathered
+        from those rows and segment-summed into the frontier, whose updates
+        are scattered back into the embedding matrix.  The dense formulation
+        (full-width passes, an O(N²) adjacency matmul per height) is the
+        oracle :class:`repro.verify.oracles.DenseGraphNeuralNetwork`: same
+        per-node sums, another floating-point summation order.
         """
+        embeddings = self.prep(Tensor(graph.node_features))
         for level in graph.frontier_levels:
             if level.height > self.config.max_message_passing_depth:
                 break
@@ -163,24 +150,6 @@ class GraphNeuralNetwork(Module):
             else:
                 update = aggregated
             embeddings = scatter_add_rows(embeddings, level.target_rows, update)
-        return embeddings
-
-    def _dense_node_embeddings(self, graph: GraphFeatures, embeddings: Tensor) -> Tensor:
-        """Original dense formulation: full-width MLPs and adjacency matmuls."""
-        adjacency = Tensor(graph.adjacency)
-        max_height = int(graph.node_heights.max()) if graph.num_nodes else 0
-        max_height = min(max_height, self.config.max_message_passing_depth)
-        for height in range(1, max_height + 1):
-            mask = (graph.node_heights == height).astype(np.float64).reshape(-1, 1)
-            if not mask.any():
-                continue
-            messages = self.node_f(embeddings)
-            aggregated = adjacency @ messages
-            if self.config.two_level_aggregation:
-                update = self.node_g(aggregated)
-            else:
-                update = aggregated
-            embeddings = embeddings + update * Tensor(mask)
         return embeddings
 
     # -------------------------------------------------------------- summaries
@@ -227,7 +196,7 @@ class GraphNeuralNetwork(Module):
     def forward_data(
         self, graph: GraphFeatures
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Arena-buffered forward pass on plain arrays (sparse path only).
+        """Arena-buffered forward pass on plain arrays.
 
         Returns ``(node, job, global)`` embedding arrays owned by the network
         — valid until its next forward over the same
@@ -257,8 +226,6 @@ class GraphNeuralNetwork(Module):
         rows it has), and decides the same — ``incremental_vs_full_gnn``.
         """
         config = self.config
-        if not config.sparse_message_passing:
-            raise ValueError("forward_data implements the sparse path only")
         workspace = self.workspace
         features = graph.node_features
         num_features = features.shape[1]

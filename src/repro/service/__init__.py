@@ -18,8 +18,8 @@ agent + broker) behind a :class:`ShardRouter` front that hashes sessions to
 shards, applies admission control under overload, and exposes a control-plane
 endpoint (health / per-shard SLO stats / live reconfiguration).
 :class:`ServingFleet` wires the whole topology up with one call.  Router→shard
-dispatch stays bit-identical to single-server serial dispatch at fixed seeds
-(the ``sharded_vs_serial_service`` differential pair).
+dispatch stays bit-identical to one broker answering one request per policy
+pass at fixed seeds (the ``sharded_vs_serial_service`` differential pair).
 
 Layers (see ``docs/ARCHITECTURE.md``, "Serving layer"):
 

@@ -20,8 +20,8 @@ run.
 Batching is *never* a behaviour change: each session's decisions come out of
 its own row slice of the merged forward with its own rng stream, so a
 session's action sequence is identical whether its requests were answered
-alone, in any batch composition, or through the serial reference path
-(``batched=False``).
+alone, in any batch composition, or one request per policy pass — the oracle
+:class:`repro.verify.oracles.SerialRequestBroker`.
 """
 
 from __future__ import annotations
@@ -221,7 +221,6 @@ class RequestBroker:
     """Answer pending decision requests through one (batched) policy pass."""
 
     STATS = (
-        ("batched",),
         ("greedy",),
         ("policy_version", "policy_version", "gauge",
          "Monotonic id of the serving weights"),
@@ -247,14 +246,12 @@ class RequestBroker:
     def __init__(
         self,
         agent: DecimaAgent,
-        batched: bool = True,
         greedy: bool = True,
         breaker: Optional[CircuitBreaker] = None,
         decision_tap: Optional[Callable[[DecisionRequest, "DecisionResult"], None]] = None,
         policy_version: int = 1,
     ):
         self.agent = agent
-        self.batched = bool(batched)
         self.greedy = bool(greedy)
         self.breaker = breaker
         # Monotonic id of the weights currently answering decisions.  Swaps
@@ -391,7 +388,7 @@ class RequestBroker:
         span.set_tag("session_id", request.session.session_id)
         return span
 
-    def _policy_batched(
+    def _policy(
         self, requests: Sequence[DecisionRequest], record_to_breaker: bool
     ) -> list[DecisionResult]:
         spans = [self._broker_span(request, "broker.decide") for request in requests]
@@ -454,44 +451,42 @@ class RequestBroker:
                 active.append(index)
             else:
                 results[index] = DecisionResult(None, "noop", 0.0)
-        if not active:
-            return self._finish(requests, results)
-
-        # A policy pass *forced* by a session having no fallback (while the
-        # breaker said no) must NOT feed the breaker: while open it would be
-        # mistaken for the half-open trial, closing the breaker early or
-        # endlessly resetting the cooldown for everyone else.  Hence the
-        # breaker is only recorded when it actually sanctioned the pass.
-        if self.batched:
-            # One breaker consultation for the round's single shared forward.
-            # Sessions without a fallback stay on the policy path even while
-            # the breaker is open (exactly as in serial mode), so a mixed
-            # batch splits into one policy sub-batch plus fallback answers.
-            breaker_allows = self.breaker is None or self.breaker.allow_policy()
-            policy_group = [
-                i
-                for i in active
-                if requests[i].session.fallback is None or breaker_allows
-            ]
-            if policy_group:
-                chosen = [requests[i] for i in policy_group]
-                answers = self._policy_batched(chosen, record_to_breaker=breaker_allows)
-                for index, result in zip(policy_group, answers):
-                    results[index] = result
-            for index in active:
-                if results[index] is None:
-                    results[index] = self._fallback(requests[index])
-        else:
-            for index in active:
-                request = requests[index]
-                allows = self.breaker is None or self.breaker.allow_policy()
-                if request.session.fallback is None or allows:
-                    results[index] = self._policy_batched(
-                        [request], record_to_breaker=allows
-                    )[0]
-                else:
-                    results[index] = self._fallback(request)
+        if active:
+            self._answer(requests, active, results)
         return self._finish(requests, results)
+
+    def _answer(
+        self,
+        requests: Sequence[DecisionRequest],
+        active: Sequence[int],
+        results: list,
+    ) -> None:
+        """Fill ``results[i]`` for every request index in ``active``.
+
+        One breaker consultation for the round's single shared forward.
+        Sessions without a fallback stay on the policy path even while the
+        breaker is open, so a mixed batch splits into one policy sub-batch
+        plus fallback answers.  A policy pass *forced* by a session having no
+        fallback (while the breaker said no) must NOT feed the breaker: while
+        open it would be mistaken for the half-open trial, closing the
+        breaker early or endlessly resetting the cooldown for everyone else.
+        Hence the breaker is only recorded when it actually sanctioned the
+        pass.
+        """
+        breaker_allows = self.breaker is None or self.breaker.allow_policy()
+        policy_group = [
+            i
+            for i in active
+            if requests[i].session.fallback is None or breaker_allows
+        ]
+        if policy_group:
+            chosen = [requests[i] for i in policy_group]
+            answers = self._policy(chosen, record_to_breaker=breaker_allows)
+            for index, result in zip(policy_group, answers):
+                results[index] = result
+        for index in active:
+            if results[index] is None:
+                results[index] = self._fallback(requests[index])
 
     def _finish(
         self,

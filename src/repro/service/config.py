@@ -41,7 +41,6 @@ class ServingConfig:
     slo_ms: Optional[float] = None
     breach_threshold: int = 3
     cooldown_decisions: int = 20
-    batched: bool = True
     greedy: bool = True
     max_batch_size: int = 64
     batch_window_ms: float = 2.0
@@ -66,7 +65,6 @@ class ServingConfig:
             "slo_ms": self.slo_ms,
             "breach_threshold": self.breach_threshold,
             "cooldown_decisions": self.cooldown_decisions,
-            "batched": self.batched,
             "greedy": self.greedy,
             "max_batch_size": self.max_batch_size,
             "batch_window_ms": self.batch_window_ms,

@@ -81,7 +81,6 @@ class PolicyServer:
         slo_ms: Optional[float] = None,
         breach_threshold: int = 3,
         cooldown_decisions: int = 20,
-        batched: bool = True,
         greedy: bool = True,
         max_batch_size: int = 64,
         batch_window_ms: float = 2.0,
@@ -106,7 +105,7 @@ class PolicyServer:
                 breach_threshold=breach_threshold,
                 cooldown_decisions=cooldown_decisions,
             )
-        self.broker = RequestBroker(agent, batched=batched, greedy=greedy, breaker=breaker)
+        self.broker = RequestBroker(agent, greedy=greedy, breaker=breaker)
         self.sessions: dict[str, SessionState] = {}
         self._sessions_lock = threading.Lock()
         self._session_counter = 0
@@ -398,7 +397,6 @@ class PolicyServer:
             "scheduler": self.agent.name,
             "total_executors": self.agent.total_executors,
             "fallback": fallback_name,
-            "batched": self.broker.batched,
             "greedy": self.broker.greedy,
             "protocol": PROTOCOL_VERSION,
             "policy_version": self.broker.policy_version,

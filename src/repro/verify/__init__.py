@@ -11,7 +11,10 @@ The regression backstop every perf PR runs against:
 * :mod:`repro.verify.differential` — one harness running the same seeded
   scenario through implementation variants (sparse/dense GNN, cached/scratch
   features, serial/parallel rollout, batched/serial serving, any registered
-  scheduler) and asserting identical decision streams.
+  scheduler) and asserting identical decision streams;
+* :mod:`repro.verify.oracles` — the reference side of each pair (dense GNN,
+  from-scratch features, per-request dispatch, ...), which no product
+  setting selects.
 
 Golden traces for every registry scenario live in ``tests/golden/`` and are
 regenerated with ``examples/record_golden_traces.py``; see ``docs/TESTING.md``.

@@ -1,7 +1,8 @@
 """Differential oracle runner: one harness for every fast/oracle pair.
 
 The repo ships several "fast path vs reference path" implementation pairs,
-each of which must be *behaviourally identical* at fixed seeds:
+each of which must be *behaviourally identical* at fixed seeds (the reference
+sides live in :mod:`repro.verify.oracles`):
 
 * sparse frontier message passing vs the dense O(N²) GNN oracle;
 * the data path re-embedding only the jobs whose features changed vs the
@@ -37,7 +38,16 @@ from ..core.parallel import EpisodeSpec, RolloutWorkerPool
 from ..core.parallel import run_episode as run_rollout_episode
 from ..experiments.scenarios import ScenarioSpec, get_scenario
 from ..schedulers import scheduler_names
+from ..service.batcher import RequestBroker
 from ..simulator.environment import SchedulingEnvironment
+from .oracles import (
+    DenseGNNAgent,
+    ForgetfulAgent,
+    ReferenceAgent,
+    ScratchFeaturesAgent,
+    SerialRequestBroker,
+    TensorForwardAgent,
+)
 from .recorder import RecorderConfig, TraceRecorder, scenario_workload_rng
 from .replay import DEFAULT_COMPARE_FIELDS, DivergenceReport, first_divergence
 from .trace import DecisionRecord, EpisodeTrace, TraceHeader, observation_fingerprint
@@ -124,48 +134,12 @@ def resolve_variant(name: str) -> VariantFn:
 
 
 # ------------------------------------------------------------- variant builders
-def _build_decima(
-    config,
-    sparse: bool,
-    cache: bool,
-    multi: Optional[bool] = None,
-    agent_class: type = DecimaAgent,
-) -> DecimaAgent:
-    classes = config.executor_classes or []
-    if multi is None:
-        multi = len({cls for cls, _ in classes}) > 1
+def _build_decima(config, agent_class: type = DecimaAgent) -> DecimaAgent:
+    multi = len({cls for cls, _ in config.executor_classes or []}) > 1
     return agent_class(
         total_executors=config.num_executors,
-        config=DecimaConfig(
-            seed=0,
-            sparse_message_passing=sparse,
-            use_graph_cache=cache,
-            multi_resource=multi,
-        ),
+        config=DecimaConfig(seed=0, multi_resource=multi),
     )
-
-
-class _TrainingForwardAgent(DecimaAgent):
-    """Schedules through ``act(training=True)``: the forward REINFORCE trains
-    on (autograd ops, fresh arrays) is the oracle of the inference data path."""
-
-    def schedule(self, observation):
-        action, _ = self.act(
-            observation,
-            rng=self._eval_rng,
-            greedy=self.config.greedy_evaluation,
-            training=True,
-        )
-        return action
-
-
-class _ForgetfulAgent(DecimaAgent):
-    """Drops what the network's data path remembers before every decision, so
-    each one is the whole forward: the definition embedding reuse answers to."""
-
-    def schedule(self, observation):
-        self.gnn.forget_embeddings()
-        return super().schedule(observation)
 
 
 def _record(task: DifferentialTask, scheduler, label: str) -> EpisodeTrace:
@@ -198,27 +172,17 @@ def _scheduler_stream(task: DifferentialTask, scheduler_name: str) -> EpisodeTra
     )
 
 
-def _decima_stream(
-    task: DifferentialTask,
-    sparse: bool,
-    cache: bool,
-    label: str,
-    agent_class: type = DecimaAgent,
-):
+def _decima_stream(task: DifferentialTask, label: str, agent_class: type = DecimaAgent):
     spec = task.resolve_spec()
     simulator_config = spec.build_config(seed=task.seed)
-    return _record(
-        task,
-        _build_decima(simulator_config, sparse, cache, agent_class=agent_class),
-        label,
-    )
+    return _record(task, _build_decima(simulator_config, agent_class), label)
 
 
 # --------------------------------------------------- rollout-backend variants
 def _rollout_setup(task: DifferentialTask):
     spec = task.resolve_spec()
     simulator_config = spec.build_config(seed=task.seed)
-    agent = _build_decima(simulator_config, sparse=True, cache=True)
+    agent = _build_decima(simulator_config)
     episode = EpisodeSpec(
         jobs=task.build_jobs(spec),
         episode_time=task.episode_time,
@@ -304,7 +268,11 @@ def _rollout_parallel(task: DifferentialTask) -> EpisodeTrace:
 
 # ---------------------------------------------------------- service variants
 def _service_stream(
-    task: DifferentialTask, batched: bool, num_shards: int = 1, online: bool = False
+    task: DifferentialTask,
+    label: str,
+    broker_class: type = RequestBroker,
+    num_shards: int = 1,
+    online: bool = False,
 ) -> EpisodeTrace:
     """Drive ``num_sessions`` concurrent clusters through request broker(s).
 
@@ -315,7 +283,8 @@ def _service_stream(
     :func:`~repro.service.router.shard_for_session` hash and each shard
     answers its own sub-batch with its own (identically parameterised) agent
     and broker.  The produced stream (session, job, node, limit) must be
-    identical for ``batched=True``, ``batched=False`` and any shard count,
+    identical for :class:`RequestBroker`, the one-request-per-pass
+    :class:`~repro.verify.oracles.SerialRequestBroker` and any shard count,
     because a session's decisions depend only on its own rng stream, graph
     cache and observations.
 
@@ -329,7 +298,6 @@ def _service_stream(
     """
     from ..service import (
         DecisionRequest,
-        RequestBroker,
         SessionState,
         encode_observation,
         shard_for_session,
@@ -338,12 +306,6 @@ def _service_stream(
 
     spec = task.resolve_spec()
     simulator_config = spec.build_config(seed=task.seed)
-    if online:
-        label = "service:online"
-    elif num_shards > 1:
-        label = f"service:sharded[{num_shards}]"
-    else:
-        label = "service:batched" if batched else "service:serial"
     header = TraceHeader(
         scenario=spec.name,
         scheduler=label,
@@ -376,9 +338,8 @@ def _service_stream(
     # parameters (DecimaConfig(seed=0) init is deterministic), exactly as the
     # fleet rebuilds one agent per shard process from the same spec + state.
     brokers = [
-        RequestBroker(
-            _build_decima(simulator_config, sparse=True, cache=True),
-            batched=batched,
+        broker_class(
+            _build_decima(simulator_config),
             greedy=False,
             decision_tap=tap,
         )
@@ -496,23 +457,23 @@ def _service_stream(
     return trace
 
 
-register_variant("decima:default", lambda task: _decima_stream(task, True, True, "decima:default"))
-register_variant("decima:dense_gnn", lambda task: _decima_stream(task, False, True, "decima:dense_gnn"))
-register_variant("decima:scratch_features", lambda task: _decima_stream(task, True, False, "decima:scratch_features"))
-register_variant("decima:reference", lambda task: _decima_stream(task, False, False, "decima:reference"))
+register_variant("decima:default", lambda task: _decima_stream(task, "decima:default"))
+register_variant("decima:dense_gnn", lambda task: _decima_stream(task, "decima:dense_gnn", DenseGNNAgent))
+register_variant("decima:scratch_features", lambda task: _decima_stream(task, "decima:scratch_features", ScratchFeaturesAgent))
+register_variant("decima:reference", lambda task: _decima_stream(task, "decima:reference", ReferenceAgent))
 # The inference data path's oracle: every decision through the training forward.
-register_variant("decima:tensor_forward", lambda task: _decima_stream(task, True, True, "decima:tensor_forward", agent_class=_TrainingForwardAgent))
+register_variant("decima:tensor_forward", lambda task: _decima_stream(task, "decima:tensor_forward", TensorForwardAgent))
 # Embedding reuse's oracle: the same data path, remembering nothing.
-register_variant("decima:full_gnn", lambda task: _decima_stream(task, True, True, "decima:full_gnn", agent_class=_ForgetfulAgent))
+register_variant("decima:full_gnn", lambda task: _decima_stream(task, "decima:full_gnn", ForgetfulAgent))
 register_variant("rollout:serial", _rollout_serial)
 register_variant("rollout:parallel", _rollout_parallel)
-register_variant("service:batched", lambda task: _service_stream(task, True))
-register_variant("service:serial", lambda task: _service_stream(task, False))
-register_variant("service:sharded", lambda task: _service_stream(task, True, num_shards=2))
+register_variant("service:batched", lambda task: _service_stream(task, "service:batched"))
+register_variant("service:serial", lambda task: _service_stream(task, "service:serial", SerialRequestBroker))
+register_variant("service:sharded", lambda task: _service_stream(task, "service:sharded[2]", num_shards=2))
 # The full online-learning loop (collect → replay → lr=0 update → checkpoint
 # → hot-swap) running against the broker mid-stream; must not perturb any
 # decision relative to frozen serving.
-register_variant("service:online", lambda task: _service_stream(task, True, online=True))
+register_variant("service:online", lambda task: _service_stream(task, "service:online", online=True))
 
 # The named fast/oracle pairs the repo guarantees, each with the decision
 # fields that define "the same decision" for that pair (worker outcomes carry

@@ -38,21 +38,12 @@ def make_tpch_env(
     return env, env.reset(jobs)
 
 
-def make_decima_agent(
-    total_executors=8, seed=0, sparse=True, use_graph_cache=None, **overrides
-):
-    """A fixed-seed Decima agent; ``use_graph_cache`` follows ``sparse`` by
-    default (the fast path pairs both switches, the oracle disables both)."""
-    if use_graph_cache is None:
-        use_graph_cache = sparse
-    return DecimaAgent(
+def make_decima_agent(total_executors=8, seed=0, agent_class=DecimaAgent, **overrides):
+    """A fixed-seed Decima agent; ``agent_class`` may be one of the
+    :mod:`repro.verify.oracles` agents, which share its weights."""
+    return agent_class(
         total_executors=total_executors,
-        config=DecimaConfig(
-            seed=seed,
-            sparse_message_passing=sparse,
-            use_graph_cache=use_graph_cache,
-            **overrides,
-        ),
+        config=DecimaConfig(seed=seed, **overrides),
     )
 
 

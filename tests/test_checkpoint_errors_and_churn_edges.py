@@ -74,6 +74,21 @@ class TestCheckpointErrorPaths:
         (tmp_path / "latest.json").write_text(json.dumps(pointer))
         assert parameter_fingerprint(store.load()) == parameter_fingerprint(agent)
 
+    def test_load_ignores_the_removed_oracle_switches(self, tmp_path):
+        """Checkpoints written while ``DecimaConfig`` still had the dense-GNN
+        and from-scratch-feature switches load as the one agent there is."""
+        agent = self.agent()
+        info = CheckpointStore(tmp_path).save(agent)
+        with np.load(info.path, allow_pickle=False) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        meta = json.loads(str(entries["__meta__"]))
+        meta["config"].update(sparse_message_passing=False, use_graph_cache=False)
+        entries["__meta__"] = json.dumps(meta)
+        np.savez(info.path, **entries)
+        loaded = CheckpointStore(tmp_path).load()
+        assert loaded.config == agent.config
+        assert parameter_fingerprint(loaded) == info.fingerprint
+
     def test_load_rejects_weights_changed_under_recorded_fingerprint(self, tmp_path):
         """The archive vouches for itself too: weights edited in place under
         the metadata written at save time are refused, pointer or no pointer."""

@@ -10,9 +10,9 @@ from repro.core import (
     GraphStructure,
     PolicyConfig,
     PolicyNetwork,
-    build_graph_features,
 )
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
+from repro.verify.oracles import build_graph_features, dense_adjacency
 from repro.workloads import batched_arrivals, fork_join_job, make_tpch_job, sample_tpch_jobs
 
 
@@ -30,7 +30,7 @@ class TestFeatureExtraction:
         total_nodes = sum(job.num_nodes for job in observation.job_dags)
         assert graph.num_nodes == total_nodes
         assert graph.node_features.shape == (total_nodes, 5)
-        assert graph.adjacency.shape == (total_nodes, total_nodes)
+        assert dense_adjacency(graph).shape == (total_nodes, total_nodes)
         assert graph.job_ids.shape == (total_nodes,)
         assert graph.num_jobs == len(observation.job_dags)
 
@@ -44,10 +44,11 @@ class TestFeatureExtraction:
     def test_adjacency_points_parent_to_child(self):
         _, observation = live_observation(num_jobs=1)
         graph = build_graph_features(observation)
+        adjacency = dense_adjacency(graph)
         for node in graph.nodes:
             row = graph.row_of(node)
             for child in node.children:
-                assert graph.adjacency[row, graph.row_of(child)] == 1.0
+                assert adjacency[row, graph.row_of(child)] == 1.0
 
     def test_heights_are_zero_for_leaves_and_increase_upstream(self):
         job = fork_join_job(2, tasks_per_branch=2)
@@ -114,15 +115,14 @@ class TestGraphStructure:
             # means it has children by definition of the longest-path height).
             assert set(level.target_segments.tolist()) == set(range(level.num_targets))
 
-    def test_adjacency_is_lazy_and_cached(self):
-        rng = np.random.default_rng(7)
-        structure = GraphStructure(sample_tpch_jobs(2, rng, sizes=(2.0, 5.0)))
-        assert structure._adjacency is None
-        first = structure.adjacency
-        assert structure.adjacency is first
+    def test_dense_adjacency_has_one_entry_per_edge(self):
+        _, observation = live_observation(num_jobs=2)
+        graph = build_graph_features(observation)
+        structure = graph.structure
+        adjacency = dense_adjacency(graph)
         for parent, child in zip(structure.edge_parent_rows, structure.edge_child_rows):
-            assert first[parent, child] == 1.0
-        assert first.sum() == len(structure.edge_parent_rows)
+            assert adjacency[parent, child] == 1.0
+        assert adjacency.sum() == len(structure.edge_parent_rows)
 
 
 class TestGraphNeuralNetwork:

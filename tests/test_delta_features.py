@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 from _helpers import make_decima_agent, make_tpch_env
 from repro.autograd import Tensor
-from repro.core.features import FeatureConfig, GraphCache, build_graph_features
+from repro.core.features import FeatureConfig, GraphCache
 from repro.core.kernels import Workspace, gather_segment_sum, leaky_relu_inplace, mlp_forward
 from repro.core.nn import MLP
 from repro.service.session import SessionState
 from repro.simulator.environment import Action
 from repro.simulator.jobdag import JobDAG, Node
+from repro.verify.oracles import build_graph_features
 
 
 def _chain_job(num_nodes=3, num_tasks=4, duration=10.0):

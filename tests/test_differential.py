@@ -1,9 +1,8 @@
 """Differential-runner tests: one harness for every fast/oracle pair.
 
-This module is where the repo's equivalence guarantees now live — the
-bespoke sparse-vs-dense and batched-vs-serial suites were ported here (one
-harness-independent canary per pair stays behind in
-``test_sparse_gnn_equivalence.py`` / ``test_service.py``).
+This module is where the repo's equivalence guarantees live: every fast path
+against its oracle in :mod:`repro.verify.oracles`, and a check per oracle that
+it really computes another way.
 """
 
 import pytest
@@ -110,6 +109,67 @@ class TestImplementationPairs:
         report = run_pair("inference_kernels_vs_tensor", task)
         assert report.ok, report.describe()
         assert min(report.num_decisions) > 5
+
+    def test_dense_oracles_never_run_frontier_propagation(self, monkeypatch):
+        """``decima:dense_gnn`` and ``decima:reference`` propagate through
+        the dense network only; ``decima:default`` never does."""
+        from repro.core.gnn import GraphNeuralNetwork
+        from repro.verify.oracles import DenseGraphNeuralNetwork
+
+        def forbidden(self, graph):
+            raise AssertionError("frontier propagation entered")
+
+        dense_calls = []
+        dense = DenseGraphNeuralNetwork.node_embeddings
+
+        def counted(self, graph):
+            dense_calls.append(graph.num_nodes)
+            return dense(self, graph)
+
+        monkeypatch.setattr(GraphNeuralNetwork, "node_embeddings", forbidden)
+        monkeypatch.setattr(GraphNeuralNetwork, "forward_data", forbidden)
+        monkeypatch.setattr(DenseGraphNeuralNetwork, "node_embeddings", counted)
+        task = DifferentialTask(scenario="tpch_batched", seed=7, **SMALL)
+        for oracle in ("decima:dense_gnn", "decima:reference"):
+            del dense_calls[:]
+            decisions = len(resolve_variant(oracle)(task).decisions)
+            assert decisions > 5
+            assert len(dense_calls) == decisions
+        with pytest.raises(AssertionError, match="frontier propagation entered"):
+            resolve_variant("decima:default")(task)
+
+    def test_scratch_oracles_never_ask_a_graph_cache(self, monkeypatch):
+        from repro.core.features import GraphCache
+
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("graph cache asked")
+
+        monkeypatch.setattr(GraphCache, "features", forbidden)
+        task = DifferentialTask(scenario="tpch_poisson", seed=3, **SMALL)
+        for oracle in ("decima:scratch_features", "decima:reference"):
+            assert len(resolve_variant(oracle)(task).decisions) > 5
+        with pytest.raises(AssertionError, match="graph cache asked"):
+            resolve_variant("decima:default")(task)
+
+    def test_serial_service_oracle_decides_one_session_per_forward(self, monkeypatch):
+        """``service:serial`` never merges sessions; ``service:batched``
+        does, so the pair is not one dispatch compared with itself."""
+        from repro.core.agent import DecimaAgent
+
+        batch_sizes = []
+        act_batch = DecimaAgent.act_batch
+
+        def counted(self, observations, *args, **kwargs):
+            batch_sizes.append(len(observations))
+            return act_batch(self, observations, *args, **kwargs)
+
+        monkeypatch.setattr(DecimaAgent, "act_batch", counted)
+        task = DifferentialTask(scenario="tpch_batched", seed=0, num_sessions=3, **SMALL)
+        resolve_variant("service:serial")(task)
+        assert batch_sizes and set(batch_sizes) == {1}
+        del batch_sizes[:]
+        resolve_variant("service:batched")(task)
+        assert max(batch_sizes) == 3
 
     def test_the_pair_compares_two_different_forwards(self, monkeypatch):
         """``decima:tensor_forward`` never enters the data path and
@@ -226,7 +286,7 @@ class TestInjectedMismatch:
         def ablated(task):
             spec = task.resolve_spec()
             config = spec.build_config(seed=task.seed)
-            agent = _build_decima(config, sparse=True, cache=True)
+            agent = _build_decima(config)
             agent.config.use_parallelism_control = False
             return _record(task, agent, "decima:ablated")
 

@@ -34,6 +34,7 @@ from repro.core.features import (
 from repro.core.gnn import GraphNeuralNetwork
 from repro.core.nn import Adam
 from repro.simulator.environment import Action
+from repro.verify.oracles import ScratchFeaturesAgent
 
 TOL = 1e-10
 
@@ -75,7 +76,8 @@ def hinted_agents(num_executors):
     return (
         make_decima_agent(total_executors=num_executors, feature=feature),
         make_decima_agent(
-            total_executors=num_executors, use_graph_cache=False, feature=feature
+            total_executors=num_executors, agent_class=ScratchFeaturesAgent,
+            feature=feature,
         ),
     )
 

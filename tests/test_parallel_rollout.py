@@ -68,6 +68,14 @@ class TestAgentSpec:
         agent.config.embedding_dim = 999
         assert spec.config.embedding_dim != 999
 
+    def test_an_oracle_agent_cannot_cross_a_process_boundary(self):
+        """A worker would rebuild a plain DecimaAgent, so a pair run that way
+        would compare the fast path with itself."""
+        from repro.verify.oracles import DenseGNNAgent
+
+        with pytest.raises(TypeError, match="DenseGNNAgent"):
+            agent_spec(DenseGNNAgent(total_executors=4, config=DecimaConfig(seed=0)))
+
 
 class TestSerialBackend:
     def test_default_backend_is_serial(self):

@@ -2,17 +2,20 @@
 
 The load-bearing guarantees:
 
-* cross-session batched inference is *decision-identical* to per-session
-  serial inference at fixed seeds (any batch composition, sampled or greedy);
+* cross-session batched inference is *decision-identical* to one policy
+  pass per request (the oracle
+  :class:`repro.verify.oracles.SerialRequestBroker`) at fixed seeds, sampled
+  or greedy, and a session's decisions do not depend on which sessions share
+  its batches;
 * the SLO circuit-breaker keeps sessions deciding (via the registered
   fallback heuristic) when the policy path is slow, dropping nothing;
 * a checkpoint round-trips through the service: actions served from a saved
   + re-loaded agent match in-process ``agent.act`` on the same cluster.
 
-The broad batched-vs-serial equivalence coverage moved to the differential
-runner (``tests/test_differential.py``, pair ``batched_vs_serial_service``);
-``TestBatchedSerialEquivalence`` below stays as the harness-independent
-canary for that pair.
+The broad batched-vs-serial coverage is the differential pair
+``batched_vs_serial_service`` (``tests/test_differential.py``), which samples;
+``TestBatchedSerialEquivalence`` below also covers greedy dispatch, the
+serving default.
 """
 
 import threading
@@ -30,7 +33,6 @@ from repro.core import (
     GraphBatch,
     GraphCache,
     MergedStructureCache,
-    build_graph_features,
     merge_structures,
     parameter_fingerprint,
 )
@@ -62,6 +64,7 @@ from repro.simulator import (
 )
 from repro.simulator.multi_resource import assign_memory_requests
 from repro.simulator.environment import Action
+from repro.verify.oracles import SerialRequestBroker, build_graph_features
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
 # --------------------------------------------------------------------- helpers
@@ -217,9 +220,13 @@ class TestGraphMerging:
         assert cache.num_rebuilds == 2
 
 
-# -------------------------------------------------- batched/serial equivalence
-def drive_sessions(batched: bool, num_sessions: int = 4, max_rounds: int = 60,
-                   greedy: bool = False):
+# ------------------------------------------------------------ batch invariance
+def drive_sessions(
+    num_sessions: int = 4,
+    max_rounds: int = 60,
+    greedy: bool = False,
+    broker_class: type = RequestBroker,
+):
     """Drive ``num_sessions`` concurrent simulated clusters through a broker.
 
     Observations travel through the real wire encoding and shadow-DAG
@@ -227,7 +234,7 @@ def drive_sessions(batched: bool, num_sessions: int = 4, max_rounds: int = 60,
     Returns the per-session decision traces.
     """
     agent = DecimaAgent(total_executors=8, config=DecimaConfig(seed=0))
-    broker = RequestBroker(agent, batched=batched, greedy=greedy)
+    broker = broker_class(agent, greedy=greedy)
     environments, observations, sessions = [], [], []
     for index in range(num_sessions):
         env, observation = make_env(
@@ -287,18 +294,18 @@ def drive_sessions(batched: bool, num_sessions: int = 4, max_rounds: int = 60,
 class TestBatchedSerialEquivalence:
     @pytest.mark.parametrize("greedy", [False, True])
     def test_batched_decisions_identical_to_serial(self, greedy):
-        """Acceptance: cross-session batching is bit-identical to per-session
-        serial dispatch at fixed seeds (sampled and greedy)."""
-        serial = drive_sessions(batched=False, greedy=greedy)
-        batched = drive_sessions(batched=True, greedy=greedy)
+        """Cross-session batching is bit-identical to one policy pass per
+        request at fixed seeds, sampled and greedy."""
+        serial = drive_sessions(greedy=greedy, broker_class=SerialRequestBroker)
+        batched = drive_sessions(greedy=greedy)
         assert serial == batched
         assert all(len(trace) > 5 for trace in serial)
         assert all(source == "policy" for trace in serial for (_, _, _, source) in trace)
 
     def test_batch_composition_does_not_change_a_session(self):
         """A session's stream is invariant to *which* sessions share its batches."""
-        alone = drive_sessions(batched=True, num_sessions=1)
-        crowd = drive_sessions(batched=True, num_sessions=4)
+        alone = drive_sessions(num_sessions=1)
+        crowd = drive_sessions(num_sessions=4)
         assert crowd[0] == alone[0]
 
     @pytest.mark.parametrize("workload", ["tpch", "multi_resource"])
@@ -550,7 +557,7 @@ class TestSLOFallback:
         monkeypatch.setattr(DecimaAgent, "act_batch", slowed)
         breaker = CircuitBreaker(slo_seconds=0.005, breach_threshold=2,
                                  cooldown_decisions=4)
-        broker = RequestBroker(agent, batched=True, greedy=True, breaker=breaker)
+        broker = RequestBroker(agent, greedy=True, breaker=breaker)
         env, observation = make_env(num_jobs=3, seed=0)
         session = SessionState(
             "slo", num_executors=8,
@@ -596,7 +603,7 @@ class TestSLOFallback:
         breaker = CircuitBreaker(slo_seconds=60.0, breach_threshold=1,
                                  cooldown_decisions=10)
         breaker.record_policy(120.0)  # force open
-        broker = RequestBroker(agent, batched=True, greedy=True, breaker=breaker)
+        broker = RequestBroker(agent, greedy=True, breaker=breaker)
         with_fallback = SessionState(
             "wf", num_executors=8,
             fallback=make_scheduler("fifo", SimulatorConfig(num_executors=8)),
@@ -629,7 +636,7 @@ class TestSLOFallback:
         agent = DecimaAgent(total_executors=8, config=DecimaConfig(seed=0))
         breaker = CircuitBreaker(slo_seconds=60.0, breach_threshold=1,
                                  cooldown_decisions=1)
-        broker = RequestBroker(agent, batched=True, greedy=True, breaker=breaker)
+        broker = RequestBroker(agent, greedy=True, breaker=breaker)
         breaker.record_policy(120.0)  # simulate a past breach
         assert breaker.state == "open"
         env, observation = make_env(num_jobs=2, seed=3)

@@ -10,15 +10,15 @@ tests pin that down at three levels:
 * a :class:`GraphCache` driven through a live episode (arrivals, completions)
   always matches a from-scratch ``build_graph_features`` while rebuilding
   its structure only when the live-job set changes;
-* fixed-seed rollouts and training produce identical actions and identical
-  (rounded) parameter-hash fingerprints under both paths and both rollout
-  backends.
+* fixed-seed sampled rollouts and training produce identical actions and
+  identical (rounded) parameter-hash fingerprints through either network.
 
-The broad sparse-vs-dense / cached-vs-scratch episode coverage moved to the
-differential runner (``tests/test_differential.py``, pairs
+The dense network and the from-scratch builder are oracles
+(:mod:`repro.verify.oracles`), not settings.  Greedy episode coverage is the
+differential runner's (``tests/test_differential.py``, pairs
 ``sparse_vs_dense_gnn`` and ``cached_vs_scratch_features``);
-``TestEndToEndEquivalence`` below keeps the harness-independent canaries
-(sampled-rollout action identity and training-fingerprint parity).
+``TestEndToEndEquivalence`` below covers what those pairs do not: sampled
+rollouts and the training update through the dense network.
 """
 
 import copy
@@ -35,11 +35,9 @@ from repro.core import (
     GNNConfig,
     GraphCache,
     GraphNeuralNetwork,
-    ParallelRolloutBackend,
     ReinforceTrainer,
     SerialRolloutBackend,
     TrainingConfig,
-    build_graph_features,
     parameter_fingerprint,
 )
 from repro.core.features import GraphStructure
@@ -47,10 +45,11 @@ from repro.core.rollout import collect_rollout
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
 from repro.simulator.environment import Action, Observation
 from repro.simulator.jobdag import JobDAG, Node
+from repro.verify.oracles import DenseGraphNeuralNetwork, ReferenceAgent, build_graph_features
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
-# End-to-end equivalence (episodes under both backends, training-fingerprint
-# parity) dominates the suite's runtime; tier-1 CI deselects it (-m "not
+# End-to-end equivalence (sampled episodes, training-fingerprint parity)
+# dominates the suite's runtime; tier-1 CI deselects it (-m "not
 # slow") and the full-suite job on main pushes runs it.
 pytestmark = pytest.mark.slow
 
@@ -70,12 +69,8 @@ def disconnected_observation():
 
 
 def paired_gnns(seed=0, **overrides):
-    sparse = GraphNeuralNetwork(
-        GNNConfig(sparse_message_passing=True, **overrides), np.random.default_rng(seed)
-    )
-    dense = GraphNeuralNetwork(
-        GNNConfig(sparse_message_passing=False, **overrides), np.random.default_rng(seed)
-    )
+    sparse = GraphNeuralNetwork(GNNConfig(**overrides), np.random.default_rng(seed))
+    dense = DenseGraphNeuralNetwork(GNNConfig(**overrides), np.random.default_rng(seed))
     return sparse, dense
 
 
@@ -161,7 +156,7 @@ def assert_same_structure(structure, fresh):
     assert structure.num_graphs == fresh.num_graphs
     for name in (
         "job_ids", "job_node_offsets", "edge_parent_rows", "edge_child_rows", "num_tasks",
-        "task_durations", "node_heights", "job_graph_ids", "adjacency",
+        "task_durations", "node_heights", "job_graph_ids",
     ):
         lhs, rhs = getattr(structure, name), getattr(fresh, name)
         np.testing.assert_array_equal(lhs, rhs, err_msg=name)
@@ -340,9 +335,10 @@ class TestGraphCacheProperty:
         assert cache.num_rebuilds == 2
 
 
-def make_agent(sparse: bool, executors: int = 8, **overrides) -> DecimaAgent:
+def make_agent(sparse: bool, executors: int = 8) -> DecimaAgent:
     return make_decima_agent(
-        total_executors=executors, seed=0, sparse=sparse, **overrides
+        total_executors=executors,
+        agent_class=DecimaAgent if sparse else ReferenceAgent,
     )
 
 
@@ -438,14 +434,13 @@ class TestEndToEndEquivalence:
         return parameter_fingerprint(agent)
 
     def test_training_fingerprints_match_serial_backend(self):
+        """Rollouts and replayed gradients through the dense network (on
+        from-scratch features) land on the weights the fast path trains to.  In-process only: a rollout
+        worker rebuilds a plain agent from the spec, so no oracle crosses
+        the process boundary."""
         assert self.train_fingerprint(True, SerialRolloutBackend) == \
             self.train_fingerprint(False, SerialRolloutBackend)
 
-    def test_training_fingerprints_match_parallel_backend(self):
-        factory = lambda: ParallelRolloutBackend(num_workers=2)  # noqa: E731
-        assert self.train_fingerprint(True, factory) == \
-            self.train_fingerprint(False, factory)
-
-    # Greedy sparse-vs-dense evaluation equivalence is now covered (more
-    # thoroughly, decision by decision) by the differential runner:
+    # Greedy sparse-vs-dense evaluation equivalence is covered decision by
+    # decision by the differential runner:
     # tests/test_differential.py::TestImplementationPairs.
