@@ -38,7 +38,6 @@ from .reinforce import (
     ReinforceTrainer,
     TrainingConfig,
     TrainingHistory,
-    evaluate_agent,
     time_aligned_baselines,
 )
 from .rollout import Trajectory, Transition, collect_rollout
@@ -91,7 +90,6 @@ __all__ = [
     "ReinforceTrainer",
     "TrainingConfig",
     "TrainingHistory",
-    "evaluate_agent",
     "time_aligned_baselines",
     "Trajectory",
     "Transition",

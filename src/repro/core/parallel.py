@@ -63,7 +63,7 @@ __all__ = [
     "PipeWorkerPool",
     "RolloutWorkerPool",
     "single_threaded_blas",
-    "run_episode",
+    "episode_environment",
     "accumulate_episode_gradients",
     "outcome_from_trajectory",
 ]
@@ -132,29 +132,11 @@ def outcome_from_trajectory(trajectory: Trajectory) -> EpisodeOutcome:
 
 
 # ------------------------------------------------------------- episode running
-def run_episode(
-    agent: DecimaAgent,
-    simulator_config: SimulatorConfig,
-    spec: EpisodeSpec,
-    step_hook: Optional[Callable] = None,
-) -> Trajectory:
-    """Collect one episode described by ``spec`` (used by workers and tests).
-
-    ``step_hook`` passes through to :func:`~repro.core.rollout.collect_rollout`
-    — the verification harness's instrumentation seam.
-    """
-    environment = SchedulingEnvironment(
-        replace(simulator_config, max_time=spec.episode_time)
-    )
-    return collect_rollout(
-        environment,
-        agent,
-        spec.jobs,
-        rng=np.random.default_rng(spec.action_seed),
-        seed=spec.env_seed,
-        max_actions=spec.max_actions,
-        step_hook=step_hook,
-    )
+def episode_environment(
+    simulator_config: SimulatorConfig, episode_time: float
+) -> SchedulingEnvironment:
+    """A training episode's simulator: the cluster cut off at ``episode_time``."""
+    return SchedulingEnvironment(replace(simulator_config, max_time=episode_time))
 
 
 def accumulate_episode_gradients(
@@ -245,12 +227,9 @@ class SerialRolloutBackend(RolloutBackend):
         self._trajectories = []
         for _ in range(plan.num_episodes):
             jobs = plan.make_jobs(rng)
-            environment = SchedulingEnvironment(
-                replace(simulator_config, max_time=plan.episode_time)
-            )
             seed = int(rng.integers(0, 2**31 - 1))
             trajectory = collect_rollout(
-                environment,
+                episode_environment(simulator_config, plan.episode_time),
                 agent,
                 jobs,
                 rng=rng,
@@ -549,8 +528,15 @@ def _rollout_worker(simulator_config: SimulatorConfig, spec: AgentSpec) -> dict:
         agent.load_state_dict(state)
         agent.interarrival_hint = interarrival_hint
         trajectories[:] = [
-            run_episode(agent, simulator_config, episode_spec)
-            for episode_spec in episode_specs
+            collect_rollout(
+                episode_environment(simulator_config, spec.episode_time),
+                agent,
+                spec.jobs,
+                rng=np.random.default_rng(spec.action_seed),
+                seed=spec.env_seed,
+                max_actions=spec.max_actions,
+            )
+            for spec in episode_specs
         ]
         return [outcome_from_trajectory(t) for t in trajectories]
 

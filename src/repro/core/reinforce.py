@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..simulator.environment import SchedulingEnvironment, SimulatorConfig
+from ..simulator.environment import SimulatorConfig
 from ..simulator.jobdag import JobDAG
 from .agent import DecimaAgent
 from .nn import Adam
@@ -34,7 +34,6 @@ __all__ = [
     "IterationStats",
     "TrainingHistory",
     "ReinforceTrainer",
-    "evaluate_agent",
     "returns_to_go",
     "apply_mean_gradients",
 ]
@@ -139,30 +138,6 @@ def time_aligned_baselines(
             )
         baselines.append(stacked.mean(axis=0))
     return baselines
-
-
-def evaluate_agent(
-    agent,
-    jobs: list[JobDAG],
-    config: SimulatorConfig,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Greedy evaluation of any scheduler on a fixed job set (no learning)."""
-    environment = SchedulingEnvironment(config)
-    agent.reset()
-    observation = environment.reset(copy.deepcopy(jobs), seed=seed)
-    done = False
-    while not done:
-        action = agent.schedule(observation)
-        observation, _, done = environment.step(action)
-    result = environment.result()
-    summary = result.summary()
-    # Learned agents carry a per-episode graph cache; release it so the
-    # deep-copied evaluation jobs do not outlive the episode.
-    release_cache = getattr(agent, "reset_graph_cache", None)
-    if release_cache is not None:
-        release_cache()
-    return summary
 
 
 class ReinforceTrainer:

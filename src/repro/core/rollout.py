@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..autograd import Tensor
-from ..simulator.environment import SchedulingEnvironment
+from ..simulator.environment import Action, Observation, SchedulingEnvironment, run_episode
 from ..simulator.jobdag import JobDAG
 from ..simulator.metrics import SimulationResult
 from .agent import ActionRecord, DecimaAgent
@@ -17,6 +17,7 @@ __all__ = [
     "REPLAY_CHUNK",
     "Transition",
     "Trajectory",
+    "RolloutSampler",
     "collect_rollout",
     "accumulate_record_gradients",
     "chunk_loss",
@@ -77,6 +78,30 @@ class Trajectory:
         return np.array([t.wall_time for t in self.transitions])
 
 
+class RolloutSampler:
+    """The scheduler of a training episode: one sampled decision per call.
+
+    ``schedule`` calls ``agent.act(..., greedy=False, record=True)`` exactly
+    once, on the agent it was given, and keeps the decision's record in
+    ``record`` for the episode loop's hook.  ``reset`` only drops the agent's
+    cached graph structure: the episode's job DAGs are fresh objects.
+    """
+
+    def __init__(self, agent: DecimaAgent, rng: np.random.Generator):
+        self.agent = agent
+        self.rng = rng
+        self.record: Optional[ActionRecord] = None
+
+    def reset(self) -> None:
+        self.agent.reset_graph_cache()
+
+    def schedule(self, observation: Observation) -> Optional[Action]:
+        action, self.record = self.agent.act(
+            observation, rng=self.rng, greedy=False, record=True
+        )
+        return action
+
+
 def collect_rollout(
     environment: SchedulingEnvironment,
     agent: DecimaAgent,
@@ -84,45 +109,30 @@ def collect_rollout(
     rng: np.random.Generator,
     seed: Optional[int] = None,
     max_actions: Optional[int] = None,
-    step_hook: Optional[Callable] = None,
 ) -> Trajectory:
     """Run one sampled episode of ``agent`` and record per-action training data.
 
     Actions are *sampled* from the policy (not arg-maxed) so the policy
-    gradient explores, on the inference data path: ``agent.act`` is called
-    exactly once per decision and hands the decision's record back beside
-    the action.  ``max_actions`` is a safety bound for degenerate
-    policies early in training.  ``step_hook`` is an instrumentation seam for
-    the verification harness: when given, it is called as
-    ``step_hook(step_index, observation, action, record, wall_time)`` *before*
-    the step executes (stepping mutates the live job DAGs the observation
-    references); if it returns a callable, that is invoked with the step's
-    reward once the step completes.  Hooks must not mutate their arguments.
+    gradient explores, on the inference data path: a :class:`RolloutSampler`
+    drives :func:`~repro.simulator.environment.run_episode`, and its hook
+    turns each decision's record and reward into a :class:`Transition`.
+    ``max_actions`` is a safety bound for degenerate policies early in
+    training.
     """
+    sampler = RolloutSampler(agent, rng)
     trajectory = Trajectory()
-    # Episode boundary: the job DAGs are fresh objects, so drop the agent's
-    # cached graph structure from any previous episode.
-    agent.reset_graph_cache()
-    observation = environment.reset(jobs, seed=seed)
-    done = False
-    step_index = 0
-    while not done:
-        action, record = agent.act(observation, rng=rng, greedy=False, record=True)
-        wall_time = environment.wall_time
-        finish_hook = (
-            step_hook(step_index, observation, action, record, wall_time)
-            if step_hook is not None
-            else None
-        )
-        observation, reward, done = environment.step(action)
-        if callable(finish_hook):
-            finish_hook(reward)
-        step_index += 1
-        if record is not None:
-            trajectory.transitions.append(Transition(record, reward, wall_time))
-        if max_actions is not None and trajectory.num_actions >= max_actions:
-            break
-    trajectory.result = environment.result()
+    transitions = trajectory.transitions
+
+    def keep(step, observation, action):
+        record, wall_time = sampler.record, observation.wall_time
+        if record is None:
+            return None
+        return lambda reward: transitions.append(Transition(record, reward, wall_time))
+
+    trajectory.result = run_episode(
+        environment, sampler, jobs, seed=seed, max_decisions=max_actions,
+        decision_hook=keep,
+    )
     return trajectory
 
 

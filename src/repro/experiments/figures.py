@@ -37,7 +37,7 @@ from ..workloads.alibaba import sample_alibaba_jobs
 from ..workloads.arrivals import batched_arrivals, poisson_arrivals
 from ..workloads.scaling import runtime_vs_parallelism
 from ..workloads.tpch import make_tpch_job, sample_tpch_jobs, tpch_query_template
-from .runner import clone_jobs, run_episode, run_scheduler_on_jobs, tune_weighted_fair
+from .runner import run_scheduler_on_jobs, tune_weighted_fair
 from .training import tpch_batch_factory, tpch_poisson_factory, train_decima_agent
 
 __all__ = [
@@ -208,7 +208,9 @@ def figure9a_batched_arrivals(
         rng = np.random.default_rng(seed + 1000 + experiment)
         jobs = batched_arrivals(sample_tpch_jobs(num_jobs, rng))
         schedulers: dict[str, Scheduler] = dict(_standard_baselines())
-        tuned, _, _ = tune_weighted_fair(jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5))
+        tuned, _, _ = tune_weighted_fair(
+            jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5), seed=seed + experiment
+        )
         schedulers["opt_weighted_fair"] = tuned
         if include_multi_resource_baselines:
             schedulers["tetris"] = TetrisScheduler()
@@ -240,7 +242,9 @@ def figure9b_continuous_arrivals(
             num_iterations=train_iterations,
             seed=seed,
         )
-    tuned, _, _ = tune_weighted_fair(jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5))
+    tuned, _, _ = tune_weighted_fair(
+        jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5), seed=seed
+    )
     schedulers: dict[str, Scheduler] = {
         "opt_weighted_fair": tuned,
         "fair": FairScheduler(),
@@ -276,7 +280,9 @@ def figure10_time_series(
             num_iterations=train_iterations,
             seed=seed,
         )
-    tuned, _, _ = tune_weighted_fair(jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5))
+    tuned, _, _ = tune_weighted_fair(
+        jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5), seed=seed
+    )
     schedulers: dict[str, Scheduler] = {"opt_weighted_fair": tuned, "decima": decima_agent}
     results = compare_schedulers(schedulers, jobs, config, seed=seed)
 
@@ -286,9 +292,6 @@ def figure10_time_series(
             (job.total_work, job.completion_duration()) for job in result.finished_jobs
         ]
         executed_work = result.per_job_work()
-        executors_per_job: dict[str, int] = {}
-        for record in result.timeline:
-            executors_per_job.setdefault(record.job_name, set())
         per_job_executors = {}
         for record in result.timeline:
             per_job_executors.setdefault(record.job_name, set()).add(record.executor_id)
@@ -337,7 +340,9 @@ def figure11_multi_resource(
             agent_config=agent_config,
             seed=seed,
         )
-    tuned, _, _ = tune_weighted_fair(jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5))
+    tuned, _, _ = tune_weighted_fair(
+        jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5), seed=seed
+    )
     schedulers: dict[str, Scheduler] = {
         "opt_weighted_fair": tuned,
         "tetris": TetrisScheduler(),
@@ -517,7 +522,7 @@ def figure14_ablations(
         test_jobs = poisson_arrivals(sample_tpch_jobs(num_jobs, rng), interarrival, rng)
         config = SimulatorConfig(num_executors=num_executors, seed=seed, max_time=max_time)
         tuned, tuned_jct, _ = tune_weighted_fair(
-            test_jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5)
+            test_jobs, config=config, alphas=np.arange(-2.0, 2.01, 0.5), seed=seed
         )
         output["opt_weighted_fair"][interarrival] = tuned_jct
         for name, make in variants.items():
@@ -588,12 +593,7 @@ def figure15b_scheduling_delay(
             num_iterations=train_iterations,
             seed=seed,
         )
-    from ..simulator.environment import SchedulingEnvironment
-
-    environment = SchedulingEnvironment(config)
-    result = run_episode(
-        environment, decima_agent, clone_jobs(jobs), seed=seed, record_delays=True
-    )
+    result = run_scheduler_on_jobs(decima_agent, jobs, config=config, seed=seed)
     event_times = sorted({record.finish_time for record in result.timeline})
     intervals = list(np.diff(event_times)) if len(event_times) > 1 else []
     return {

@@ -1,73 +1,22 @@
-"""Episode runner: execute a scheduler against the simulator and collect metrics."""
+"""Evaluation helpers: run a scheduler on a cloned job set, tune weighted fair."""
 
 from __future__ import annotations
 
 import copy
-import time
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Optional, Sequence
 
 from ..schedulers.base import Scheduler
 from ..schedulers.fair import ALPHA_SWEEP, WeightedFairScheduler
-from ..simulator.environment import SchedulingEnvironment, SimulatorConfig
+from ..simulator.environment import SchedulingEnvironment, SimulatorConfig, run_episode
 from ..simulator.jobdag import JobDAG
 from ..simulator.metrics import SimulationResult
 
-__all__ = ["run_episode", "run_scheduler_on_jobs", "tune_weighted_fair", "clone_jobs"]
+__all__ = ["run_scheduler_on_jobs", "tune_weighted_fair", "clone_jobs"]
 
 
 def clone_jobs(jobs: Iterable[JobDAG]) -> list[JobDAG]:
     """Deep-copy a job set so several schedulers can run on identical inputs."""
     return copy.deepcopy(list(jobs))
-
-
-def run_episode(
-    environment: SchedulingEnvironment,
-    scheduler: Scheduler,
-    jobs: Iterable[JobDAG],
-    seed: Optional[int] = None,
-    max_steps: Optional[int] = None,
-    record_delays: bool = False,
-    decision_hook: Optional[Callable] = None,
-) -> SimulationResult:
-    """Run one full episode of ``scheduler`` on ``jobs`` in ``environment``.
-
-    ``max_steps`` bounds the number of agent invocations (a safety valve for
-    experiments with truncated horizons).  When ``record_delays`` is set, the
-    wall-clock time of each ``scheduler.schedule`` call is recorded so the
-    Figure-15b scheduling-delay distribution can be reproduced.
-    ``decision_hook`` is the verification harness's instrumentation seam:
-    when given, it is called as ``decision_hook(step_index, observation,
-    action)`` *before* the step executes (the observation still reflects
-    exactly what the scheduler saw — stepping mutates the live job DAGs in
-    place); if the hook returns a callable, it is invoked with the step's
-    reward once the step completes.  Hooks must not mutate their arguments.
-    """
-    scheduler.reset()
-    observation = environment.reset(jobs, seed=seed)
-    delays: list[float] = []
-    steps = 0
-    done = False
-    while not done:
-        start = time.perf_counter()
-        action = scheduler.schedule(observation)
-        if record_delays:
-            delays.append(time.perf_counter() - start)
-        finish_hook = (
-            decision_hook(steps, observation, action)
-            if decision_hook is not None
-            else None
-        )
-        observation, reward, done = environment.step(action)
-        if callable(finish_hook):
-            finish_hook(reward)
-        steps += 1
-        if max_steps is not None and steps >= max_steps:
-            break
-    result = environment.result()
-    result.scheduling_delays = delays
-    return result
 
 
 def run_scheduler_on_jobs(
@@ -85,11 +34,14 @@ def tune_weighted_fair(
     jobs: Sequence[JobDAG],
     config: Optional[SimulatorConfig] = None,
     alphas: Sequence[float] = ALPHA_SWEEP,
-    seed: int = 0,
+    seed: Optional[int] = None,
 ) -> tuple[WeightedFairScheduler, float, dict[float, float]]:
     """Sweep the weighted-fair exponent and return the best scheduler (§7.1 item 5).
 
-    Returns ``(best_scheduler, best_average_jct, jct_by_alpha)``.
+    Every exponent runs under the duration-noise ``seed`` the tuned scheduler
+    will be compared at: pass the comparison's seed (``None``, as in
+    :func:`run_scheduler_on_jobs`, leaves the config's own).  Returns
+    ``(best_scheduler, best_average_jct, jct_by_alpha)``.
     """
     config = config or SimulatorConfig()
     jct_by_alpha: dict[float, float] = {}

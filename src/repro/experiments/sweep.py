@@ -30,9 +30,8 @@ import numpy as np
 
 from ..core.parallel import PipeWorkerPool
 from ..schedulers import make_scheduler, scheduler_names
-from ..simulator.environment import SchedulingEnvironment, SimulatorConfig
+from ..simulator.environment import SchedulingEnvironment, SimulatorConfig, run_episode
 from ..simulator.metrics import latency_histogram
-from .runner import run_episode
 from .scenarios import scenario_registry, scenario_workload_rng
 
 __all__ = [

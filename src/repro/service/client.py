@@ -6,11 +6,11 @@ connection) — it speaks the identical protocol to a
 to a :class:`~repro.service.router.ShardRouter` front.  :class:`ControlClient`
 talks to the router's control plane (health, fleet stats, live
 reconfiguration).  :func:`drive_episode` is the reference *consumer*: it runs
-a local :class:`~repro.simulator.SchedulingEnvironment` as the "cluster",
-ships every observation to the server, applies the returned action and steps
-the simulator — i.e. exactly the loop a live cluster's scheduler agent would
-run, with simulated time standing in for the cluster.  The load generator and
-the CI smoke test both drive this loop.
+a local :class:`~repro.simulator.SchedulingEnvironment` as the "cluster"
+through the simulator's one episode loop, with a scheduler that ships every
+observation to the server and applies the returned action — i.e. what a live
+cluster's scheduler agent would do, with simulated time standing in for the
+cluster.  The load generator and the CI smoke test both drive it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,12 @@ import socket
 from typing import Iterable, Optional
 
 from ..obs import Span
-from ..simulator.environment import Action, Observation, SchedulingEnvironment
+from ..simulator.environment import (
+    Action,
+    Observation,
+    SchedulingEnvironment,
+    run_episode,
+)
 from ..simulator.jobdag import JobDAG
 from .protocol import (
     PROTOCOL_VERSION,
@@ -230,6 +235,31 @@ def decode_action(reply: dict, observation: Observation) -> Optional[Action]:
     )
 
 
+class _RemotePolicy:
+    """The scheduler of a remotely served episode: one ``decide`` per decision."""
+
+    def __init__(self, client: PolicyClient, trace_every: Optional[int]):
+        self.client = client
+        self.trace_every = trace_every
+        self.sources: dict[str, int] = {}
+        self.latencies_ms: list[float] = []
+        self.trace_ids: list[str] = []
+
+    def reset(self) -> None:
+        """The server keeps the session's state; nothing to clear here."""
+
+    def schedule(self, observation: Observation) -> Optional[Action]:
+        decisions = len(self.latencies_ms)
+        traced = self.trace_every is not None and decisions % self.trace_every == 0
+        reply = self.client.decide(observation, request_id=decisions, trace=traced)
+        action = decode_action(reply, observation)
+        self.sources[reply["source"]] = self.sources.get(reply["source"], 0) + 1
+        self.latencies_ms.append(float(reply["latency_ms"]))
+        if traced and "trace_id" in reply:
+            self.trace_ids.append(reply["trace_id"])
+        return action
+
+
 def drive_episode(
     client: PolicyClient,
     environment: SchedulingEnvironment,
@@ -248,33 +278,18 @@ def drive_episode(
     ``"trace_ids"`` so a caller (the loadgen, a test) can reconstruct those
     decisions from the control plane.
     """
-    observation = environment.reset(jobs, seed=seed)
-    decisions = 0
-    sources: dict[str, int] = {}
-    latencies_ms: list[float] = []
-    trace_ids: list[str] = []
-    done = False
-    while not done:
-        if max_decisions is not None and decisions >= max_decisions:
-            break
-        traced = trace_every is not None and decisions % trace_every == 0
-        reply = client.decide(observation, request_id=decisions, trace=traced)
-        action = decode_action(reply, observation)
-        sources[reply["source"]] = sources.get(reply["source"], 0) + 1
-        latencies_ms.append(float(reply["latency_ms"]))
-        if traced and "trace_id" in reply:
-            trace_ids.append(reply["trace_id"])
-        observation, _, done = environment.step(action)
-        decisions += 1
-    result = environment.result()
+    policy = _RemotePolicy(client, trace_every)
+    result = run_episode(
+        environment, policy, jobs, seed=seed, max_decisions=max_decisions
+    )
     summary = {
-        "decisions": decisions,
-        "sources": sources,
-        "latencies_ms": latencies_ms,
+        "decisions": len(policy.latencies_ms),
+        "sources": policy.sources,
+        "latencies_ms": policy.latencies_ms,
         "finished_jobs": len(result.finished_jobs),
         "unfinished_jobs": len(result.unfinished_jobs),
         "wall_time": result.wall_time,
     }
-    if trace_ids:
-        summary["trace_ids"] = trace_ids
+    if policy.trace_ids:
+        summary["trace_ids"] = policy.trace_ids
     return summary

@@ -7,6 +7,7 @@ from .environment import (
     Observation,
     SchedulingEnvironment,
     SimulatorConfig,
+    run_episode,
 )
 from .executor import Executor, ExecutorClass, default_executor_class, multi_resource_classes
 from .jobdag import JobDAG, Node, Task, critical_path_value, topological_order
@@ -26,6 +27,7 @@ __all__ = [
     "Observation",
     "SchedulingEnvironment",
     "SimulatorConfig",
+    "run_episode",
     "DurationModelConfig",
     "TaskDurationModel",
     "Executor",

@@ -13,8 +13,10 @@ exposes a reinforcement-learning style interface:
   returns the reward of Eq. (§5.3): ``-(t_k - t_{k-1}) * J`` for the average
   JCT objective.
 
-Both the learned Decima agent and every baseline heuristic run against this
-same environment, so comparisons are apples-to-apples.
+:func:`run_episode` is the one loop that steps it.  Evaluation, training
+rollouts, remote sessions and trace replay all run an episode through it with
+a different scheduler, so the learned Decima agent and every baseline
+heuristic see the same environment and comparisons are apples-to-apples.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .duration import DurationModelConfig, TaskDurationModel
 from .executor import Executor, ExecutorClass, default_executor_class
@@ -37,6 +40,7 @@ __all__ = [
     "Observation",
     "Action",
     "SchedulingEnvironment",
+    "run_episode",
 ]
 
 
@@ -575,3 +579,47 @@ class SchedulingEnvironment:
             total_reward=self.total_reward,
             num_actions=self.num_actions,
         )
+
+
+def run_episode(
+    environment: SchedulingEnvironment,
+    scheduler,
+    jobs: Iterable[JobDAG],
+    seed: Optional[int] = None,
+    max_decisions: Optional[int] = None,
+    decision_hook: Optional[Callable] = None,
+) -> SimulationResult:
+    """Run one episode of ``scheduler`` on ``jobs`` in ``environment``.
+
+    ``scheduler`` is anything with ``reset()`` and ``schedule(observation)``:
+    a heuristic, an agent, or an adapter that samples a training decision,
+    asks a policy server or plays a recording back.  It is reset, then asked
+    once per decision until the episode ends or ``max_decisions`` decisions
+    were made.  The wall-clock time of every ``schedule`` call is kept in
+    ``scheduling_delays`` (the Figure-15b distribution).
+
+    ``decision_hook(step, observation, action)`` is the instrumentation seam:
+    it is called *before* the step executes (the observation still reflects
+    exactly what the scheduler saw — stepping mutates the live job DAGs in
+    place); if it returns a callable, that is invoked with the step's reward
+    once the step completes.  Hooks must not mutate their arguments.
+    """
+    scheduler.reset()
+    observation = environment.reset(jobs, seed=seed)
+    delays: list[float] = []
+    done = False
+    while not done and (max_decisions is None or len(delays) < max_decisions):
+        start = time.perf_counter()
+        action = scheduler.schedule(observation)
+        delays.append(time.perf_counter() - start)
+        finish = (
+            None
+            if decision_hook is None
+            else decision_hook(len(delays) - 1, observation, action)
+        )
+        observation, reward, done = environment.step(action)
+        if finish is not None:
+            finish(reward)
+    result = environment.result()
+    result.scheduling_delays = delays
+    return result

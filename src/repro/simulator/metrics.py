@@ -45,6 +45,7 @@ class SimulationResult:
     wall_time: float
     total_reward: float
     num_actions: int
+    # Seconds each ``schedule`` call took, one per decision (``run_episode``).
     scheduling_delays: list[float] = field(default_factory=list)
 
     @property

@@ -34,8 +34,8 @@ import numpy as np
 
 from ..core.agent import DecimaAgent, DecimaConfig
 from ..core.checkpoints import agent_spec
-from ..core.parallel import EpisodeSpec, RolloutWorkerPool
-from ..core.parallel import run_episode as run_rollout_episode
+from ..core.parallel import EpisodeSpec, RolloutWorkerPool, episode_environment
+from ..core.rollout import RolloutSampler
 from ..experiments.scenarios import ScenarioSpec, get_scenario
 from ..schedulers import scheduler_names
 from ..service.batcher import RequestBroker
@@ -202,44 +202,15 @@ def _rollout_setup(task: DifferentialTask):
 
 
 def _rollout_serial(task: DifferentialTask) -> EpisodeTrace:
-    """In-process sampled rollout, decision stream via the step-hook seam."""
+    """In-process sampled rollout, recorded like any other scheduler's episode."""
     simulator_config, agent, episode, header = _rollout_setup(task)
-    trace = EpisodeTrace(header=header)
-
-    def step_hook(step, observation, action, info, wall_time):
-        # Worker outcomes only carry reward/wall-time for *recorded*
-        # transitions (info is not None); mirror that projection here.
-        if info is None:
-            return None
-        fingerprint = observation_fingerprint(observation)
-        job = action.node.job if action is not None and action.node is not None else None
-        fields = dict(
-            job=job.name if job is not None else None,
-            node=action.node.node_id if action is not None and action.node else None,
-            limit=int(action.parallelism_limit) if action is not None else None,
-        )
-
-        def finish(reward) -> None:
-            trace.decisions.append(
-                DecisionRecord(
-                    step=len(trace.decisions),
-                    wall_time=float(wall_time),
-                    obs_fingerprint=fingerprint,
-                    reward=float(reward),
-                    **fields,
-                )
-            )
-
-        return finish
-
-    trajectory = run_rollout_episode(
-        agent, simulator_config, copy.deepcopy(episode), step_hook=step_hook
+    return TraceRecorder(header).record(
+        episode_environment(simulator_config, episode.episode_time),
+        RolloutSampler(agent, np.random.default_rng(episode.action_seed)),
+        copy.deepcopy(episode.jobs),
+        seed=episode.env_seed,
+        max_decisions=episode.max_actions,
     )
-    trace.summary = {
-        "num_decisions": len(trace.decisions),
-        "total_reward": float(trajectory.total_reward),
-    }
-    return trace
 
 
 def _rollout_parallel(task: DifferentialTask) -> EpisodeTrace:
@@ -299,10 +270,10 @@ def _service_stream(
     from ..service import (
         DecisionRequest,
         SessionState,
+        decode_action,
         encode_observation,
         shard_for_session,
     )
-    from ..simulator.environment import Action
 
     spec = task.resolve_spec()
     simulator_config = spec.build_config(seed=task.seed)
@@ -427,21 +398,10 @@ def _service_stream(
             trace.decisions.append(
                 DecisionRecord(step=len(trace.decisions), **fields)
             )
-            encoded = requests[index].session.encode_action(results[index].action)
-            if encoded["noop"]:
-                action = None
-            else:
-                job = next(
-                    job
-                    for job in observation.job_dags
-                    if job.job_id == encoded["job_id"]
-                )
-                node = next(
-                    node for node in job.nodes if node.node_id == encoded["node_id"]
-                )
-                action = Action(
-                    node=node, parallelism_limit=encoded["parallelism_limit"]
-                )
+            action = decode_action(
+                requests[index].session.encode_action(results[index].action),
+                observation,
+            )
             next_observation, _, done = environments[index].step(action)
             observations[index] = None if done else next_observation
         if manager is not None and round_index % 3 == 2:

@@ -1,12 +1,12 @@
 """Trace recording: event-source one seeded episode into an :class:`EpisodeTrace`.
 
-The recorder drives an episode through the standard
-:func:`repro.experiments.runner.run_episode` loop and listens on the
-instrumentation seams the rest of the codebase exposes:
+The recorder drives an episode through the simulator's one episode loop,
+:func:`repro.simulator.run_episode`, and listens on the instrumentation seams
+the rest of the codebase exposes:
 
 * the simulator's ``event_listeners`` hook streams every processed event
   (arrivals, completions, churn) into the trace;
-* the runner's ``decision_hook`` streams every scheduling decision, stamped
+* the loop's ``decision_hook`` streams every scheduling decision, stamped
   with an observation fingerprint;
 * :class:`~repro.core.agent.DecimaAgent`'s ``logits_tap`` contributes a
   rounded digest of the node logits behind each learned decision;
@@ -30,14 +30,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..experiments.runner import run_episode
 from ..experiments.scenarios import (
     ScenarioSpec,
     get_scenario,
     scenario_workload_rng,
 )
 from ..schedulers import make_scheduler
-from ..simulator.environment import SchedulingEnvironment
+from ..simulator.environment import SchedulingEnvironment, run_episode
 from .trace import (
     DecisionRecord,
     EpisodeTrace,
@@ -162,7 +161,7 @@ class TraceRecorder:
                 scheduler,
                 jobs,
                 seed=seed,
-                max_steps=max_decisions,
+                max_decisions=max_decisions,
                 decision_hook=decision_hook,
             )
         finally:

@@ -22,10 +22,10 @@ decision without re-running anything locally.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from ..experiments.scenarios import ScenarioSpec
-from ..simulator.environment import Action, SchedulingEnvironment
+from ..simulator.environment import Action, SchedulingEnvironment, run_episode
 from .recorder import RecorderConfig, record_scenario_trace, scenario_workload_rng
 from .trace import (
     DecisionRecord,
@@ -292,46 +292,27 @@ class ReplayEngine:
                 TraceEvent(time=time, event=kind, **detail)
             )
         )
-        observation = environment.reset(jobs, seed=header.seed)
+        playback = _Playback(trace.decisions)
         divergence = None
-        for record in trace.decisions:
-            if observation is None:
-                divergence = DivergenceReport(
-                    kind="length",
-                    step=record.step,
-                    message="episode finished before the recorded stream did",
-                    expected=asdict(record),
-                )
-                break
-            fingerprint = observation_fingerprint(observation)
-            if fingerprint != record.obs_fingerprint:
-                divergence = DivergenceReport(
-                    kind="fingerprint",
-                    step=record.step,
-                    expected=asdict(record),
-                    expected_fingerprint=record.obs_fingerprint,
-                    actual_fingerprint=fingerprint,
-                    message="simulator state diverged from the recording",
-                )
-                break
-            action = self._decode_action(record, observation)
-            if isinstance(action, DivergenceReport):
-                divergence = action
-                break
-            observation, reward, done = environment.step(action)
-            if record.reward is not None and float(reward) != record.reward:
-                divergence = DivergenceReport(
-                    kind="decision",
-                    step=record.step,
-                    field="reward",
-                    expected=asdict(record),
-                    actual={"reward": float(reward)},
-                    expected_fingerprint=record.obs_fingerprint,
-                    actual_fingerprint=fingerprint,
-                )
-                break
-            if done:
-                observation = None
+        try:
+            run_episode(
+                environment,
+                playback,
+                jobs,
+                seed=header.seed,
+                max_decisions=len(trace.decisions),
+                decision_hook=playback.check_reward,
+            )
+        except _Diverged as diverged:
+            divergence = diverged.report
+        if divergence is None and playback.played < len(trace.decisions):
+            record = trace.decisions[playback.played]
+            divergence = DivergenceReport(
+                kind="length",
+                step=record.step,
+                message="episode finished before the recorded stream did",
+                expected=asdict(record),
+            )
         if divergence is None:
             # Decisions were applied verbatim, so only the *event* stream can
             # still diverge; reuse the recorded decisions to satisfy the diff.
@@ -343,54 +324,101 @@ class ReplayEngine:
             )
         return self._report(trace, divergence)
 
-    @staticmethod
-    def _decode_action(
-        record: DecisionRecord, observation
-    ) -> Union[Optional[Action], DivergenceReport]:
-        """Resolve a recorded decision against the live observation."""
+
+class _Diverged(Exception):
+    """Ends an apply-mode replay at its first divergence."""
+
+    def __init__(self, **report):
+        self.report = DivergenceReport(**report)
+        super().__init__(self.report.describe())
+
+
+class _Playback:
+    """The scheduler of an apply-mode replay: the recorded decisions, in order.
+
+    Before each decision it checks the live observation's fingerprint
+    against the recording, and its :meth:`check_reward` hook checks each
+    step's reward; the first mismatch raises :class:`_Diverged`.
+    """
+
+    def __init__(self, decisions: Sequence[DecisionRecord]):
+        self.decisions = decisions
+        self.played = 0
+
+    def reset(self) -> None:
+        self.played = 0
+
+    def check_reward(self, step: int, observation, action):
+        record = self.decisions[step]
+        if record.reward is None:
+            return None
+
+        def finish(reward) -> None:
+            if float(reward) != record.reward:
+                raise _Diverged(
+                    kind="decision",
+                    step=record.step,
+                    field="reward",
+                    expected=asdict(record),
+                    actual={"reward": float(reward)},
+                    expected_fingerprint=record.obs_fingerprint,
+                    actual_fingerprint=record.obs_fingerprint,
+                )
+
+        return finish
+
+    def schedule(self, observation) -> Optional[Action]:
+        """The next recorded decision, resolved against the live observation."""
+        record = self.decisions[self.played]
+        self.played += 1
+        fingerprint = observation_fingerprint(observation)
+        if fingerprint != record.obs_fingerprint:
+            raise _Diverged(
+                kind="fingerprint",
+                step=record.step,
+                expected=asdict(record),
+                expected_fingerprint=record.obs_fingerprint,
+                actual_fingerprint=fingerprint,
+                message="simulator state diverged from the recording",
+            )
         if record.job is None:
             return None
-        for job in observation.job_dags:
-            if job.name == record.job:
-                for node in job.nodes:
-                    if node.node_id == record.node:
-                        executor_class = None
-                        if record.executor_class is not None:
-                            executor_class = next(
-                                (
-                                    cls
-                                    for cls in observation.executor_classes
-                                    if cls.name == record.executor_class
-                                ),
-                                None,
-                            )
-                            if executor_class is None:
-                                # Don't silently apply on the wrong class —
-                                # that would surface as an unrelated reward
-                                # or fingerprint mismatch steps later.
-                                return DivergenceReport(
-                                    kind="decision",
-                                    step=record.step,
-                                    field="executor_class",
-                                    expected=asdict(record),
-                                    message=(
-                                        f"recorded executor class "
-                                        f"{record.executor_class!r} does not "
-                                        "exist in the replayed observation"
-                                    ),
-                                )
-                        return Action(
-                            node=node,
-                            parallelism_limit=record.limit or 1,
-                            executor_class=executor_class,
-                        )
-        return DivergenceReport(
-            kind="decision",
-            step=record.step,
-            field="job" if record.job is not None else None,
-            expected=asdict(record),
-            message=(
-                f"recorded decision names job {record.job!r} node {record.node!r}, "
-                "which does not exist in the replayed observation"
+        node = next(
+            (
+                node
+                for job in observation.job_dags if job.name == record.job
+                for node in job.nodes if node.node_id == record.node
             ),
+            None,
         )
+        if node is None:
+            raise _Diverged(
+                kind="decision",
+                step=record.step,
+                field="job",
+                expected=asdict(record),
+                message=(
+                    f"recorded decision names job {record.job!r} node {record.node!r}, "
+                    "which does not exist in the replayed observation"
+                ),
+            )
+        executor_class = None
+        if record.executor_class is not None:
+            executor_class = next(
+                (c for c in observation.executor_classes if c.name == record.executor_class),
+                None,
+            )
+            if executor_class is None:
+                # Don't silently apply on the wrong class — that would surface
+                # as an unrelated reward or fingerprint mismatch steps later.
+                raise _Diverged(
+                    kind="decision",
+                    step=record.step,
+                    field="executor_class",
+                    expected=asdict(record),
+                    message=(
+                        f"recorded executor class {record.executor_class!r} "
+                        "does not exist in the replayed observation"
+                    ),
+                )
+        return Action(node, parallelism_limit=record.limit or 1, executor_class=executor_class)

@@ -11,7 +11,6 @@ from repro.core import (
     ReinforceTrainer,
     TrainingConfig,
     collect_rollout,
-    evaluate_agent,
     time_aligned_baselines,
 )
 from repro.simulator import SchedulingEnvironment, SimulatorConfig, multi_resource_config
@@ -317,10 +316,10 @@ class TestCheckpointsAndEvaluation:
         with pytest.raises(ValueError):
             other.load_state_dict(store.load_state())
 
-    def test_evaluate_agent_summary(self):
+    def test_greedy_evaluation_summary(self):
         _, config, jobs = small_env_and_jobs()
         agent = DecimaAgent(total_executors=6)
-        summary = evaluate_agent(agent, jobs, config, seed=0)
+        summary = run_scheduler_on_jobs(agent, jobs, config=config, seed=0).summary()
         assert summary["finished_jobs"] == len(jobs)
         assert summary["average_jct"] > 0
 

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from repro.core import CriticalPathDataset, CriticalPathRegressor, train_critical_path_regressor
+from repro.core import (
+    CriticalPathDataset,
+    CriticalPathRegressor,
+    DecimaAgent,
+    train_critical_path_regressor,
+)
 from repro.core.supervised import graph_features_from_job
 from repro.experiments import (
     compare_schedulers,
     concurrency_series,
     figure2_parallelism_curves,
     figure7_arrival_variance,
+    figure9b_continuous_arrivals,
+    figure14_ablations,
     figure16_appendix_example,
     format_cdf_summary,
     format_scalar_table,
@@ -19,9 +26,9 @@ from repro.experiments import (
     toy_join_dag,
     tune_weighted_fair,
 )
-from repro.schedulers import FairScheduler, FIFOScheduler
+from repro.schedulers import FairScheduler, FIFOScheduler, WeightedFairScheduler
 from repro.simulator import SimulatorConfig
-from repro.workloads import batched_arrivals, make_tpch_job, sample_tpch_jobs
+from repro.workloads import batched_arrivals, make_tpch_job, poisson_arrivals, sample_tpch_jobs
 
 
 class TestRunnerHelpers:
@@ -46,6 +53,40 @@ class TestRunnerHelpers:
         )
         assert scheduler.alpha in table
         assert jct == pytest.approx(min(table.values()))
+
+    # At 4 jobs, 6 executors and seed 1 the exponent that is best under
+    # duration-noise seed 0 is not the best at seed 1, so tuning at the wrong
+    # seed shows in both columns.
+    @pytest.mark.parametrize("figure", ["9b", "14"])
+    def test_opt_weighted_fair_is_tuned_at_the_comparison_seed(self, figure):
+        num_jobs, num_executors, interarrival, seed = 4, 6, 20.0, 1
+        if figure == "9b":
+            column = figure9b_continuous_arrivals(
+                num_jobs=num_jobs,
+                mean_interarrival=interarrival,
+                num_executors=num_executors,
+                seed=seed,
+                decima_agent=DecimaAgent(total_executors=num_executors),
+            )["opt_weighted_fair"]
+            rng = np.random.default_rng(seed)
+        else:
+            column = figure14_ablations(
+                mean_interarrivals=(interarrival,),
+                num_jobs=num_jobs,
+                num_executors=num_executors,
+                seed=seed,
+                train_iterations=0,
+            )["opt_weighted_fair"][interarrival]
+            rng = np.random.default_rng(seed + 17)
+        jobs = poisson_arrivals(sample_tpch_jobs(num_jobs, rng), interarrival, rng)
+        config = SimulatorConfig(num_executors=num_executors, seed=seed)
+        grid = [
+            run_scheduler_on_jobs(
+                WeightedFairScheduler(alpha=alpha), jobs, config=config, seed=seed
+            ).average_jct
+            for alpha in np.arange(-2.0, 2.01, 0.5)
+        ]
+        assert column == min(grid)
 
     def test_concurrency_series_counts_jobs_in_system(self):
         rng = np.random.default_rng(2)

@@ -92,8 +92,8 @@ class TestMultiResourceHelpers:
         rng = np.random.default_rng(2)
         jobs = batched_arrivals(sample_tpch_jobs(2, rng, sizes=(2.0,)))
         assign_memory_requests(jobs, seed=3)
-        from repro.simulator import SchedulingEnvironment
-        from repro.experiments.runner import run_episode, clone_jobs
+        from repro.simulator import SchedulingEnvironment, run_episode
+        from repro.experiments.runner import clone_jobs
 
         env = SchedulingEnvironment(config)
         result = run_episode(env, FairScheduler(), clone_jobs(jobs), seed=0)

@@ -22,10 +22,11 @@ from repro.core import (
 )
 from repro.core.parallel import (
     PipeWorkerPool,
+    episode_environment,
     outcome_from_trajectory,
-    run_episode,
     single_threaded_blas,
 )
+from repro.core.rollout import collect_rollout
 from repro.experiments.training import tpch_batch_factory, train_decima_agent
 from repro.service.fleet import _shard_worker
 from repro.simulator import SimulatorConfig
@@ -113,7 +114,14 @@ class TestPooledEpisodeEquivalence:
             max_actions=60,
         )
         local = outcome_from_trajectory(
-            run_episode(agent, config, copy.deepcopy(spec))
+            collect_rollout(
+                episode_environment(config, spec.episode_time),
+                agent,
+                copy.deepcopy(spec.jobs),
+                rng=np.random.default_rng(spec.action_seed),
+                seed=spec.env_seed,
+                max_actions=spec.max_actions,
+            )
         )
         with RolloutWorkerPool(config, agent_spec(agent), num_workers=1) as pool:
             (pooled,) = pool.map("collect", [spec], agent.state_dict(), None)

@@ -257,17 +257,25 @@ class TestNoRetainedGraph:
         environment, agent, jobs = episode("tpch_poisson")
         snapshots = []
 
-        def step_hook(step, observation, action, record, wall_time):
-            cache = agent.graph_cache
-            assert not np.shares_memory(record.graph.node_features, cache._features_buf)
-            assert not np.shares_memory(record.graph.schedulable_mask, cache._mask_buf)
-            snapshots.append(
-                (record.graph.node_features.copy(), record.graph.schedulable_mask.copy())
-            )
+        class Snapshotting:
+            """The agent, with each decision's record copied as it is made."""
+
+            def __getattr__(self, name):
+                return getattr(agent, name)
+
+            def act(self, *args, **kwargs):
+                action, record = agent.act(*args, **kwargs)
+                cache = agent.graph_cache
+                assert not np.shares_memory(record.graph.node_features, cache._features_buf)
+                assert not np.shares_memory(record.graph.schedulable_mask, cache._mask_buf)
+                snapshots.append(
+                    (record.graph.node_features.copy(), record.graph.schedulable_mask.copy())
+                )
+                return action, record
 
         trajectory = collect_rollout(
-            environment, agent, jobs, rng=np.random.default_rng(1), seed=0,
-            max_actions=40, step_hook=step_hook,
+            environment, Snapshotting(), jobs, rng=np.random.default_rng(1), seed=0,
+            max_actions=40,
         )
         # Every later step rewrote the arena; clobber what is left of it too.
         agent.graph_cache._features_buf[:] = -1.0

@@ -11,9 +11,9 @@ import copy
 import numpy as np
 import pytest
 
-from repro.experiments import run_episode
 from repro.schedulers import FIFOScheduler
 from repro.simulator import (
+    run_episode,
     DurationModelConfig,
     ExecutorChurnEvent,
     SchedulingEnvironment,

@@ -14,7 +14,8 @@ from repro.simulator import (
 )
 from repro.simulator.jobdag import JobDAG, Node
 from repro.workloads import batched_arrivals, chain_job, fork_join_job, sample_tpch_jobs
-from repro.experiments.runner import run_episode, run_scheduler_on_jobs
+from repro.experiments.runner import run_scheduler_on_jobs
+from repro.simulator import run_episode
 
 
 def simple_config(num_executors=4, **kwargs):
@@ -282,5 +283,5 @@ class TestWithHeuristics:
     def test_run_episode_records_delays(self):
         jobs = batched_arrivals(sample_tpch_jobs(2, np.random.default_rng(2), sizes=(2.0,)))
         env = SchedulingEnvironment(SimulatorConfig(num_executors=4, seed=0))
-        result = run_episode(env, FIFOScheduler(), jobs, record_delays=True)
+        result = run_episode(env, FIFOScheduler(), jobs)
         assert len(result.scheduling_delays) == result.num_actions

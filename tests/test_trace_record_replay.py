@@ -251,6 +251,32 @@ class TestReplayEngine:
         assert not report.ok
         assert "does not exist" in report.divergence.message
 
+    def test_apply_mode_reports_reward_drift(self):
+        trace = small_trace()
+        victim = trace.decisions[4]
+        trace.decisions[4] = dataclasses.replace(victim, reward=victim.reward - 1.0)
+        report = ReplayEngine("apply").replay(trace)
+        assert (report.divergence.kind, report.divergence.step) == ("decision", 4)
+        assert report.divergence.field == "reward"
+        assert report.divergence.actual == {"reward": victim.reward}
+
+    def test_apply_mode_rejects_unknown_executor_class(self):
+        trace = small_trace(scenario="hetero_executors")
+        step = next(d.step for d in trace.decisions if d.executor_class is not None)
+        trace.decisions[step] = dataclasses.replace(
+            trace.decisions[step], executor_class="no-such-class"
+        )
+        report = ReplayEngine("apply").replay(trace)
+        assert (report.divergence.step, report.divergence.field) == (step, "executor_class")
+
+    def test_apply_mode_reports_a_stream_longer_than_the_episode(self):
+        trace = small_trace()
+        last = trace.decisions[-1]
+        trace.decisions.append(dataclasses.replace(last, step=last.step + 1))
+        report = ReplayEngine("apply").replay(trace)
+        assert (report.divergence.kind, report.divergence.step) == ("length", last.step + 1)
+        assert "finished before the recorded stream" in report.divergence.message
+
     def test_truncated_stream_reports_length_divergence(self):
         trace = small_trace()
         del trace.decisions[-3:]
