@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one figure or table of the paper on a scaled-down
 workload (small job counts, few training iterations) so the whole harness runs
-on a laptop in minutes.  The printed rows/series follow the paper's figures;
-EXPERIMENTS.md records the measured values next to the paper's.
+on a laptop in minutes.  The printed rows/series follow the paper's figures; a
+table of the measured values next to the paper's is planned (ROADMAP.md,
+item 4), not yet in the tree.
 """
 
 import pathlib

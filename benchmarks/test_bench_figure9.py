@@ -22,7 +22,7 @@ def test_bench_figure9a_batched_arrivals(benchmark):
     )
     print()
     print(format_cdf_summary(
-        "Figure 9a: average JCT over random 10-job batches "
+        "Figure 9a: average JCT over random 8-job batches "
         "(paper: Decima >= 21% better than the best heuristic)", jcts))
     means = {name: sum(values) / len(values) for name, values in jcts.items()}
     for name, value in means.items():
@@ -30,8 +30,8 @@ def test_bench_figure9a_batched_arrivals(benchmark):
 
     # Shape checks from §7.2: fair beats FIFO and naive weighted fair.  With
     # the shipped (tiny) training budget Decima is only required to beat the
-    # weakest baseline; longer training closes the gap to the tuned heuristic
-    # (see EXPERIMENTS.md).
+    # weakest baseline; whether longer training closes the gap to the tuned
+    # heuristic is ROADMAP.md item 4's trained reference policy.
     assert means["fair"] < means["fifo"]
     assert means["fair"] < means["naive_weighted_fair"]
     assert means["decima"] < means["naive_weighted_fair"]

@@ -3,9 +3,8 @@
 The agent implements the :class:`~repro.schedulers.base.Scheduler` interface so
 it can be evaluated in the simulator exactly like the baseline heuristics, and
 exposes :meth:`DecimaAgent.act`, which can additionally hand back what
-REINFORCE needs of a decision: an :class:`ActionRecord` for the trainers (plain
-arrays, scored later by :meth:`DecimaAgent.score_actions`) or the
-log-probability and entropy tensors themselves (``training=True``).
+REINFORCE needs of a decision: an :class:`ActionRecord` (plain arrays),
+scored later by :meth:`DecimaAgent.score_actions`, the one autograd scorer.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ import numpy as np
 
 from ..autograd import (
     Tensor,
-    entropy_from_log_probs,
-    masked_log_softmax,
     scatter_add_rows,
     segment_log_softmax,
     segment_sum,
@@ -74,8 +71,9 @@ class DecimaConfig:
 
 @dataclass
 class StepInfo:
-    """Training byproducts of one action, or ``(K,)`` tensors of ``K`` actions
-    (:meth:`DecimaAgent.score_actions`); heads are summed with ``+``."""
+    """Log-probabilities and entropies of scored decisions, on the autograd
+    graph: ``(K,)`` tensors of ``K`` actions (:meth:`DecimaAgent.score_actions`)
+    or scalars of one; heads are summed with ``+``."""
 
     log_prob: Tensor
     entropy: Tensor
@@ -122,42 +120,14 @@ def sample_row(
     return int(cdf.searchsorted(rng.random(), "right"))
 
 
-def _scored(logits: Tensor, row: int, mask: Optional[np.ndarray] = None) -> StepInfo:
-    """Log-probability of entry ``row`` of ``softmax(logits)`` and its entropy."""
-    if mask is None:
-        mask = np.ones(logits.shape[0], dtype=bool)
-    log_probs = masked_log_softmax(logits, mask)
-    return StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
-
-
-def _draw(
-    logits: "Tensor | np.ndarray",
-    rows: slice,
-    rng: Optional[np.random.Generator],
-    greedy: bool,
-    training: bool,
-    mask: Optional[np.ndarray] = None,
-) -> tuple[int, Optional[StepInfo]]:
-    """:func:`sample_row` over ``logits[rows]``, and when ``training`` its score.
-
-    ``logits`` is a plain array at inference and a :class:`Tensor` when
-    ``training``; the draw reads the tensor's data, then :func:`_scored`
-    returns the chosen row's log-probability and the distribution's entropy
-    on the autograd graph.
-    """
-    if not training:
-        return sample_row(logits[rows], mask, rng, greedy), None
-    row = sample_row(logits.data[rows], mask, rng, greedy)
-    return row, _scored(logits[rows], row, mask)
-
-
 def _segments_scored(
     logits: Tensor,
     lengths: Sequence[int],
     rows: Sequence[int],
     mask: Optional[np.ndarray] = None,
 ) -> StepInfo:
-    """:func:`_scored` of every consecutive segment of ``logits`` at once.
+    """Log-probability of the chosen entry of every consecutive segment of
+    ``logits`` under its own masked softmax, and that softmax's entropy.
 
     Segment ``k`` is the next ``lengths[k]`` entries and ``rows[k]`` its
     chosen entry; the result holds ``(K,)`` tensors — one segment
@@ -424,7 +394,6 @@ class DecimaAgent(Module, Scheduler):
             observation,
             rng=self._eval_rng,
             greedy=self.config.greedy_evaluation,
-            training=False,
         )
         return action
 
@@ -455,21 +424,16 @@ class DecimaAgent(Module, Scheduler):
         observation: Observation,
         rng: Optional[np.random.Generator] = None,
         greedy: bool = False,
-        training: bool = False,
         graph_cache: Optional[GraphCache] = None,
         span=None,
         record: bool = False,
-    ) -> tuple[Optional[Action], "Optional[StepInfo | ActionRecord]"]:
+    ) -> tuple[Optional[Action], Optional[ActionRecord]]:
         """Pick a (stage, parallelism limit[, executor class]) action.
 
         This is :meth:`act_batch` of one observation (a single component
         passes through the merge untouched).  The second slot of the result
-        is ``None`` unless asked for: ``record=True`` (the trainers) decides
-        on the inference data path and returns the decision's
-        :class:`ActionRecord`; ``training=True`` (the retained-graph
-        reference the tests and ``verify/differential.py`` compare against)
-        decides through the autograd ops and returns a :class:`StepInfo`
-        whose tensors are connected to the parameter graph.
+        is ``None`` unless ``record=True`` (the trainers), which returns the
+        decision's :class:`ActionRecord`.
 
         ``span`` (a :class:`repro.obs.tracing.Span`, or None) is the traced
         parent of this decision; when set, the four stage timings are also
@@ -479,7 +443,6 @@ class DecimaAgent(Module, Scheduler):
             [observation],
             rngs=[rng if rng is not None else self._eval_rng],
             greedy=greedy,
-            training=training,
             graph_caches=[graph_cache],
             spans=None if span is None else [span],
             record=record,
@@ -522,25 +485,6 @@ class DecimaAgent(Module, Scheduler):
             )
         return record
 
-    def score_action(
-        self,
-        observation: Observation,
-        node: Node,
-        parallelism_limit: int,
-        graph_cache: Optional[GraphCache] = None,
-        executor_class: Optional[ExecutorClass] = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Log-probability and entropy of a *given* action, on the autograd graph.
-
-        Entry ``[0]`` of :meth:`score_actions` of the one :meth:`record_action`
-        record.
-        """
-        record = self.record_action(
-            observation, node, parallelism_limit, graph_cache, executor_class
-        )
-        info = self.score_actions([record])
-        return info.log_prob[0], info.entropy[0]
-
     def score_actions(self, records: Sequence[ActionRecord]) -> StepInfo:
         """Log-probabilities and entropies of recorded choices, on ONE autograd graph.
 
@@ -553,8 +497,7 @@ class DecimaAgent(Module, Scheduler):
         the stacked limit-head pass, one over the stacked class-head pass of
         the records that carry a class choice.  The returned ``log_prob`` and
         ``entropy`` are ``(K,)`` tensors, entry ``k`` the heads of record
-        ``k`` summed — the numbers the training path of :meth:`act` gives
-        that decision.  REINFORCE gradients flow through them; the graph
+        ``k`` summed.  REINFORCE gradients flow through them; the graph
         lives exactly as long as they do.
         """
         batch = GraphBatch.merge([record.graph for record in records])
@@ -601,12 +544,11 @@ class DecimaAgent(Module, Scheduler):
         observations: Sequence[Observation],
         rngs: Optional[Sequence[Optional[np.random.Generator]]] = None,
         greedy: bool = False,
-        training: bool = False,
         graph_caches: Optional[Sequence[Optional[GraphCache]]] = None,
         merge_cache: Optional[MergedStructureCache] = None,
         spans: Optional[Sequence] = None,
         record: bool = False,
-    ) -> list[tuple[Optional[Action], "Optional[StepInfo | ActionRecord]"]]:
+    ) -> list[tuple[Optional[Action], Optional[ActionRecord]]]:
         """Decide for several independent observations in ONE batched forward.
 
         The observations (typically one per served cluster session) merge into
@@ -620,9 +562,10 @@ class DecimaAgent(Module, Scheduler):
         "Serving layer").
 
         ``rngs`` / ``graph_caches`` / ``spans`` align with ``observations``;
-        entries may be ``None``.  Observations with no schedulable node yield
-        ``(None, None)``.  ``record`` / ``training`` fill the second slot of
-        each result as described at :meth:`act`; they exclude each other.
+        entries may be ``None`` (a ``None`` cache is the agent's own, so at
+        most one observation may leave its cache out).  Observations with no
+        schedulable node yield ``(None, None)``.  ``record`` fills the second
+        slot of each result as described at :meth:`act`.
         Traced observations' parent ``spans`` each receive the merged
         forward's four stage timings as child spans (the stages ran once for
         the whole batch, so every traced decision sees the same stage
@@ -634,8 +577,16 @@ class DecimaAgent(Module, Scheduler):
         )
         if len(rngs) != len(observations) or len(graph_caches) != len(observations):
             raise ValueError("observations, rngs and graph_caches must align")
-        if training and record:
-            raise ValueError("training=True and record=True exclude each other")
+        caches = {
+            id(cache if cache is not None else self.graph_cache) for cache in graph_caches
+        }
+        if len(caches) != len(graph_caches):
+            # A cache refreshes its feature and mask buffers in place, so a
+            # later observation would overwrite an earlier one's inputs
+            # before the merge.
+            raise ValueError(
+                "act_batch needs one graph cache per observation; pass graph_caches="
+            )
         if not greedy and any(rng is None for rng in rngs):
             # Sampling from one shared rng would consume it in phase order
             # (all stage draws, then all limit draws) instead of per
@@ -655,9 +606,8 @@ class DecimaAgent(Module, Scheduler):
             return results
         clock = self.stage_timings.clock(spans if spans is not None else ())
         # Arena buffers are only handed out when nothing outlives the decision:
-        # a record keeps its component's arrays until the update, and the
-        # training path's autograd graph references them.
-        reuse_buffers = not (training or record)
+        # a record keeps its component's arrays until the update.
+        reuse_buffers = not record
         components = [
             self.build_features(
                 observations[index],
@@ -670,7 +620,7 @@ class DecimaAgent(Module, Scheduler):
             components, structure_cache=merge_cache, reuse_buffers=reuse_buffers
         )
         clock.mark()
-        embeddings, node_logits = self._forward(batch.features, training, clock)
+        embeddings, node_logits = self._forward(batch.features, clock)
         decisions = self._select(
             batch.features,
             embeddings,
@@ -679,7 +629,6 @@ class DecimaAgent(Module, Scheduler):
             batch.node_slices,
             [rngs[index] for index in active],
             greedy,
-            training,
             components if record else None,
         )
         for index, decision in zip(active, decisions):
@@ -688,40 +637,34 @@ class DecimaAgent(Module, Scheduler):
         return results
 
     def _forward(
-        self, graph: GraphFeatures, training: bool, clock: _StageClock
+        self, graph: GraphFeatures, clock: _StageClock
     ) -> tuple[GraphEmbeddings, Tensor]:
         """Embeddings and node logits of ``graph``; marks ``clock`` twice.
 
-        Training runs the autograd ops (gradients).  Everything else runs the
-        arena-buffered data path, whose numbers — and therefore decisions —
-        match the autograd ops (differential pair
-        ``inference_kernels_vs_tensor``).
+        The arena-buffered data path, whose numbers — and therefore
+        decisions — match the autograd ops REINFORCE trains on (differential
+        pair ``inference_kernels_vs_tensor``).
         """
-        if training:
-            embeddings = self.gnn(graph)
-            clock.mark()
-            node_logits = self.policy.node_logits(graph, embeddings)
-        else:
-            node_emb, job_emb, global_emb = self.gnn.forward_data(graph)
-            embeddings = GraphEmbeddings(
-                node_embeddings=Tensor(node_emb),
-                job_embeddings=Tensor(job_emb),
-                global_embedding=Tensor(global_emb),
+        node_emb, job_emb, global_emb = self.gnn.forward_data(graph)
+        embeddings = GraphEmbeddings(
+            node_embeddings=Tensor(node_emb),
+            job_embeddings=Tensor(job_emb),
+            global_embedding=Tensor(global_emb),
+        )
+        clock.mark()
+        # A trace recorder's tap digests each observation's full logit slice,
+        # so only the untapped hot path restricts scoring to the schedulable
+        # rows.
+        rows = (
+            None
+            if self.logits_tap is not None
+            else np.flatnonzero(graph.schedulable_mask)
+        )
+        node_logits = Tensor(
+            self.policy.node_logits_data(
+                graph, node_emb, job_emb, global_emb, self.gnn.workspace, rows=rows
             )
-            clock.mark()
-            # A trace recorder's tap digests each observation's full logit
-            # slice, so only the untapped hot path restricts scoring to the
-            # schedulable rows.
-            rows = (
-                None
-                if self.logits_tap is not None
-                else np.flatnonzero(graph.schedulable_mask)
-            )
-            node_logits = Tensor(
-                self.policy.node_logits_data(
-                    graph, node_emb, job_emb, global_emb, self.gnn.workspace, rows=rows
-                )
-            )
+        )
         clock.mark()
         return embeddings, node_logits
 
@@ -735,7 +678,7 @@ class DecimaAgent(Module, Scheduler):
         greedy: bool = False,
         training: bool = False,
         node_rows: Optional[slice] = None,
-    ) -> tuple[Optional[Action], Optional[StepInfo]]:
+    ) -> tuple[Optional[Action], None]:
         """Select one observation's action from a prebuilt forward pass.
 
         The single-slice entry to :meth:`_select`.  ``graph`` / ``embeddings``
@@ -743,7 +686,18 @@ class DecimaAgent(Module, Scheduler):
         come from a cross-session mega-graph, pass ``node_rows`` to restrict
         the decision to one session's node-row range (job and global rows
         follow from the graph's own segment ids).
+
+        ``training`` is the last remnant of the per-decision autograd path,
+        now the oracle :func:`repro.verify.oracles.scored_act`.  The repo
+        benchmark still passes ``training=False`` (``bench/layers.py``), so
+        the keyword stays until it stops (ROADMAP.md, item 2(ii)); ``True``
+        is refused.
         """
+        if training:
+            raise ValueError(
+                "act_on_graph decides on the data path only; "
+                "repro.verify.oracles.scored_act scores a decision"
+            )
         return self._select(
             graph,
             embeddings,
@@ -752,7 +706,6 @@ class DecimaAgent(Module, Scheduler):
             [node_rows if node_rows is not None else slice(0, graph.num_nodes)],
             [rng if rng is not None else self._eval_rng],
             greedy,
-            training,
         )[0]
 
     def _select(
@@ -764,9 +717,8 @@ class DecimaAgent(Module, Scheduler):
         node_slices: Sequence[slice],
         rngs: Sequence[Optional[np.random.Generator]],
         greedy: bool,
-        training: bool,
         components: Optional[Sequence[GraphFeatures]] = None,
-    ) -> list[tuple[Optional[Action], "Optional[StepInfo | ActionRecord]"]]:
+    ) -> list[tuple[Optional[Action], Optional[ActionRecord]]]:
         """Stage → limit → class selection for every observation of a forward.
 
         ``node_slices[k]`` is observation ``k``'s node-row range of ``graph``.
@@ -774,21 +726,18 @@ class DecimaAgent(Module, Scheduler):
         exactly the rows a forward pass over that observation alone would
         have produced, and its rng is drawn from in the fixed order stage,
         limit, class — which is what makes a decision independent of the
-        batch it was taken in.  Only ``training`` runs the heads through the
-        autograd ops and assembles log-prob/entropy tensors; otherwise they
-        run on the data path (the arena of ``self.gnn.workspace``) and no
-        tape is recorded.  With ``components`` (observation ``k``'s own
-        :class:`GraphFeatures`) each decision comes with its
-        :class:`ActionRecord`.
+        batch it was taken in.  The heads run on the data path (the arena of
+        ``self.gnn.workspace``), so no tape is recorded.  With
+        ``components`` (observation ``k``'s own :class:`GraphFeatures`) each
+        decision comes with its :class:`ActionRecord`.
         """
         count = len(observations)
         nodes: list[Optional[Node]] = [None] * count
         job_rows = [0] * count  # global job row of each chosen node
         limits = [self.total_executors] * count
-        infos: list[Optional[StepInfo]] = [None] * count
         records: list[Optional[ActionRecord]] = [None] * count
-        workspace = None if training else self.gnn.workspace
-        stage_logits = node_logits if training else node_logits.data
+        workspace = self.gnn.workspace
+        stage_logits = node_logits.data
 
         # Phase 1: per-observation stage selection (masked softmax over the
         # schedulable nodes, Eq. 2).
@@ -798,8 +747,8 @@ class DecimaAgent(Module, Scheduler):
             node_mask = graph.schedulable_mask[node_rows]
             if not node_mask.any():
                 continue
-            node_row, infos[position] = _draw(
-                stage_logits, node_rows, rngs[position], greedy, training, node_mask
+            node_row = sample_row(
+                stage_logits[node_rows], node_mask, rngs[position], greedy
             )
             global_row = node_rows.start + node_row
             nodes[position] = graph.nodes[global_row]
@@ -820,12 +769,8 @@ class DecimaAgent(Module, Scheduler):
                 candidates, workspace,
             )
             for position, candidate, rows in zip(chosen, candidates, limit_slices):
-                limit_row, info = _draw(
-                    stacked_logits, rows, rngs[position], greedy, training
-                )
+                limit_row = sample_row(stacked_logits[rows], None, rngs[position], greedy)
                 limits[position] = int(candidate[limit_row])
-                if training:
-                    infos[position] += info
                 if components is not None:
                     records[position].limits = candidate
                     records[position].limit_row = limit_row
@@ -839,13 +784,8 @@ class DecimaAgent(Module, Scheduler):
                 class_logits = self.policy.class_logits(
                     graph, embeddings, job_rows[position], classes, workspace
                 )
-                class_row, info = _draw(
-                    class_logits, slice(0, len(classes)), rngs[position], greedy,
-                    training,
-                )
+                class_row = sample_row(class_logits, None, rngs[position], greedy)
                 executor_class = classes[class_row]
-                if training:
-                    infos[position] += info
                 if components is not None:
                     records[position].classes = classes
                     records[position].class_row = class_row
@@ -854,10 +794,7 @@ class DecimaAgent(Module, Scheduler):
                 parallelism_limit=limits[position],
                 executor_class=executor_class,
             )
-            results[position] = (
-                action,
-                infos[position] if components is None else records[position],
-            )
+            results[position] = (action, records[position])
         return results
 
     def _limit_logits(

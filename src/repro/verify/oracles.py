@@ -11,8 +11,11 @@ benchmarks that price a fast path construct them by name.
   decision, the reference of :class:`~repro.core.features.GraphCache`
   (``cached_vs_scratch_features``);
 * :class:`ReferenceAgent` — both at once (``fast_vs_reference``);
-* :class:`TensorForwardAgent` — every decision through the training forward,
-  the reference of the inference data path (``inference_kernels_vs_tensor``);
+* :func:`scored_act` / :class:`TensorForwardAgent` — one decision through
+  the autograd forward REINFORCE trains on, with its own stage → limit →
+  class selection, scored on the autograd graph: the reference of the
+  inference data path (``inference_kernels_vs_tensor``) and of the chunked
+  replay's gradients;
 * :class:`ForgetfulAgent` — the data path remembering nothing, the reference
   of embedding reuse (``incremental_vs_full_gnn``);
 * :class:`SerialRequestBroker` — one policy pass per request, the reference
@@ -32,8 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from ..autograd import Tensor
-from ..core.agent import DecimaAgent
+from ..autograd import Tensor, entropy_from_log_probs, masked_log_softmax
+from ..core.agent import DecimaAgent, StepInfo, sample_row
 from ..core.features import (
     FeatureConfig,
     GraphCache,
@@ -44,7 +47,7 @@ from ..core.features import (
 )
 from ..core.gnn import GraphNeuralNetwork
 from ..service.batcher import RequestBroker
-from ..simulator.environment import Observation
+from ..simulator.environment import Action, Observation
 
 __all__ = [
     "DenseGNNAgent",
@@ -56,6 +59,7 @@ __all__ = [
     "TensorForwardAgent",
     "build_graph_features",
     "dense_adjacency",
+    "scored_act",
 ]
 
 
@@ -142,14 +146,18 @@ class DenseGraphNeuralNetwork(GraphNeuralNetwork):
 
 class DenseGNNAgent(DecimaAgent):
     """Decides through :class:`DenseGraphNeuralNetwork`, on autograd ops (the
-    dense formulation has no data path); the heads run as usual."""
+    dense formulation has no data path); selection runs as usual."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.gnn = DenseGraphNeuralNetwork.sharing(self.gnn)
 
-    def _forward(self, graph, training, clock):
-        return super()._forward(graph, True, clock)
+    def _forward(self, graph, clock):
+        embeddings = self.gnn(graph)
+        clock.mark()
+        node_logits = self.policy.node_logits(graph, embeddings)
+        clock.mark()
+        return embeddings, node_logits
 
 
 class ReferenceAgent(DenseGNNAgent, ScratchFeaturesAgent):
@@ -157,16 +165,78 @@ class ReferenceAgent(DenseGNNAgent, ScratchFeaturesAgent):
 
 
 # ------------------------------------------------------------ the decision
+def _scored(logits: Tensor, row: int, mask: Optional[np.ndarray] = None) -> StepInfo:
+    """Log-probability of entry ``row`` of ``softmax(logits)`` and its entropy."""
+    if mask is None:
+        mask = np.ones(logits.shape[0], dtype=bool)
+    log_probs = masked_log_softmax(logits, mask)
+    return StepInfo(log_probs[row], entropy_from_log_probs(log_probs, mask))
+
+
+def scored_act(
+    agent: DecimaAgent,
+    observation: Observation,
+    rng: Optional[np.random.Generator] = None,
+    greedy: bool = False,
+) -> tuple[Optional[Action], Optional[StepInfo]]:
+    """One decision of ``agent`` through the autograd ops, and its score.
+
+    Fresh feature arrays, the tensor forward (``agent.gnn(graph)`` and
+    ``agent.policy.node_logits``), then stage → limit → class, each head
+    scored on its own: :func:`sample_row` on the head's tensor data draws
+    from ``rng`` (``agent``'s evaluation stream when ``None``) in that order,
+    and :func:`_scored` puts the drawn row's log-probability and the
+    distribution's entropy on the autograd graph.  The returned
+    :class:`StepInfo` holds the three heads summed, scalar tensors connected
+    to the parameters.  It shares no selection code with
+    :meth:`DecimaAgent.act_batch`, which must decide the same action and
+    leave ``rng`` in the same state.  ``(None, None)`` when nothing is
+    schedulable.
+    """
+    if not observation.schedulable_nodes:
+        return None, None
+    rng = rng if rng is not None else agent._eval_rng
+    graph = agent.build_features(observation)
+    embeddings = agent.gnn(graph)
+    node_logits = agent.policy.node_logits(graph, embeddings)
+    if agent.logits_tap is not None:
+        agent.logits_tap(node_logits.data)
+    mask = graph.schedulable_mask
+    node_row = sample_row(node_logits.data, mask, rng, greedy)
+    info = _scored(node_logits, node_row, mask)
+    node = graph.nodes[node_row]
+    job_row = int(graph.job_ids[node_row])
+
+    limit = agent.total_executors
+    if agent.config.use_parallelism_control:
+        candidates = agent.candidate_limits(node.job)
+        limit_logits = agent.policy.limit_logits_rows(
+            graph,
+            embeddings,
+            np.full(len(candidates), job_row),
+            agent._limit_inputs(candidates),
+        )
+        limit_row = sample_row(limit_logits.data, None, rng, greedy)
+        info += _scored(limit_logits, limit_row)
+        limit = int(candidates[limit_row])
+
+    executor_class = None
+    classes = agent._eligible_classes(observation, node)
+    if classes:
+        class_logits = agent.policy.class_logits(graph, embeddings, job_row, classes)
+        class_row = sample_row(class_logits.data, None, rng, greedy)
+        info += _scored(class_logits, class_row)
+        executor_class = classes[class_row]
+    return Action(node=node, parallelism_limit=limit, executor_class=executor_class), info
+
+
 class TensorForwardAgent(DecimaAgent):
-    """Schedules through ``act(training=True)``: the forward REINFORCE trains
-    on (autograd ops, fresh arrays) is the oracle of the inference data path."""
+    """Schedules through :func:`scored_act`: the forward REINFORCE trains on
+    (autograd ops, fresh arrays) is the oracle of the inference data path."""
 
     def schedule(self, observation):
-        action, _ = self.act(
-            observation,
-            rng=self._eval_rng,
-            greedy=self.config.greedy_evaluation,
-            training=True,
+        action, _ = scored_act(
+            self, observation, self._eval_rng, self.config.greedy_evaluation
         )
         return action
 

@@ -18,6 +18,7 @@ from repro.simulator.multi_resource import assign_memory_requests
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 from repro.experiments.runner import run_scheduler_on_jobs
 from repro.experiments.training import tpch_batch_factory, train_decima_agent
+from repro.verify.oracles import scored_act
 
 
 def small_env_and_jobs(num_jobs=3, num_executors=6, seed=0):
@@ -41,12 +42,12 @@ class TestDecimaAgent:
         env, _, jobs = small_env_and_jobs()
         agent = DecimaAgent(total_executors=6)
         observation = env.reset(jobs)
-        action, info = agent.act(observation, rng=np.random.default_rng(0), training=True)
+        action, record = agent.act(observation, rng=np.random.default_rng(0), record=True)
         assert action.node in observation.schedulable_nodes
         assert action.parallelism_limit > action.node.job.num_active_executors
-        assert info is not None
-        assert np.isfinite(info.log_prob.item())
-        assert info.entropy.item() >= 0.0
+        info = agent.score_actions([record])
+        assert np.isfinite(info.log_prob.data[0])
+        assert info.entropy.data[0] >= 0.0
 
     def test_act_without_schedulable_nodes(self):
         env, _, jobs = small_env_and_jobs()
@@ -91,8 +92,9 @@ class TestDecimaAgent:
         env, _, jobs = small_env_and_jobs()
         agent = DecimaAgent(total_executors=6, config=DecimaConfig(limit_value_input=False))
         observation = env.reset(jobs)
-        action, info = agent.act(observation, rng=np.random.default_rng(0), training=True)
-        assert action is not None and info is not None
+        action, record = agent.act(observation, rng=np.random.default_rng(0), record=True)
+        assert action is not None and record.limits is not None
+        assert np.isfinite(agent.score_actions([record]).log_prob.data[0])
 
     def test_one_hot_limit_level_index_precomputed(self):
         agent = DecimaAgent(total_executors=6, config=DecimaConfig(limit_value_input=False))
@@ -105,18 +107,18 @@ class TestDecimaAgent:
         overflow = agent._limit_inputs(np.array([agent.total_executors + 5]))
         assert overflow[0, -1] == 1.0
 
-    def test_score_action_is_the_training_path_of_act(self):
+    def test_scored_record_is_the_per_decision_oracle_score(self):
         env, _, jobs = small_env_and_jobs()
         agent = DecimaAgent(total_executors=6)
         observation = env.reset(jobs)
-        action, info = agent.act(observation, greedy=True, training=True)
-        log_prob, entropy = agent.score_action(
-            observation, action.node, action.parallelism_limit
+        action, info = scored_act(agent, observation, greedy=True)
+        scored = agent.score_actions(
+            [agent.record_action(observation, action.node, action.parallelism_limit)]
         )
-        assert log_prob.item() == info.log_prob.item()
-        assert entropy.item() == info.entropy.item()
+        assert scored.log_prob.data[0] == info.log_prob.item()
+        assert scored.entropy.data[0] == info.entropy.item()
 
-    def test_score_action_rejects_nodes_it_cannot_have_chosen(self):
+    def test_record_action_rejects_nodes_it_cannot_have_chosen(self):
         env, _, jobs = small_env_and_jobs()
         agent = DecimaAgent(total_executors=6)
         observation = env.reset(jobs)
@@ -130,9 +132,9 @@ class TestDecimaAgent:
         _, _, other_jobs = small_env_and_jobs(seed=1)
         for node in (blocked, other_jobs[0].nodes[0]):  # in the graph / absent
             with pytest.raises(ValueError, match="not a schedulable node"):
-                agent.score_action(observation, node, 1)
+                agent.record_action(observation, node, 1)
         with pytest.raises(ValueError, match="not a candidate"):
-            agent.score_action(observation, observation.schedulable_nodes[0], 10_000)
+            agent.record_action(observation, observation.schedulable_nodes[0], 10_000)
 
     def test_interarrival_hint_requires_feature_flag(self):
         env, _, jobs = small_env_and_jobs()
@@ -151,26 +153,28 @@ class TestDecimaAgent:
         env = SchedulingEnvironment(config)
         agent = DecimaAgent(total_executors=8, config=DecimaConfig(multi_resource=True))
         observation = env.reset(jobs)
-        action, info = agent.act(observation, rng=np.random.default_rng(1), training=True)
+        action, _ = agent.act(observation, rng=np.random.default_rng(1))
         assert action.executor_class is not None
         assert action.executor_class.fits(action.node)
 
-    def test_score_action_scores_the_executor_class_head(self):
+    def test_scored_record_scores_the_executor_class_head(self):
         config = multi_resource_config(total_executors=8, seed=0)
         rng = np.random.default_rng(0)
         jobs = batched_arrivals(sample_tpch_jobs(2, rng, sizes=(2.0,)))
         assign_memory_requests(jobs, seed=0, low=0.3, high=0.9)
         agent = DecimaAgent(total_executors=8, config=DecimaConfig(multi_resource=True))
         observation = SchedulingEnvironment(config).reset(jobs)
-        action, info = agent.act(observation, rng=np.random.default_rng(1), training=True)
-        log_prob, entropy = agent.score_action(
-            observation, action.node, action.parallelism_limit,
-            executor_class=action.executor_class,
-        )
-        assert log_prob.item() == info.log_prob.item()
-        assert entropy.item() == info.entropy.item()
+        action, info = scored_act(agent, observation, np.random.default_rng(1))
+        scored = agent.score_actions([
+            agent.record_action(
+                observation, action.node, action.parallelism_limit,
+                executor_class=action.executor_class,
+            )
+        ])
+        assert scored.log_prob.data[0] == info.log_prob.item()
+        assert scored.entropy.data[0] == info.entropy.item()
         with pytest.raises(ValueError, match="executor class None is not a candidate"):
-            agent.score_action(observation, action.node, action.parallelism_limit)
+            agent.record_action(observation, action.node, action.parallelism_limit)
 
     def test_agent_completes_episode_as_scheduler(self):
         _, config, jobs = small_env_and_jobs()

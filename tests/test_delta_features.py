@@ -20,7 +20,7 @@ from repro.core.nn import MLP
 from repro.service.session import SessionState
 from repro.simulator.environment import Action
 from repro.simulator.jobdag import JobDAG, Node
-from repro.verify.oracles import build_graph_features
+from repro.verify.oracles import build_graph_features, scored_act
 
 
 def _chain_job(num_nodes=3, num_tasks=4, duration=10.0):
@@ -275,7 +275,7 @@ class TestAgentDataPath:
         oracle = make_decima_agent(total_executors=8)
         for _ in range(20):
             a, _ = fast.act(observation, greedy=True)
-            b, info = oracle.act(observation, greedy=True, training=True)
+            b, info = scored_act(oracle, observation, greedy=True)
             assert (info is None) == (b is None)
             assert (a is None) == (b is None)
             if a is None:

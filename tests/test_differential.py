@@ -103,8 +103,9 @@ class TestImplementationPairs:
     def test_data_path_matches_training_forward_on_every_scenario(self, scenario):
         """The arena-buffered inference data path produces the exact same
         decision stream as the forward REINFORCE trains on
-        (``act(training=True)``: autograd ops, fresh arrays) on all registry
-        scenarios — the data path may only change speed, never behaviour."""
+        (``repro.verify.oracles.scored_act``: autograd ops, fresh arrays, its
+        own selection) on all registry scenarios — the data path may only
+        change speed, never behaviour."""
         task = DifferentialTask(scenario=scenario, seed=7, **SMALL)
         report = run_pair("inference_kernels_vs_tensor", task)
         assert report.ok, report.describe()
@@ -171,19 +172,24 @@ class TestImplementationPairs:
         resolve_variant("service:batched")(task)
         assert max(batch_sizes) == 3
 
-    def test_the_pair_compares_two_different_forwards(self, monkeypatch):
-        """``decima:tensor_forward`` never enters the data path and
-        ``decima:default`` always does — the pair is not one forward
-        compared with itself."""
-        from repro.core.gnn import GraphNeuralNetwork
+    @pytest.mark.parametrize(
+        "product", ("repro.core.gnn.GraphNeuralNetwork.forward_data",
+                    "repro.core.agent.DecimaAgent._select"),
+        ids=("forward", "selection"),
+    )
+    def test_the_pair_compares_two_different_implementations(self, monkeypatch, product):
+        """``decima:tensor_forward`` never enters the data-path forward nor
+        the product's stage/limit/class selection, and ``decima:default``
+        always does — the pair is not one implementation compared with
+        itself."""
 
-        def forbidden(self, graph):
-            raise AssertionError("data path entered")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("product path entered")
 
-        monkeypatch.setattr(GraphNeuralNetwork, "forward_data", forbidden)
-        task = DifferentialTask(scenario="tpch_batched", seed=7, **SMALL)
+        monkeypatch.setattr(product, forbidden)
+        task = DifferentialTask(scenario="multi_resource_packing", seed=7, **SMALL)
         assert len(resolve_variant("decima:tensor_forward")(task).decisions) > 5
-        with pytest.raises(AssertionError, match="data path entered"):
+        with pytest.raises(AssertionError, match="product path entered"):
             resolve_variant("decima:default")(task)
 
     @pytest.mark.parametrize("scenario", sorted(scenario_names()))

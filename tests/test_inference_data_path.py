@@ -1,4 +1,4 @@
-"""Inference decides on plain arrays: no autograd tape unless ``training=True``.
+"""Inference decides on plain arrays: no autograd tape, one selection routine.
 
 Pinned here:
 
@@ -7,11 +7,19 @@ Pinned here:
   and class heads all run on the data path;
 * the data twins of the limit and class heads equal the tensor heads bit for
   bit, for one observation and for a merged batch of three;
+* every observation of an ``act_batch`` gets the action, and leaves its
+  generator in the state, that :func:`repro.verify.oracles.scored_act` —
+  the autograd forward with its own selection code — gives it alone
+  (hypothesis);
+* ``act_batch`` refuses to let one :class:`GraphCache` serve two
+  observations, whose feature buffers would overwrite each other;
 * :func:`repro.core.agent.sample_row` draws exactly what
   ``Generator.choice(n, p=p)`` draws from the tensor log-softmax's
   probabilities, leaves the generator in the same state, arg-maxes the valid
   entries when greedy and raises on NaN probabilities when sampling.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -29,8 +37,18 @@ from repro.core import (
 from repro.core.agent import sample_row
 from repro.experiments.scenarios import get_scenario, scenario_workload_rng
 from repro.simulator import SchedulingEnvironment, multi_resource_classes
+from repro.verify.oracles import scored_act
 
 SCENARIOS = ("tpch_poisson", "multi_resource_packing")
+
+
+def scenario_agent(scenario: str, **config) -> DecimaAgent:
+    """An agent for the scenario's cluster, multi-resource when it has classes."""
+    cluster = get_scenario(scenario, num_jobs=6, num_executors=8).build_config(0)
+    multi = len({cls for cls, _ in cluster.executor_classes or []}) > 1
+    return DecimaAgent(
+        cluster.num_executors, DecimaConfig(seed=0, multi_resource=multi, **config)
+    )
 
 
 def observations(scenario: str, count: int):
@@ -42,10 +60,7 @@ def observations(scenario: str, count: int):
         )
         for seed in range(count)
     ]
-    config = spec.build_config(0)
-    multi = len({cls for cls, _ in config.executor_classes or []}) > 1
-    agent = DecimaAgent(config.num_executors, DecimaConfig(seed=0, multi_resource=multi))
-    return agent, found
+    return scenario_agent(scenario), found
 
 
 @pytest.fixture
@@ -74,7 +89,9 @@ class TestNoTape:
         actions += [
             decided
             for decided, _ in agent.act_batch(
-                found, rngs=[np.random.default_rng(seed) for seed in range(3)]
+                found,
+                rngs=[np.random.default_rng(seed) for seed in range(3)],
+                graph_caches=[GraphCache() for _ in found],
             )
         ]
         assert all(action is not None for action in actions)
@@ -82,10 +99,113 @@ class TestNoTape:
             assert any(action.executor_class is not None for action in actions)
         assert taped == []
 
-    def test_training_still_records(self, taped):
+    def test_act_on_graph_refuses_training(self):
         agent, found = observations("tpch_poisson", 1)
-        _, info = agent.act(found[0], rng=np.random.default_rng(1), training=True)
+        graph = agent.build_features(found[0], graph_cache=GraphCache())
+        embeddings = agent.gnn(graph)
+        logits = agent.policy.node_logits(graph, embeddings)
+        action, _ = agent.act_on_graph(
+            graph, embeddings, logits, found[0], greedy=True, training=False
+        )
+        assert action.node in found[0].schedulable_nodes
+        with pytest.raises(ValueError, match="data path only"):
+            agent.act_on_graph(graph, embeddings, logits, found[0], training=True)
+
+    def test_the_oracle_still_records(self, taped):
+        agent, found = observations("tpch_poisson", 1)
+        _, info = scored_act(agent, found[0], np.random.default_rng(1))
         assert info.log_prob._parents and taped
+
+
+# ------------------------------------------------------- selection vs the oracle
+def advanced(scenario: str, seed: int, steps: int, agent: DecimaAgent):
+    """The scenario's observation after ``steps`` greedy decisions (fewer if
+    the episode ends first), in an environment of its own."""
+    spec = get_scenario(scenario, num_jobs=6, num_executors=8)
+    environment = SchedulingEnvironment(spec.build_config(seed))
+    observation = environment.reset(
+        spec.build_jobs(scenario_workload_rng(scenario, seed)), seed=seed
+    )
+    for _ in range(steps):
+        action, _ = agent.act(observation, greedy=True, graph_cache=GraphCache())
+        following, _, done = environment.step(action)
+        if done or not following.schedulable_nodes:
+            break
+        observation = following
+    return observation
+
+
+class TestSelectionOracle:
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("limit_value_input", (True, False), ids=("scalar", "one_hot"))
+    @settings(max_examples=12, deadline=None)
+    @given(
+        members=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 6)), min_size=1, max_size=4
+        ),
+        greedy=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_act_batch_decides_what_scored_act_decides_alone(
+        self, scenario, limit_value_input, members, greedy, seed
+    ):
+        agent = scenario_agent(scenario, limit_value_input=limit_value_input)
+        found = [advanced(scenario, s, steps, agent) for s, steps in members]
+        streams = [np.random.default_rng([seed, k]) for k in range(len(found))]
+        oracle_streams = copy.deepcopy(streams)
+        decisions = agent.act_batch(
+            found, rngs=streams, greedy=greedy,
+            graph_caches=[GraphCache() for _ in found],
+        )
+        for observation, (action, _), stream, oracle_stream in zip(
+            found, decisions, streams, oracle_streams
+        ):
+            expected, info = scored_act(agent, observation, oracle_stream, greedy)
+            assert info is not None
+            assert action.node is expected.node
+            assert action.parallelism_limit == expected.parallelism_limit
+            assert action.executor_class is expected.executor_class
+            if agent.config.multi_resource:  # the class head fired
+                assert expected.executor_class is not None
+            assert stream.bit_generator.state == oracle_stream.bit_generator.state
+
+
+# --------------------------------------------------------- one cache per member
+class TestGraphCachePerObservation:
+    def two_states(self):
+        """Two environments on copies of the same jobs, the second three
+        greedy decisions further on; both graphs have 49 nodes."""
+        spec = get_scenario("tpch_batched", num_jobs=4, num_executors=6)
+        jobs = spec.build_jobs(scenario_workload_rng("tpch_batched", 0))
+        agent = DecimaAgent(6, DecimaConfig(seed=0))
+        first, second = (SchedulingEnvironment(spec.build_config(0)) for _ in range(2))
+        a = first.reset(copy.deepcopy(jobs), seed=0)
+        b = second.reset(copy.deepcopy(jobs), seed=0)
+        for _ in range(3):
+            action, _ = agent.act(b, greedy=True, graph_cache=GraphCache())
+            b, _, _ = second.step(action)
+        sizes = [sum(len(job.nodes) for job in o.job_dags) for o in (a, b)]
+        assert sizes == [49, 49]
+        return agent, a, b
+
+    def test_a_shared_cache_is_refused(self):
+        agent, a, b = self.two_states()
+        shared = GraphCache()
+        for caches in (None, [None, None], [shared, shared], [None, agent.graph_cache]):
+            with pytest.raises(ValueError, match="one graph cache per observation"):
+                agent.act_batch([a, b], greedy=True, graph_caches=caches)
+
+    def test_own_caches_decide_what_each_decides_alone(self):
+        agent, a, b = self.two_states()
+        alone = [
+            agent.act(o, greedy=True, graph_cache=GraphCache())[0] for o in (a, b)
+        ]
+        # One observation may use the agent's own cache.
+        for caches in ([GraphCache(), GraphCache()], [None, GraphCache()]):
+            decided = agent.act_batch([a, b], greedy=True, graph_caches=caches)
+            for (action, _), expected in zip(decided, alone):
+                assert action.node is expected.node
+                assert action.parallelism_limit == expected.parallelism_limit
 
 
 class TestDataHeads:

@@ -6,10 +6,10 @@ records in merged chunks of :data:`~repro.core.rollout.REPLAY_CHUNK`.  Pinned
 here:
 
 * the gradients of the chunked replay equal those of the retained-graph
-  oracle — ``act(training=True)`` holding every decision's graph until one
-  whole-episode ``backward()``, the training step this replaced, kept below
-  as the reference — at every chunk boundary and across a chunk whose merged
-  components have different structures;
+  oracle — :func:`repro.verify.oracles.scored_act` holding every decision's
+  graph until one whole-episode ``backward()``, the training step this
+  replaced, kept below as the reference — at every chunk boundary and across
+  a chunk whose merged components have different structures;
 * scoring a chunk is scoring its records one by one (hypothesis), and its
   autograd graph is as large for ``REPLAY_CHUNK`` records as for one — each
   head is one segment log-softmax per chunk, not one softmax per record;
@@ -41,6 +41,7 @@ from repro.core.rollout import (
 )
 from repro.experiments.scenarios import get_scenario, scenario_workload_rng
 from repro.simulator import SchedulingEnvironment
+from repro.verify.oracles import scored_act
 
 SCENARIOS = ("tpch_poisson", "multi_resource_packing")
 ENTROPY_WEIGHT = 0.01
@@ -81,14 +82,14 @@ def episode_loss(infos, advantages, entropy_weight):
 
 
 def retained_graph_gradients(scenario: str, length: int, seed: int = 0):
-    """The same episode through ``act(training=True)``, one whole-episode backward."""
+    """The same episode through :func:`scored_act`, one whole-episode backward."""
     environment, agent, jobs = episode(scenario, seed)
     rng = np.random.default_rng(1)
     observation = environment.reset(jobs, seed=seed)
     infos = []
     done = False
     while not done and len(infos) < length:
-        action, info = agent.act(observation, rng=rng, greedy=False, training=True)
+        action, info = scored_act(agent, observation, rng, greedy=False)
         observation, _, done = environment.step(action)
         if info is not None:
             infos.append(info)
@@ -296,9 +297,3 @@ class TestNoRetainedGraph:
         assert backend._trajectories == []
         assert agent.graph_cache._structure is None
         assert live_graph_tensors() <= before
-
-    def test_record_and_training_exclude_each_other(self):
-        environment, agent, jobs = episode("tpch_poisson")
-        observation = environment.reset(jobs, seed=0)
-        with pytest.raises(ValueError, match="exclude each other"):
-            agent.act(observation, training=True, record=True)

@@ -45,7 +45,12 @@ from repro.core.rollout import collect_rollout
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
 from repro.simulator.environment import Action, Observation
 from repro.simulator.jobdag import JobDAG, Node
-from repro.verify.oracles import DenseGraphNeuralNetwork, ReferenceAgent, build_graph_features
+from repro.verify.oracles import (
+    DenseGraphNeuralNetwork,
+    ReferenceAgent,
+    build_graph_features,
+    scored_act,
+)
 from repro.workloads import batched_arrivals, sample_tpch_jobs
 
 # End-to-end equivalence (sampled episodes, training-fingerprint parity)
@@ -347,8 +352,8 @@ class TestDataPathEquivalence:
 
     ``forward_data`` must reproduce the autograd forward, and a sampled
     episode decided on the data path (``collect_rollout``, which is how every
-    trainer rolls out) must be the episode ``act(training=True)`` decides —
-    the retained-graph forward the chunked replay reproduces at update time.
+    trainer rolls out) must be the episode :func:`scored_act` decides — the
+    retained-graph forward the chunked replay reproduces at update time.
     """
 
     def test_forward_data_matches_tensor_forward(self):
@@ -384,7 +389,7 @@ class TestDataPathEquivalence:
         wall_times, rewards = [], []
         done = False
         while not done and len(rewards) < 120:  # collect_rollout's loop, autograd
-            action, info = agent.act(observation, rng=rng, greedy=False, training=True)
+            action, info = scored_act(agent, observation, rng, greedy=False)
             assert (info is None) == (action is None)
             wall_time = env.wall_time
             observation, reward, done = env.step(action)
