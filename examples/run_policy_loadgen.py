@@ -46,6 +46,7 @@ from repro.obs import configure_logging, summarize_snapshot
 from repro.service import (
     ControlClient,
     PolicyClient,
+    ProtocolError,
     ServingConfig,
     build_server,
     run_load,
@@ -112,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1,
                         help="self-host a fleet with this many shard processes")
     parser.add_argument("--max-sessions", type=int, default=None,
-                        help="admission limit for the self-hosted fleet")
+                        help="admission limit for the self-hosted fleet; "
+                             "needs --shards > 1")
     parser.add_argument("--online", action="store_true",
                         help="self-hosted target learns online while serving "
                              "(background REINFORCE + checkpoint hot-swap)")
@@ -154,12 +156,15 @@ def main() -> None:
         agent = DecimaAgent(
             total_executors=args.executors, config=DecimaConfig(seed=args.seed)
         )
-        config = ServingConfig(
-            num_shards=args.shards,
-            max_sessions=args.max_sessions,
-            slo_ms=args.slo_ms,
-        )
-        server = build_server(config, agent=agent)
+        try:
+            config = ServingConfig(
+                num_shards=args.shards,
+                max_sessions=args.max_sessions,
+                slo_ms=args.slo_ms,
+            )
+            server = build_server(config, agent=agent)
+        except ValueError as error:  # a deployment ServingConfig refuses
+            parser.error(str(error))
         host, port = server.start()
         if args.shards > 1:
             control_address = server.control_address
@@ -217,14 +222,17 @@ def main() -> None:
                     summary["trace"] = control.trace(trace_ids[0])
         else:
             # Single-server target: scrape its registry over the data plane.
+            # A fleet's router answers only a hello there; its registries are
+            # on the control plane (--control).
             try:
                 with PolicyClient(host, port) as scrape:
                     summary["metrics"] = scrape.metrics()
                     trace_ids = summary.get("trace_ids", [])
                     if trace_ids:
                         summary["trace"] = scrape.trace(trace_ids[0])
-            except Exception:  # noqa: BLE001 - a pre-v3 server has no scrape
-                pass
+            except ProtocolError as error:
+                print(f"no metrics taken: {error} (a fleet's router? pass "
+                      f"--control HOST:PORT)")
     finally:
         if manager is not None:
             manager.stop()

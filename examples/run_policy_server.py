@@ -62,9 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1,
                         help="shard processes; >1 serves a router-fronted fleet")
     parser.add_argument("--control-port", type=int, default=0,
-                        help="control-plane port for the fleet (0 = pick one)")
+                        help="control-plane port for the fleet (0 = pick "
+                             "one); needs --shards > 1")
     parser.add_argument("--max-sessions", type=int, default=None,
-                        help="fleet admission limit (concurrent sessions)")
+                        help="fleet admission limit (concurrent sessions); "
+                             "needs --shards > 1")
     parser.add_argument("--online", action="store_true",
                         help="learn online: background REINFORCE over served "
                              "decisions, checkpointed + hot-swapped with "
@@ -128,14 +130,18 @@ def attach_online_learning(server, args) -> OnlineLearningManager:
 
 
 def main() -> None:
-    args = build_parser().parse_args()
+    parser = build_parser()
+    args = parser.parse_args()
     configure_logging(level=args.log_level.upper())
 
     store_tmp = None
     if args.online and args.store_dir is None:
         store_tmp = tempfile.TemporaryDirectory(prefix="decima-online-")
         args.store_dir = store_tmp.name
-    server = build_policy_server(args)
+    try:
+        server = build_policy_server(args)
+    except ValueError as error:  # a deployment ServingConfig refuses
+        parser.error(str(error))
     host, port = server.start()
     slo = f"{args.slo_ms:.0f} ms SLO -> {args.fallback}" if args.slo_ms else "no SLO"
     if args.shards > 1:

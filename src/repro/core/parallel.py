@@ -304,13 +304,20 @@ def _serve(connection, parent_end, worker: Callable[..., dict], args: tuple) -> 
     command or an unpicklable result is an answer, and the loop keeps serving.
     It ends on ``close`` or when the parent is gone; either way the table's
     own ``"close"`` entry, if it has one, runs last (a shard stops its server
-    there).
+    there).  A ``worker(*args)`` that raises leaves no table: every request
+    is then answered with that set-up traceback, so the parent's error names
+    the cause instead of a worker that died without replying.
     """
     # This process's copy of the parent's end: while it is open the pipe
     # never reads EOF, and a worker whose parent was killed would live on.
     parent_end.close()
     single_threaded_blas()
-    handlers = worker(*args)
+    setup_failure = None
+    try:
+        handlers = worker(*args)
+    except Exception:
+        setup_failure = "set-up failed:\n" + traceback.format_exc()
+        handlers = {}
     try:
         while True:
             try:
@@ -320,9 +327,12 @@ def _serve(connection, parent_end, worker: Callable[..., dict], args: tuple) -> 
             if command == "close":
                 return
             try:
-                if command not in handlers:
+                if setup_failure is not None:
+                    connection.send((ticket, "error", setup_failure))
+                elif command not in handlers:
                     raise ValueError(f"unknown worker command {command!r}")
-                connection.send((ticket, "ok", handlers[command](*payload)))
+                else:
+                    connection.send((ticket, "ok", handlers[command](*payload)))
             except Exception:
                 try:
                     connection.send((ticket, "error", traceback.format_exc()))

@@ -35,7 +35,10 @@ Layers (see ``docs/ARCHITECTURE.md``, "Serving layer"):
   process management;
 * :mod:`~repro.service.client`  — the synchronous session + control clients
   (plus the episode driver);
-* :mod:`~repro.service.loadgen`  — the synthetic multi-session load generator.
+* :mod:`~repro.service.loadgen`  — the synthetic multi-session load generator;
+* :mod:`~repro.service.config`   — :class:`ServingConfig`, the one declaration
+  of a deployment that the server, fleet and router read, and
+  :func:`build_server`, which picks the topology.
 """
 
 from .batcher import (

@@ -21,11 +21,13 @@ differential pair).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..core.agent import DecimaAgent
 from ..core.checkpoints import AgentSpec, agent_spec, build_agent
 from ..core.parallel import PipeWorkerPool
+from .config import ServingConfig
 from .router import ShardRouter
 
 __all__ = ["ServingFleet", "SHARD_COMMANDS"]
@@ -43,11 +45,20 @@ SHARD_COMMANDS = (
 )
 
 
-def _shard_worker(spec: AgentSpec, state, host: str, server_kwargs: dict) -> dict:
-    """A shard: one :class:`PolicyServer` on its own agent, stopped on close."""
+def _shard_worker(spec: AgentSpec, state, config: ServingConfig, index: int) -> dict:
+    """A shard: one :class:`PolicyServer` on its own agent, stopped on close.
+
+    It serves the fleet's config on a port of its own choosing and names
+    itself in telemetry (spans, flight dumps, structured logs) so fleet-wide
+    scrapes stay attributable.
+    """
     from .server import PolicyServer
 
-    server = PolicyServer(build_agent(spec, state), host=host, port=0, **server_kwargs)
+    server = PolicyServer(
+        build_agent(spec, state),
+        replace(config, port=0),
+        service_name=f"shard-{index}",
+    )
     commands = {name: getattr(server, name) for name in SHARD_COMMANDS}
     commands["close"] = server.stop
     return commands
@@ -65,26 +76,10 @@ class ServingFleet:
     exactly as serving does.
     """
 
-    def __init__(
-        self,
-        agent: DecimaAgent,
-        num_shards: int = 2,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        control_port: int = 0,
-        max_sessions: Optional[int] = None,
-        **server_kwargs,
-    ):
-        if num_shards < 1:
-            raise ValueError("a fleet needs at least one shard")
+    def __init__(self, agent: DecimaAgent, config: ServingConfig):
         self._spec = agent_spec(agent)
         self._state = agent.state_dict()
-        self.num_shards = int(num_shards)
-        self.host = host
-        self.port = int(port)
-        self.control_port = int(control_port)
-        self.max_sessions = max_sessions
-        self.server_kwargs = dict(server_kwargs)
+        self.config = config
         self._pool: Optional[PipeWorkerPool] = None
         self.shard_addresses: list = []
         self.router: Optional[ShardRouter] = None
@@ -113,32 +108,18 @@ class ServingFleet:
     def start(self) -> tuple:
         if self._pool is not None:
             raise RuntimeError("fleet already started")
-        # Each shard names itself in telemetry (spans, flight dumps,
-        # structured logs) so fleet-wide scrapes stay attributable.
         self._pool = PipeWorkerPool(
-            self.num_shards,
+            self.config.num_shards,
             _shard_worker,
-            lambda index: (
-                self._spec,
-                self._state,
-                self.host,
-                dict(self.server_kwargs, service_name=f"shard-{index}"),
-            ),
+            lambda index: (self._spec, self._state, self.config, index),
             description="policy shard",
         )
         try:
-            addresses = self._pool.run("start", [()] * self.num_shards, timeout=60.0)
-            self.shard_addresses = [tuple(address) for address in addresses]
-            self.router = ShardRouter(
-                self.shard_addresses,
-                host=self.host,
-                port=self.port,
-                control_port=self.control_port,
-                max_sessions=self.max_sessions,
-                flight_dir=self.server_kwargs.get("flight_dir"),
-                flight_capacity=self.server_kwargs.get("flight_capacity", 512),
-                trace_capacity=self.server_kwargs.get("trace_capacity", 256),
+            addresses = self._pool.run(
+                "start", [()] * self._pool.num_workers, timeout=60.0
             )
+            self.shard_addresses = [tuple(address) for address in addresses]
+            self.router = ShardRouter(self.shard_addresses, self.config)
             self.router.start()
         except Exception:
             self.stop()
@@ -171,7 +152,7 @@ class ServingFleet:
         one ``(status, value)`` per shard, ``"ok"`` from those that answered."""
         if self._pool is None:
             raise RuntimeError("fleet is not started")
-        return self._pool.ask(command, [args] * self.num_shards, timeout=30.0)
+        return self._pool.ask(command, [args] * self._pool.num_workers, timeout=30.0)
 
     def served_policy(self) -> tuple[AgentSpec, dict, int]:
         """The architecture, weights and policy version the shards start on

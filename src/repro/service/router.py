@@ -46,6 +46,7 @@ from ..obs import (
     render_prometheus,
     stat_values,
 )
+from .config import ServingConfig
 from .protocol import (
     MAX_FRAME_BYTES,
     ProtocolError,
@@ -119,31 +120,23 @@ class _RouterCounters:
 class ShardRouter:
     """Route cluster sessions across shard servers; serve the control plane."""
 
+    # Seconds to open a connection to a shard, and for a control-plane probe
+    # of one to answer; past either the shard is marked failed.
+    connect_timeout = 5.0
+    probe_timeout = 2.0
+
     def __init__(
-        self,
-        shards: Sequence[tuple],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        control_port: int = 0,
-        max_sessions: Optional[int] = None,
-        connect_timeout: float = 5.0,
-        probe_timeout: float = 2.0,
-        flight_dir: Optional[str] = None,
-        flight_capacity: int = 512,
-        trace_capacity: int = 256,
+        self, shards: Sequence[tuple], config: Optional[ServingConfig] = None
     ):
         if not shards:
             raise ValueError("a router needs at least one shard address")
+        self.config = ServingConfig() if config is None else config
         self.shards = [
             ShardState(host=shard_host, port=int(shard_port), index=index)
             for index, (shard_host, shard_port) in enumerate(shards)
         ]
-        self.host = host
-        self.port = int(port)
-        self.control_port = int(control_port)
-        self.max_sessions = None if max_sessions is None else int(max_sessions)
-        self.connect_timeout = float(connect_timeout)
-        self.probe_timeout = float(probe_timeout)
+        # Starts at the config's admission limit; ``reconfigure`` moves it.
+        self.max_sessions = self.config.max_sessions
         self.counters = _RouterCounters()
         # Router-side observability: its own registry (the relay counters,
         # read when scraped), span store (the router.forward hop of traced
@@ -151,10 +144,8 @@ class ShardRouter:
         # failures, reconfigures; auto-dumped on a shard death).  The control
         # plane's metrics/trace/flight commands merge these with every
         # shard's own, so one query sees the whole fleet.
-        self.spans = SpanStore(max_traces=int(trace_capacity))
-        self.flight = FlightRecorder(
-            capacity=int(flight_capacity), service="router", dump_dir=flight_dir
-        )
+        self.spans = SpanStore()
+        self.flight = FlightRecorder(service="router", dump_dir=self.config.flight_dir)
         self.metrics = MetricsRegistry()
         self.metrics.expose(self.counters)
         self.metrics.gauge(
@@ -220,11 +211,12 @@ class ShardRouter:
         return self._address
 
     async def _start_serving(self):
+        host = self.config.host
         self._data_server = await asyncio.start_server(
-            self._handle_client, self.host, self.port, limit=MAX_FRAME_BYTES
+            self._handle_client, host, self.config.port, limit=MAX_FRAME_BYTES
         )
         self._control_server = await asyncio.start_server(
-            self._handle_control, self.host, self.control_port, limit=MAX_FRAME_BYTES
+            self._handle_control, host, self.config.control_port, limit=MAX_FRAME_BYTES
         )
         self._running = True  # before the loop can run any connection handler
         return (

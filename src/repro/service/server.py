@@ -45,6 +45,7 @@ from .batcher import (
     DecisionResult,
     RequestBroker,
 )
+from .config import ServingConfig
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -56,6 +57,12 @@ from .protocol import (
 from .session import SessionState
 
 __all__ = ["PolicyServer"]
+
+# The most distinct sessions one broker batch coalesces.
+MAX_BATCH_SIZE = 64
+# The adaptive batch window's upper bound: how long a saturated dispatcher
+# holds a batch open for stragglers, far below any decision SLO.
+BATCH_WINDOW_MAX_MS = 2.0
 
 _QUEUE_SENTINEL = None
 
@@ -75,37 +82,17 @@ class PolicyServer:
     def __init__(
         self,
         agent: DecimaAgent,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fallback: str = "fifo",
-        slo_ms: Optional[float] = None,
-        breach_threshold: int = 3,
-        cooldown_decisions: int = 20,
-        greedy: bool = True,
-        max_batch_size: int = 64,
-        batch_window_ms: float = 2.0,
+        config: Optional[ServingConfig] = None,
         service_name: str = "server",
-        flight_dir: Optional[str] = None,
-        flight_capacity: int = 512,
-        trace_capacity: int = 256,
     ):
-        if fallback not in scheduler_names():
-            known = ", ".join(scheduler_names())
-            raise KeyError(f"unknown fallback scheduler {fallback!r}; known: {known}")
+        config = ServingConfig() if config is None else config
         self.agent = agent
-        self.host = host
-        self.port = int(port)
-        self.default_fallback = fallback
-        self.max_batch_size = int(max_batch_size)
-        self.adaptive_window = AdaptiveBatchWindow(max_ms=float(batch_window_ms))
+        self.config = config
+        self.adaptive_window = AdaptiveBatchWindow(max_ms=BATCH_WINDOW_MAX_MS)
         breaker = None
-        if slo_ms is not None:
-            breaker = CircuitBreaker(
-                slo_seconds=float(slo_ms) / 1000.0,
-                breach_threshold=breach_threshold,
-                cooldown_decisions=cooldown_decisions,
-            )
-        self.broker = RequestBroker(agent, greedy=greedy, breaker=breaker)
+        if config.slo_ms is not None:
+            breaker = CircuitBreaker(slo_seconds=config.slo_ms / 1000.0)
+        self.broker = RequestBroker(agent, greedy=config.greedy, breaker=breaker)
         self.sessions: dict[str, SessionState] = {}
         self._sessions_lock = threading.Lock()
         self._session_counter = 0
@@ -117,11 +104,9 @@ class PolicyServer:
         # telemetry.
         self.service_name = str(service_name)
         self.metrics = MetricsRegistry()
-        self.spans = SpanStore(max_traces=int(trace_capacity))
+        self.spans = SpanStore()
         self.flight = FlightRecorder(
-            capacity=int(flight_capacity),
-            service=self.service_name,
-            dump_dir=flight_dir,
+            service=self.service_name, dump_dir=config.flight_dir
         )
         self.broker.metrics = self.metrics
         self.broker.flight = self.flight
@@ -182,7 +167,10 @@ class PolicyServer:
     async def _start_serving(self) -> tuple:
         self._queue = asyncio.Queue()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_FRAME_BYTES
+            self._handle_connection,
+            self.config.host,
+            self.config.port,
+            limit=MAX_FRAME_BYTES,
         )
         self._dispatch_task = asyncio.create_task(self._dispatch_loop())
         self._running = True  # before the loop can run any connection handler
@@ -364,7 +352,7 @@ class PolicyServer:
             default_id = f"session-{self._session_counter}"
         session_id = str(message.get("session_id") or default_id)
         num_executors = int(message.get("num_executors", self.agent.total_executors))
-        fallback_name = str(message.get("fallback", self.default_fallback))
+        fallback_name = str(message.get("fallback", self.config.fallback))
         if fallback_name not in scheduler_names():
             raise ProtocolError(f"unknown fallback scheduler {fallback_name!r}")
         fallback = make_scheduler(
@@ -577,7 +565,7 @@ class PolicyServer:
 
     # --------------------------------------------------------------- dispatch
     async def _fill_batch(self, batch: list) -> None:
-        """Coalesce pending requests: up to ``max_batch_size`` distinct sessions.
+        """Coalesce pending requests: up to :data:`MAX_BATCH_SIZE` distinct sessions.
 
         After the first request lands we wait at most the adaptive batch
         window for more sessions to show up — long enough for concurrently
@@ -590,7 +578,7 @@ class PolicyServer:
         # Once every live session has a request in the batch, no further
         # request can arrive (the protocol is synchronous per session) —
         # don't make a lone client sit out the full window.
-        max_size = min(self.max_batch_size, max(self.num_live_sessions(), 1))
+        max_size = min(MAX_BATCH_SIZE, max(self.num_live_sessions(), 1))
         while len(batch) < max_size:
             remaining = deadline - loop.time()
             try:

@@ -35,6 +35,7 @@ from repro.service import (
     ControlClient,
     PolicyClient,
     PolicyServer,
+    ServingConfig,
     ServingFleet,
     drive_episode,
 )
@@ -181,7 +182,7 @@ class TestTracePropagation:
         """The acceptance criterion: one loadgen decision against a 2-shard
         fleet reconstructs end-to-end (client → router → shard → broker →
         stages) from a single control-plane query of its trace id."""
-        with ServingFleet(tiny_agent(), num_shards=2) as fleet:
+        with ServingFleet(tiny_agent(), ServingConfig(num_shards=2)) as fleet:
             summary = serve_episode(
                 fleet.address, seed=0, trace_every=2, max_decisions=4
             )
@@ -207,7 +208,7 @@ class TestTracePropagation:
         assert starts == sorted(starts)
 
     def test_fleet_control_plane_metrics_merge_shards(self):
-        with ServingFleet(tiny_agent(), num_shards=2) as fleet:
+        with ServingFleet(tiny_agent(), ServingConfig(num_shards=2)) as fleet:
             serve_episode(fleet.address, seed=1, max_decisions=4)
             with ControlClient(*fleet.control_address) as control:
                 merged = control.metrics()
@@ -230,7 +231,7 @@ class TestFlightRecorderDumps:
     def test_shard_kill_dumps_router_ring(self, tmp_path):
         flight_dir = tmp_path / "flight"
         with ServingFleet(
-            tiny_agent(), num_shards=2, flight_dir=str(flight_dir)
+            tiny_agent(), ServingConfig(num_shards=2, flight_dir=str(flight_dir))
         ) as fleet:
             env = SchedulingEnvironment(SimulatorConfig(num_executors=6, seed=0))
             with PolicyClient(*fleet.address) as client:
@@ -262,7 +263,8 @@ class TestFlightRecorderDumps:
     def test_slo_guard_rollback_dumps_server_ring(self, tmp_path):
         flight_dir = tmp_path / "flight"
         server = PolicyServer(
-            tiny_agent(seed=0), slo_ms=10_000.0, flight_dir=str(flight_dir)
+            tiny_agent(seed=0),
+            ServingConfig(slo_ms=10_000.0, flight_dir=str(flight_dir)),
         )
         manager = OnlineLearningManager(
             server,

@@ -22,9 +22,12 @@ What the serving loop's learning layer guarantees (issue 8):
 """
 
 import contextlib
+import dataclasses
+import inspect
 import logging
 import os
 import shutil
+import socket
 import time
 
 import numpy as np
@@ -257,6 +260,20 @@ class TestCheckpointStore:
 
 
 # ------------------------------------------------------------- serving config
+def free_ports(count):
+    """``count`` distinct loopback ports the OS just handed out."""
+    with contextlib.ExitStack() as stack:
+        probes = [stack.enter_context(socket.socket()) for _ in range(count)]
+        for probe in probes:
+            probe.bind(("127.0.0.1", 0))
+        return [probe.getsockname()[1] for probe in probes]
+
+
+# Not the default host, so a listener bound there shows the config reached it
+# (Linux routes all of 127.0.0.0/8 to the loopback interface).
+OTHER_LOOPBACK = "127.0.0.2"
+
+
 class TestServingConfigFactory:
     def test_topology_selection(self):
         from repro.service import PolicyServer, ServingFleet
@@ -268,16 +285,46 @@ class TestServingConfigFactory:
         )
         fleet = build_server(ServingConfig(num_shards=2), agent=agent)
         assert isinstance(fleet, ServingFleet)
-        assert fleet.num_shards == 2
+        assert fleet.config.num_shards == 2
 
     def test_removed_options_are_type_errors(self):
         """Removed options are gone, not ignored: one server (no transport),
-        one inference path (no kernel backend), and no setting that selects a
+        one inference path (no kernel backend), no setting that selects a
         reference implementation (those are classes in
-        ``repro.verify.oracles``)."""
+        ``repro.verify.oracles``), and no serving setting declared outside
+        :class:`ServingConfig` or varied by no deployment."""
         from repro.core import DecimaConfig, GNNConfig
-        from repro.service import PolicyServer, RequestBroker
+        from repro.service import PolicyServer, RequestBroker, ServingFleet, ShardRouter
 
+        # Constants where they are used since the config stopped carrying them.
+        constants = (
+            "max_batch_size", "batch_window_ms", "breach_threshold",
+            "cooldown_decisions", "flight_capacity", "trace_capacity",
+            "connect_timeout", "probe_timeout",
+        )
+        # Fields of ServingConfig the three classes used to re-declare.
+        redeclared = {
+            PolicyServer: (
+                "host", "port", "fallback", "slo_ms", "greedy", "flight_dir",
+                *constants[:6],
+            ),
+            ServingFleet: (
+                "num_shards", "host", "port", "control_port", "max_sessions",
+                "fallback", "flight_dir",
+            ),
+            ShardRouter: (
+                "host", "port", "control_port", "max_sessions", "flight_dir",
+                "flight_capacity", "trace_capacity", "connect_timeout",
+                "probe_timeout",
+            ),
+        }
+        builders = {
+            PolicyServer: lambda **kwargs: PolicyServer(tiny_agent(), **kwargs),
+            ServingFleet: lambda **kwargs: ServingFleet(
+                tiny_agent(), ServingConfig(num_shards=2), **kwargs
+            ),
+            ShardRouter: lambda **kwargs: ShardRouter([("127.0.0.1", 1)], **kwargs),
+        }
         # The backend option is spelled in two halves so a grep for the old
         # name over the tree comes back empty.
         for build, name in (
@@ -289,22 +336,118 @@ class TestServingConfigFactory:
             (DecimaConfig, "use_graph_cache"),
             (GNNConfig, "sparse_message_passing"),
             (ServingConfig, "batched"),
-            (lambda **kwargs: PolicyServer(tiny_agent(), **kwargs), "batched"),
+            (builders[PolicyServer], "batched"),
             (lambda **kwargs: RequestBroker(tiny_agent(), **kwargs), "batched"),
+            *((ServingConfig, name) for name in constants),
+            *(
+                (builders[owner], name)
+                for owner, names in redeclared.items()
+                for name in names
+            ),
         ):
             with pytest.raises(TypeError):
-                build(**{name: False})
+                build(**{name: 1})
+
+    def test_each_class_takes_the_config_and_nothing_it_declares(self):
+        from repro.service import PolicyServer, ServingFleet, ShardRouter
+
+        def parameters(cls):
+            return list(inspect.signature(cls.__init__).parameters)[1:]
+
+        assert parameters(PolicyServer) == ["agent", "config", "service_name"]
+        assert parameters(ServingFleet) == ["agent", "config"]
+        assert parameters(ShardRouter) == ["shards", "config"]
+        assert [field.name for field in dataclasses.fields(ServingConfig)] == [
+            "num_shards", "host", "port", "control_port", "max_sessions",
+            "fallback", "slo_ms", "greedy", "checkpoint_dir", "flight_dir",
+        ]
 
     def test_config_validation(self):
+        """Both topologies refuse a bad decision path at ``ServingConfig(...)``,
+        in the caller's process: a fleet's used to fail only after forking,
+        as shards that "died without replying"."""
         with pytest.raises(ValueError, match="num_shards"):
             ServingConfig(num_shards=0)
+        for num_shards in (1, 2):
+            with pytest.raises(KeyError, match="unknown fallback scheduler 'nope'"):
+                ServingConfig(num_shards=num_shards, fallback="nope")
+            for slo_ms in (0, -5.0, float("nan")):
+                with pytest.raises(ValueError, match="slo_ms must be positive"):
+                    ServingConfig(num_shards=num_shards, slo_ms=slo_ms)
 
-    def test_decision_path_kwargs_reach_the_server(self):
-        config = ServingConfig(slo_ms=25.0, fallback="sjf_cp", greedy=False)
+    @pytest.mark.parametrize(
+        "field, value", [("max_sessions", 1), ("control_port", 7788)]
+    )
+    def test_a_single_server_refuses_fleet_only_settings(self, field, value):
+        """A single server has no admission control and no control plane.  At
+        the parent commit ``build_server`` returned one anyway, and all three
+        hellos of a ``max_sessions=1`` deployment were welcomed."""
+        from repro.service import ServingFleet
+
+        with pytest.raises(ValueError, match=f"{field} set with num_shards=1"):
+            build_server(ServingConfig(**{field: value}), agent=tiny_agent())
+        fleet = build_server(
+            ServingConfig(num_shards=2, **{field: value}), agent=tiny_agent()
+        )
+        assert isinstance(fleet, ServingFleet)
+
+    def test_decision_path_kwargs_reach_the_server(self, tmp_path):
+        port, = free_ports(1)
+        config = ServingConfig(
+            host=OTHER_LOOPBACK, port=port, slo_ms=25.0, fallback="sjf_cp",
+            greedy=False, flight_dir=str(tmp_path),
+        )
         server = build_server(config, agent=tiny_agent())
-        assert server.default_fallback == "sjf_cp"
-        assert server.broker.greedy is False
-        assert server.broker.breaker is not None
+        with server, PolicyClient(*server.address) as client:
+            assert server.address == (OTHER_LOOPBACK, port)
+            welcome = client.hello(num_executors=6)
+            stats = client.stats()
+            server.flight.dump("config_check")
+        assert (welcome["fallback"], welcome["greedy"]) == ("sjf_cp", False)
+        assert stats["broker"]["greedy"] is False
+        assert stats["broker"]["breaker"]["slo_seconds"] == pytest.approx(0.025)
+        assert [path.name.split("-")[1] for path in tmp_path.iterdir()] == ["server"]
+
+    def test_every_field_reaches_a_started_fleet(self, tmp_path):
+        """The router binds the config's host and ports and enforces its
+        admission limit; every shard serves its fallback, breaker and
+        sampling mode; all of them dump into its flight directory."""
+        from repro.service.router import shard_for_session
+
+        port, control_port = free_ports(2)
+        config = ServingConfig(
+            num_shards=2, host=OTHER_LOOPBACK, port=port,
+            control_port=control_port, max_sessions=3, slo_ms=25.0,
+            fallback="sjf_cp", greedy=False, flight_dir=str(tmp_path),
+        )
+        fleet = build_server(config, agent=tiny_agent())
+        # One session id hashed to each shard, so each shard says hello.
+        pinned = {}
+        for attempt in range(1000):
+            pinned.setdefault(shard_for_session(f"s{attempt}", 2), f"s{attempt}")
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(fleet)
+            assert fleet.address == (OTHER_LOOPBACK, port)
+            assert fleet.control_address == (OTHER_LOOPBACK, control_port)
+            assert all(host == OTHER_LOOPBACK for host, _ in fleet.shard_addresses)
+            assert port not in [shard_port for _, shard_port in fleet.shard_addresses]
+            welcomes = []
+            for shard in (0, 1):
+                client = stack.enter_context(PolicyClient(*fleet.address))
+                welcomes.append(client.hello(pinned[shard], num_executors=6))
+            control = stack.enter_context(ControlClient(*fleet.control_address))
+            health = control.health()
+            stats = control.stats()
+            control.flight(reason="config_check")
+        assert [shard["active_sessions"] for shard in health["shards"]] == [1, 1]
+        assert [(w["fallback"], w["greedy"]) for w in welcomes] == [("sjf_cp", False)] * 2
+        assert stats["router"]["max_sessions"] == 3
+        for shard in stats["shards"]:
+            assert shard["broker"]["greedy"] is False
+            assert shard["broker"]["breaker"]["slo_seconds"] == pytest.approx(0.025)
+        dumped = sorted({path.name.split("-")[1] for path in tmp_path.iterdir()})
+        assert dumped == ["router", "shard"]
+        assert len(list(tmp_path.glob("flight-shard-*.json"))) == 2
 
     def test_agent_loaded_from_checkpoint_store(self, tmp_path):
         info = CheckpointStore(tmp_path).save(tiny_agent(seed=5))

@@ -28,6 +28,7 @@ from repro.core.parallel import (
 )
 from repro.core.rollout import collect_rollout
 from repro.experiments.training import tpch_batch_factory, train_decima_agent
+from repro.service import ServingConfig
 from repro.service.fleet import _shard_worker
 from repro.simulator import SimulatorConfig
 from repro.workloads import batched_arrivals, sample_tpch_jobs
@@ -242,7 +243,7 @@ def _gemm_probe_worker():
 def _probing_shard_worker():
     """A fleet shard as the fleet starts it, with the probe beside its commands."""
     agent = DecimaAgent(total_executors=5, config=DecimaConfig(seed=0))
-    commands = _shard_worker(agent_spec(agent), agent.state_dict(), "127.0.0.1", {})
+    commands = _shard_worker(agent_spec(agent), agent.state_dict(), ServingConfig(), 0)
     return {**commands, "probe": _gemm_probe}
 
 

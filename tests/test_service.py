@@ -51,6 +51,7 @@ from repro.service import (
     PolicyServer,
     ProtocolError,
     RequestBroker,
+    ServingConfig,
     SessionState,
     drive_episode,
     encode_observation,
@@ -825,7 +826,7 @@ class TestPolicyServerEndToEnd:
     def test_unknown_fallback_rejected(self, server_factory):
         agent = DecimaAgent(total_executors=6, config=DecimaConfig(seed=0))
         with pytest.raises(KeyError, match="unknown fallback"):
-            PolicyServer(agent, fallback="not_a_scheduler")
+            ServingConfig(fallback="not_a_scheduler")
         server = server_factory(agent)
         host, port = server.address
         with PolicyClient(host, port) as client:

@@ -28,6 +28,7 @@ from repro.service import (
     ControlClient,
     PolicyClient,
     ProtocolError,
+    ServingConfig,
     ServingFleet,
     drive_episode,
     run_load,
@@ -120,7 +121,8 @@ class TestAdaptiveBatchWindow:
 @pytest.fixture(scope="module")
 def fleet():
     """One shared 2-shard fleet for the non-destructive control-plane tests."""
-    with ServingFleet(tiny_agent(), num_shards=2, max_sessions=8) as running:
+    config = ServingConfig(num_shards=2, max_sessions=8)
+    with ServingFleet(tiny_agent(), config) as running:
         yield running
 
 
@@ -225,7 +227,7 @@ class TestFaultInjection:
     """Destructive tests: each gets its own throwaway fleet."""
 
     def test_shard_death_is_clean_and_survivors_keep_serving(self):
-        with ServingFleet(tiny_agent(), num_shards=2) as fleet:
+        with ServingFleet(tiny_agent(), ServingConfig(num_shards=2)) as fleet:
             doomed = session_id_on_shard(0, 2, "doomed")
             survivor = session_id_on_shard(1, 2, "survivor")
             env_doomed = SchedulingEnvironment(SimulatorConfig(num_executors=6, seed=0))
@@ -266,7 +268,7 @@ class TestFaultInjection:
         """What ``ServingFleet``'s docstrings promise of a lost shard: every
         learning-target call answers for the survivor, without raising and
         without waiting out the 30 s reply timeout."""
-        with ServingFleet(tiny_agent(), num_shards=2) as fleet:
+        with ServingFleet(tiny_agent(), ServingConfig(num_shards=2)) as fleet:
             fleet.record_experience()
             env = SchedulingEnvironment(SimulatorConfig(num_executors=6, seed=1))
             observation = env.reset(tiny_jobs(1), seed=1)
@@ -289,7 +291,7 @@ class TestFaultInjection:
                 assert time.monotonic() - started < 10.0
 
     def test_all_shards_dead_rejects_new_sessions(self):
-        with ServingFleet(tiny_agent(), num_shards=1) as fleet:
+        with ServingFleet(tiny_agent(), ServingConfig(num_shards=1)) as fleet:
             fleet.kill_shard(0)
             with PolicyClient(*fleet.address) as client:
                 with pytest.raises(ProtocolError) as excinfo:
@@ -303,7 +305,7 @@ class TestFleetUnderLoad:
     """Heavier integration coverage for the merge-gating (slow) tier."""
 
     def test_four_shard_fleet_sustains_multi_session_load(self):
-        with ServingFleet(tiny_agent(), num_shards=4) as fleet:
+        with ServingFleet(tiny_agent(), ServingConfig(num_shards=4)) as fleet:
             host, port = fleet.address
             summary = run_load(host, port, num_sessions=8, num_jobs=2,
                                num_executors=6, min_total_decisions=200)

@@ -198,9 +198,8 @@ class TestShardRequestCallers:
     @pytest.mark.parametrize("command", ["stats", "health", "metrics", "trace", "flight"])
     def test_dead_shard_policy_per_caller(self, server_factory, free_port, command):
         live = server_factory(big_agent())
-        router = ShardRouter(
-            [live.address, ("127.0.0.1", free_port)], probe_timeout=1.0
-        )
+        router = ShardRouter([live.address, ("127.0.0.1", free_port)])
+        router.probe_timeout = 1.0
         with router, ControlClient(*router.control_address) as control:
             dead = router.shards[1]
             if command == "stats":

@@ -33,6 +33,7 @@ from repro.service import (
     DecisionRequest,
     PolicyClient,
     PolicyServer,
+    ServingConfig,
     SessionState,
     ShardRouter,
     encode_observation,
@@ -105,7 +106,7 @@ class TestCatalog:
         server_table, router_table, learning_table = documented_series(
             CATALOG.read_text()
         )
-        server = PolicyServer(tiny_agent(), slo_ms=25.0)
+        server = PolicyServer(tiny_agent(), ServingConfig(slo_ms=25.0))
         assert catalog_mismatches(server_table, live_series(server.metrics)) == []
         router = ShardRouter([("127.0.0.1", 1)])
         assert catalog_mismatches(router_table, live_series(router.metrics)) == []
@@ -218,7 +219,7 @@ class TestStatsFrame:
             assert entry["broker"]["num_decisions"] == shard["broker"]["num_decisions"]
 
     def test_sections_are_keyed_by_the_attributes_they_read(self):
-        server = PolicyServer(tiny_agent(), slo_ms=25.0)
+        server = PolicyServer(tiny_agent(), ServingConfig(slo_ms=25.0))
         broker = server.broker
         run_rounds(broker, make_clusters(2), max_rounds=3)
         section = server.stats_payload(None)["broker"]
@@ -254,7 +255,7 @@ class TestHotPathReadsNothing:
 
         # ``expose`` binds the reader when a series is registered.
         monkeypatch.setattr(registry_module, "_read_stat", counting)
-        server = PolicyServer(tiny_agent(), slo_ms=60_000.0)
+        server = PolicyServer(tiny_agent(), ServingConfig(slo_ms=60_000.0))
         broker, window, breaker = server.broker, server.adaptive_window, server.broker.breaker
         run_rounds(broker, make_clusters(3), max_rounds=4)
         window.observe(3)

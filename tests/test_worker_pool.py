@@ -24,6 +24,7 @@ from repro.core import RolloutWorkerPool, agent_spec
 from repro.core.parallel import PipeWorkerPool
 from repro.experiments import SweepCell, SweepWorkerPool
 from repro.learning import OnlineTrainerPool
+from repro.service import ServingConfig
 from repro.service.fleet import SHARD_COMMANDS, _shard_worker
 
 TINY = dict(num_jobs=2, num_executors=6)
@@ -61,7 +62,7 @@ def trainer_kind():
 
 def shard_kind():
     _, agent, _ = make_training_setup(seed=0, num_executors=5)
-    arguments = (agent_spec(agent), agent.state_dict(), "127.0.0.1", {})
+    arguments = (agent_spec(agent), agent.state_dict(), ServingConfig(), 0)
     return SimpleNamespace(
         pool=PipeWorkerPool(
             1, _shard_worker, lambda index: arguments, description="policy shard"
@@ -145,6 +146,30 @@ class TestDeadWorkerDoesNotDesynchronise:
             ((status, results),) = pool.ask("run", [([cells[2]],)], timeout=60.0)
             assert status == "ok" and [r.seed for r in results] == [2]
 
+
+def _failing_worker(reason):
+    raise KeyError(f"cannot set up: {reason}")
+
+
+class TestSetUpFailure:
+    def test_a_worker_whose_set_up_raises_answers_with_the_cause(self):
+        """At the parent commit the child died before its loop, and the caller
+        read only "died without replying"; the cause went to its stderr."""
+        with PipeWorkerPool(
+            2, _failing_worker, lambda index: (f"no table {index}",)
+        ) as pool:
+            with pytest.raises(RuntimeError) as failure:
+                pool.run("anything", [(), ()], timeout=30.0)
+            message = str(failure.value)
+            assert "died" not in message
+            for index in (0, 1):
+                assert f"worker {index} failed:\nset-up failed:" in message
+                assert f"KeyError: 'cannot set up: no table {index}'" in message
+            # It keeps answering, map included, until closed.
+            with pytest.raises(RuntimeError, match="cannot set up"):
+                pool.map("anything", [1, 2, 3])
+            assert pool.is_alive
+        assert not any(process.is_alive() for process in pool.processes)
 
 
 def _napping_worker():
