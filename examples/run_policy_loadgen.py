@@ -4,7 +4,8 @@
 Each session is a simulated cluster running full scheduling episodes with
 every decision served remotely; sessions run concurrently until the fleet has
 made the requested number of decisions.  The summary (decisions/sec, decision
-sources, p50/p95/p99 latency) prints to stdout and can be written as a JSON
+sources, p50/p95/p99 of the server-reported model latency and of the
+client's round trip) prints to stdout and can be written as a JSON
 artifact with ``--out``.
 
 Run against a server you started yourself:
@@ -248,6 +249,9 @@ def main() -> None:
     print(f"sources: {summary['sources']}")
     print(f"latency ms: p50={latency['p50']:.2f} p95={latency['p95']:.2f} "
           f"p99={latency['p99']:.2f} (n={latency['count']})")
+    round_trip = summary["round_trip_ms"]
+    print(f"round trip ms: p50={round_trip['p50']:.2f} "
+          f"p95={round_trip['p95']:.2f} p99={round_trip['p99']:.2f}")
     if "learning" in summary:
         learning = summary["learning"]
         print(f"learning: policy v{learning['policy_version']}, "

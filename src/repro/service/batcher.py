@@ -51,19 +51,30 @@ __all__ = [
 # Broker-level latency samples kept for per-shard SLO accounting; decisions
 # beyond this window age out (the counters never do).
 _BROKER_LATENCY_WINDOW = 10_000
+# How many of the latest held-open batches ``AdaptiveBatchWindow.held_ms``
+# averages over.
+_HOLD_WINDOW = 256
 
 
 class AdaptiveBatchWindow:
     """Scale the dispatcher's coalescing window with offered load.
 
-    The window is how long the dispatcher holds a batch open for stragglers
-    after the first request lands.  Its ideal size depends on the offered
-    load: with one or two live sessions any wait is pure latency, while with
-    dozens of concurrent sessions a few extra milliseconds turns many small
-    forwards into one big merged forward.  Rather than pin one compromise
-    value, the window tracks an exponential moving average of recent batch
-    sizes and interpolates between ``min_ms`` (idle) and ``max_ms``
-    (saturated at ``saturate_at`` coalesced sessions).
+    The window is how long the dispatcher holds a batch open for stragglers.
+    It opens only for a batch that already has company — two or more
+    sessions' requests queued when the dispatcher took the first — so a lone
+    request is dispatched at once and never waits on it.  Its ideal size
+    depends on the offered load: with a few live sessions any wait is pure
+    latency, while with dozens of concurrent sessions a few extra
+    milliseconds turns many small forwards into one big merged forward.
+    Rather than pin one compromise value, the window tracks an exponential
+    moving average of recent batch sizes and interpolates between ``min_ms``
+    (idle) and ``max_ms`` (saturated at ``saturate_at`` coalesced sessions).
+
+    The window is a timeout on the event loop, and on Linux the loop's epoll
+    wait rounds any timeout up to a whole millisecond: a 0.2 ms window really
+    holds about 1.2 ms.  ``window_ms`` is the window asked for; the hold each
+    opened window really lasted is clocked by the dispatcher
+    (:meth:`record_hold`) and read as ``num_holds`` and ``held_ms``.
 
     Timing never changes decisions (batch composition is behaviour-neutral,
     see :class:`RequestBroker`), so this is purely a throughput/latency
@@ -73,6 +84,10 @@ class AdaptiveBatchWindow:
     STATS = (
         ("ema_batch_size", "batch_ema_size", "gauge", "EMA of dispatched batch sizes"),
         ("window_ms", "batch_window_ms", "gauge", "Current adaptive coalescing window"),
+        ("num_holds", "batch_window_holds_total", "counter",
+         "Batches held open for stragglers"),
+        ("held_ms", "batch_window_held_ms", "gauge",
+         "Mean measured hold of recent held-open batches"),
         ("min_ms",),
         ("max_ms",),
     )
@@ -95,14 +110,27 @@ class AdaptiveBatchWindow:
         self.alpha = float(alpha)
         self.saturate_at = int(saturate_at)
         self._ema_batch_size = 1.0
+        self.num_holds = 0
+        self._holds: deque = deque(maxlen=_HOLD_WINDOW)
 
     def observe(self, batch_size: int) -> None:
         """Feed one dispatched batch's size into the load estimate."""
         self._ema_batch_size += self.alpha * (float(batch_size) - self._ema_batch_size)
 
+    def record_hold(self, seconds: float) -> None:
+        """Count one held-open batch and how long it really was held."""
+        self.num_holds += 1
+        self._holds.append(seconds)
+
     @property
     def ema_batch_size(self) -> float:
         return self._ema_batch_size
+
+    @property
+    def held_ms(self) -> float:
+        """Mean measured hold of the recent held-open batches (0 before any)."""
+        holds = tuple(self._holds)  # the dispatcher appends while a scrape reads
+        return 1000.0 * sum(holds) / len(holds) if holds else 0.0
 
     def seconds(self) -> float:
         """The current coalescing window, in seconds."""
@@ -257,7 +285,7 @@ class RequestBroker:
         # Monotonic id of the weights currently answering decisions.  Swaps
         # arrive from the online-learning manager on another thread via
         # install_policy(); they are staged under the lock and applied at the
-        # top of decide(), which runs serially on the dispatch thread — so
+        # top of decide(), which runs serially on the dispatch coroutine — so
         # weights never change mid-forward and no in-flight session is dropped.
         self.policy_version = int(policy_version)
         self.num_policy_swaps = 0
@@ -559,7 +587,7 @@ class RequestBroker:
         """
         return {
             **stat_values(self),
-            # Copied first: the dispatch thread appends while a pipe or
+            # Copied first: the dispatcher appends while a pipe or
             # manager thread asks, and a deque may not grow under iteration.
             "latency_ms": latency_histogram(
                 [seconds * 1000.0 for seconds in tuple(self.latencies)]

@@ -16,6 +16,7 @@ cluster.  The load generator and the CI smoke test both drive it.
 from __future__ import annotations
 
 import socket
+import time
 from typing import Iterable, Optional
 
 from ..obs import Span
@@ -260,6 +261,7 @@ class _RemotePolicy:
         self.trace_every = trace_every
         self.sources: dict[str, int] = {}
         self.latencies_ms: list[float] = []
+        self.round_trips_ms: list[float] = []
         self.trace_ids: list[str] = []
 
     def reset(self) -> None:
@@ -268,7 +270,9 @@ class _RemotePolicy:
     def schedule(self, observation: Observation) -> Optional[Action]:
         decisions = len(self.latencies_ms)
         traced = self.trace_every is not None and decisions % self.trace_every == 0
+        start = time.perf_counter()
         reply = self.client.decide(observation, request_id=decisions, trace=traced)
+        self.round_trips_ms.append((time.perf_counter() - start) * 1000.0)
         action = decode_action(reply, observation)
         self.sources[reply["source"]] = self.sources.get(reply["source"], 0) + 1
         self.latencies_ms.append(float(reply["latency_ms"]))
@@ -287,8 +291,11 @@ def drive_episode(
 ) -> dict:
     """Run one full episode with every decision served remotely.
 
-    Returns a summary: decision counts by source, per-request latencies (as
-    measured by the *server*), and the episode's scheduling outcome.
+    Returns a summary: decision counts by source, per-request latencies in
+    milliseconds — ``latencies_ms`` is the model time the *server* reports,
+    ``round_trips_ms`` what the *client* waited for each ``decide`` (encode,
+    wire, queueing and batch window included; a traced decision also pays
+    its ``trace_report``) — and the episode's scheduling outcome.
 
     ``trace_every=N`` traces every Nth decision end-to-end (see
     :meth:`PolicyClient.decide`); the minted trace ids come back under
@@ -303,6 +310,7 @@ def drive_episode(
         "decisions": len(policy.latencies_ms),
         "sources": policy.sources,
         "latencies_ms": policy.latencies_ms,
+        "round_trips_ms": policy.round_trips_ms,
         "finished_jobs": len(result.finished_jobs),
         "unfinished_jobs": len(result.unfinished_jobs),
         "wall_time": result.wall_time,

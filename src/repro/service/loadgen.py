@@ -7,8 +7,14 @@ the requested number of decisions, so the server sees sustained concurrent
 traffic (and its broker real cross-session batches) rather than one burst.
 
 The returned summary is JSON-ready: fleet decisions/sec, the decision-source
-breakdown (policy vs SLO fallback), and the shared p50/p95/p99 latency
-histogram (:func:`repro.simulator.metrics.latency_histogram`).
+breakdown (policy vs SLO fallback), and two p50/p95/p99 histograms
+(:func:`repro.simulator.metrics.latency_histogram`): ``latency_ms``, the model
+time the server reports, and ``round_trip_ms``, what the client waited for
+each decision.
+
+Session ids are ``loadgen-{seed}-{index}``, so load generators started with
+different seeds can drive one server at once (one process is bound by one
+GIL; a second process is how to offer more load).
 """
 
 from __future__ import annotations
@@ -61,12 +67,13 @@ def run_load(
             "episodes": 0,
             "sources": {},
             "latencies_ms": [],
+            "round_trips_ms": [],
             "trace_ids": [],
         }
         try:
             with PolicyClient(host, port) as client:
                 client.hello(
-                    session_id=f"loadgen-{index}",
+                    session_id=f"loadgen-{seed}-{index}",
                     num_executors=num_executors,
                     seed=seed + index,
                     fallback=fallback,
@@ -88,6 +95,7 @@ def run_load(
                     summary["episodes"] += 1
                     summary["decisions"] += episode["decisions"]
                     summary["latencies_ms"].extend(episode["latencies_ms"])
+                    summary["round_trips_ms"].extend(episode["round_trips_ms"])
                     summary["trace_ids"].extend(episode.get("trace_ids", []))
                     for source, count in episode["sources"].items():
                         summary["sources"][source] = (
@@ -113,13 +121,16 @@ def run_load(
     if errors:
         raise RuntimeError("load generation failed: " + "; ".join(errors))
     summaries = [summary for summary in per_session if summary is not None]
-    all_latencies = [value for summary in summaries for value in summary["latencies_ms"]]
+
+    def pooled(key: str) -> list:
+        return [value for summary in summaries for value in summary[key]]
+
     sources: dict[str, int] = {}
     for summary in summaries:
         for source, count in summary["sources"].items():
             sources[source] = sources.get(source, 0) + count
     decisions = sum(summary["decisions"] for summary in summaries)
-    trace_ids = [tid for summary in summaries for tid in summary.get("trace_ids", [])]
+    trace_ids = pooled("trace_ids")
     return {
         **({"trace_ids": trace_ids} if trace_ids else {}),
         "num_sessions": num_sessions,
@@ -130,7 +141,8 @@ def run_load(
         "elapsed_seconds": elapsed,
         "decisions_per_sec": decisions / elapsed if elapsed > 0 else float("inf"),
         "sources": sources,
-        "latency_ms": latency_histogram(all_latencies),
+        "latency_ms": latency_histogram(pooled("latencies_ms")),
+        "round_trip_ms": latency_histogram(pooled("round_trips_ms")),
         "per_session": [
             {
                 "decisions": summary["decisions"],

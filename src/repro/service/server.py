@@ -6,11 +6,14 @@ loop (on a background thread, so ``start()/stop()`` block like the rest of the
 stack) multiplexes every client connection plus the dispatch coroutine:
 connection handlers reconcile ``decide`` snapshots into the session's shadow
 DAGs, park a future on the dispatch queue and await it; the dispatcher
-coalesces whatever is pending into one broker batch, holding it open for the
-adaptive window (:class:`~repro.service.batcher.AdaptiveBatchWindow`: near
-zero with a lone session, a few milliseconds when dozens are streaming).  The
-broker's GNN forward runs inline on the loop — it *is* the work; while it
-runs, arriving frames queue in the socket buffers and form the next batch.
+coalesces whatever is pending into one broker batch.  A lone request is
+dispatched at once; a batch that already has company is held open for
+stragglers for the adaptive window
+(:class:`~repro.service.batcher.AdaptiveBatchWindow`), which on Linux really
+lasts at least a millisecond: the loop's epoll wait rounds any timeout up to
+a whole millisecond.  The broker's GNN forward runs inline on the loop — it
+*is* the work; while it runs, arriving frames queue in the socket buffers and
+form the next batch.
 
 A connection is answered strictly sequentially, so a session's shadow state
 is never touched concurrently; and because every session's decisions depend
@@ -567,35 +570,51 @@ class PolicyServer:
     async def _fill_batch(self, batch: list) -> None:
         """Coalesce pending requests: up to :data:`MAX_BATCH_SIZE` distinct sessions.
 
-        After the first request lands we wait at most the adaptive batch
-        window for more sessions to show up — long enough for concurrently
-        blocked clients to coalesce, far below any reasonable decision SLO.
+        First take what is already queued, without a timer.  Only a batch
+        that then has company (two or more sessions) and still lacks some
+        live session waits, at most the adaptive batch window, for
+        stragglers; a lone request is dispatched at once.  Under load,
+        requests pile up during the inline forward, so batches arrive with
+        company and the window keeps growing them.
         """
         assert self._queue is not None
+        queue = self._queue
         sessions = {id(request.session) for request, _ in batch}
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.adaptive_window.seconds()
         # Once every live session has a request in the batch, no further
-        # request can arrive (the protocol is synchronous per session) —
-        # don't make a lone client sit out the full window.
+        # request can arrive (the protocol is synchronous per session).
         max_size = min(MAX_BATCH_SIZE, max(self.num_live_sessions(), 1))
+        while len(batch) < max_size and not queue.empty():
+            if not self._admit(queue.get_nowait(), batch, sessions):
+                return
+        if not 2 <= len(batch) < max_size:
+            return
+        loop = asyncio.get_running_loop()
+        opened = loop.time()
+        deadline = opened + self.adaptive_window.seconds()
         while len(batch) < max_size:
             remaining = deadline - loop.time()
             try:
                 if remaining <= 0:
-                    item = self._queue.get_nowait()
+                    item = queue.get_nowait()
                 else:
-                    item = await asyncio.wait_for(self._queue.get(), timeout=remaining)
+                    item = await asyncio.wait_for(queue.get(), timeout=remaining)
             except (asyncio.QueueEmpty, asyncio.TimeoutError):
                 break
-            if item is _QUEUE_SENTINEL:
-                self._queue.put_nowait(_QUEUE_SENTINEL)  # keep the stop signal visible
+            if not self._admit(item, batch, sessions):
                 break
-            if id(item[0].session) in sessions:
-                self._requeue.append(item)  # one in-flight request per session
-                continue
+        self.adaptive_window.record_hold(loop.time() - opened)
+
+    def _admit(self, item, batch: list, sessions: set) -> bool:
+        """Put one dequeued item in the batch; ``False`` on the stop signal."""
+        if item is _QUEUE_SENTINEL:
+            self._queue.put_nowait(_QUEUE_SENTINEL)  # keep the stop signal visible
+            return False
+        if id(item[0].session) in sessions:
+            self._requeue.append(item)  # one in-flight request per session
+        else:
             sessions.add(id(item[0].session))
             batch.append(item)
+        return True
 
     async def _dispatch_loop(self) -> None:
         assert self._queue is not None

@@ -19,6 +19,7 @@ serving default.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -764,8 +765,39 @@ class TestPolicyServerEndToEnd:
                            num_executors=6, min_total_decisions=30)
         assert summary["decisions"] >= 30
         assert summary["latency_ms"]["count"] == summary["decisions"]
+        assert summary["round_trip_ms"]["count"] == summary["decisions"]
         assert summary["sources"].get("policy", 0) == summary["decisions"]
         assert summary["decisions_per_sec"] > 0
+
+    def test_concurrent_load_generators_keep_their_sessions_apart(
+        self, server_factory
+    ):
+        """Two load generators at one server, as two processes would drive
+        it: session ids carry the seed, so the second one's ``hello`` does not
+        collide with the first one's live sessions (it did when the id was
+        the session index alone)."""
+        agent = DecimaAgent(total_executors=6, config=DecimaConfig(seed=0))
+        server = server_factory(agent)
+        host, port = server.address
+        summaries: dict = {}
+
+        def drive(seed: int, decisions: int) -> None:
+            summaries[seed] = run_load(
+                host, port, num_sessions=2, num_jobs=2, num_executors=6,
+                min_total_decisions=decisions, seed=seed,
+            )
+
+        first = threading.Thread(target=drive, args=(0, 300))
+        first.start()
+        deadline = time.monotonic() + 10.0
+        while server.num_live_sessions() < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        drive(1, 30)  # while the first generator's sessions are connected
+        first.join(timeout=60.0)
+        assert sorted(summaries) == [0, 1]
+        for seed, target in ((0, 300), (1, 30)):
+            assert summaries[seed]["decisions"] >= target
+            assert set(summaries[seed]["sources"]) == {"policy"}
 
     def test_error_replies_keep_connection_usable(self, server_factory):
         agent = DecimaAgent(total_executors=6, config=DecimaConfig(seed=0))

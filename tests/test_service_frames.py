@@ -13,6 +13,8 @@ at the edges of the wire:
 * **one shard-request helper** — the control plane's ``stats``, ``health``
   and observability fan-outs share ``_shard_request`` but keep their distinct
   policies towards a dead shard;
+* **batch window** — a lone ``decide`` is dispatched at once; only a batch
+  that already has company is held open for the remaining live sessions;
 * **shutdown** — no request stays parked when the dispatcher ends.
 """
 
@@ -41,6 +43,9 @@ from repro.service.protocol import (
     PROTOCOL_VERSION,
     decode_frame,
     encode_message,
+    encode_observation,
+    read_message,
+    write_message,
 )
 from repro.simulator import SchedulingEnvironment, SimulatorConfig
 from repro.workloads import batched_arrivals, sample_tpch_jobs
@@ -231,6 +236,87 @@ class TestShardRequestCallers:
                 assert router.counters.shard_failures == 0
 
 
+# ----------------------------------------------------------------- batch window
+def hold_the_loop(server):
+    """Block the server's event loop until the returned event is set.
+
+    Frames sent meanwhile are read in one poll once it is released, so their
+    requests are queued before the dispatcher looks at the queue again.
+    """
+    entered, release = threading.Event(), threading.Event()
+
+    def block():
+        entered.set()
+        release.wait(10.0)
+
+    server._loop.call_soon_threadsafe(block)
+    assert entered.wait(5.0)
+    return release
+
+
+def send_decides_together(server, clients, observation):
+    """Send one ``decide`` per client so that all land in one batch; the
+    replies are left for the caller to read off ``client._stream``."""
+    release = hold_the_loop(server)
+    try:
+        for client in clients:
+            write_message(client._stream, {
+                "type": "decide",
+                "session_id": client.session_id,
+                "observation": encode_observation(observation),
+            })
+    finally:
+        release.set()
+
+
+class TestBatchWindow:
+    """The window opens only for a batch that already has company.  Every
+    server here has a one-minute window, so a batch held open is one that
+    was not dispatched at once."""
+
+    @pytest.fixture
+    def server(self, server_factory):
+        server = server_factory(big_agent())
+        server.adaptive_window = AdaptiveBatchWindow(min_ms=60_000.0, max_ms=60_000.0)
+        return server
+
+    def test_a_lone_decide_is_dispatched_at_once(self, server):
+        with PolicyClient(*server.address, timeout=10.0) as decider, \
+             PolicyClient(*server.address) as idle, \
+             PolicyClient(*server.address) as other:
+            for client in (decider, idle, other):
+                client.hello(num_executors=NUM_EXECUTORS)
+            assert server.num_live_sessions() == 3
+            assert server.broker.num_batches == 0
+            assert decider.decide(tpch_observation(2))["type"] == "action"
+        assert server.broker.num_batches == 1
+        assert server.adaptive_window.num_holds == 0  # the window never opened
+
+    def test_a_batch_with_company_is_held_for_the_last_session(self, server):
+        observation = tpch_observation(2)
+        with PolicyClient(*server.address) as first, \
+             PolicyClient(*server.address) as second, \
+             PolicyClient(*server.address, timeout=10.0) as third:
+            deciders = (first, second)
+            for index, client in enumerate((first, second, third)):
+                client.hello(session_id=f"s{index}", num_executors=NUM_EXECUTORS)
+            send_decides_together(server, deciders, observation)
+            assert wait_until(
+                lambda: all(server.sessions[f"s{i}"].num_jobs > 0 for i in (0, 1))
+            )
+            time.sleep(0.2)
+            assert server.broker.num_batches == 0  # held open for the third
+            # The third session's request completes the batch: it dispatches
+            # now, not a minute from now.
+            assert third.decide(observation)["type"] == "action"
+            replies = [read_message(client._stream) for client in deciders]
+        assert [reply["type"] for reply in replies] == ["action", "action"]
+        assert (server.broker.num_batches, server.broker.max_batch_size) == (1, 3)
+        window = server.stats_payload()["batch_window"]
+        assert window["num_holds"] == 1
+        assert window["window_ms"] == 60_000.0
+
+
 # --------------------------------------------------------------------- shutdown
 class TestShutdown:
     def test_nothing_stays_parked_when_the_dispatcher_ends(self):
@@ -268,30 +354,31 @@ class TestShutdown:
         assert server._requeue == []
 
     def test_stop_answers_the_batch_in_flight(self, server_factory):
-        """A graceful stop does not wait out the window, and the request
-        being coalesced still gets its reply."""
+        """A graceful stop does not wait out the window, and the batch
+        being coalesced still gets its replies."""
         server = server_factory(big_agent())
         server.adaptive_window = AdaptiveBatchWindow(min_ms=60_000.0, max_ms=60_000.0)
         observation = tpch_observation(2)
-        replies = []
-        with PolicyClient(*server.address) as waiting, \
+        with PolicyClient(*server.address) as first, \
+             PolicyClient(*server.address) as second, \
              PolicyClient(*server.address) as idle:
-            waiting.hello(session_id="waiting", num_executors=NUM_EXECUTORS)
+            deciders = (first, second)
+            for index, client in enumerate(deciders):
+                client.hello(session_id=f"decider-{index}", num_executors=NUM_EXECUTORS)
             idle.hello(num_executors=NUM_EXECUTORS)  # keeps the window open
-            decider = threading.Thread(
-                target=lambda: replies.append(waiting.decide(observation))
-            )
-            decider.start()
+            send_decides_together(server, deciders, observation)
             # Reconciled means parked: the handler queues the request in the
-            # same loop step, so it is ahead of the stop signal.
-            assert wait_until(lambda: server.sessions["waiting"].num_jobs > 0)
+            # same loop step, so both are ahead of the stop signal.
+            assert wait_until(lambda: all(
+                server.sessions[f"decider-{index}"].num_jobs > 0 for index in (0, 1)
+            ))
             assert server.broker.num_batches == 0  # held open, not dispatched
             started = time.monotonic()
             server.stop()
-            decider.join(timeout=10.0)
-            assert not decider.is_alive()
+            replies = [read_message(client._stream) for client in deciders]
             assert time.monotonic() - started < 10.0
-        assert [reply["type"] for reply in replies] == ["action"]
+        assert [reply["type"] for reply in replies] == ["action", "action"]
+        assert server.broker.max_batch_size == 2
 
     def test_router_stop_ends_live_connections(self, server_factory):
         """``stop()`` closes the client, control and shard streams it holds
