@@ -10,6 +10,7 @@ them as factory fixtures for tests that prefer injection.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,26 @@ def numerical_gradient(fn, x, eps=1e-6):
         grad[idx] = (plus - minus) / (2 * eps)
         it.iternext()
     return grad
+
+
+LEARNER_PINS = Path(__file__).resolve().parent / "golden" / "learner_pins.json"
+
+
+def parameter_moments(arrays):
+    """Each array's ``[sum, sum of squares]``.
+
+    The learner pins compare these at rtol 1e-9 rather than a digest of the
+    parameters: another BLAS may flip an ulp, which a digest cannot forgive.
+    """
+    return [[float(np.sum(a)), float(np.sum(np.square(a)))] for a in arrays]
+
+
+def assert_matches_learner_pin(section, name, arrays):
+    """``arrays``' moments equal the pin ``LEARNER_PINS[section][name]``."""
+    expected = json.loads(LEARNER_PINS.read_text())[section][name]
+    np.testing.assert_allclose(
+        np.array(parameter_moments(arrays)), np.array(expected), rtol=1e-9, atol=0
+    )
 
 
 def load_example(name):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _helpers import assert_matches_learner_pin
 from repro.core import (
     CheckpointStore,
     DecimaAgent,
@@ -248,6 +249,26 @@ class TestReinforceTrainer:
             TrainingConfig(**defaults),
         )
         return agent, trainer
+
+    # The settings whose trained parameters are pinned: the defaults, the
+    # Fig. 14 ablation without input-dependent variance reduction, and each
+    # of the other two variance-reduction switches off.
+    PINNED = {
+        "defaults": {},
+        "fig14_ablation": dict(
+            use_input_dependent_baseline=False, fix_job_sequence_per_iteration=False
+        ),
+        "no_differential_reward": dict(use_differential_reward=False),
+        "no_normalisation": dict(normalize_advantages=False),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_trained_parameters_are_pinned(self, name):
+        agent, trainer = self.make_trainer(**self.PINNED[name])
+        trainer.train()
+        assert_matches_learner_pin(
+            "offline", name, [p.data for p in agent.parameters()]
+        )
 
     def test_training_updates_parameters(self):
         agent, trainer = self.make_trainer()

@@ -33,7 +33,13 @@ import time
 import numpy as np
 import pytest
 
-from _helpers import load_example, make_decima_agent, make_tpch_env
+from _helpers import (
+    assert_matches_learner_pin,
+    load_example,
+    make_decima_agent,
+    make_tpch_env,
+    parameter_moments,
+)
 
 from repro.core import (
     CheckpointStore,
@@ -47,7 +53,9 @@ from repro.learning import (
     ExperienceStep,
     OnlineLearningConfig,
     OnlineLearningManager,
+    OnlineReinforceTrainer,
     OnlineTrainerConfig,
+    OnlineTrainerPool,
     ReplayBuffer,
     RolloutGuard,
 )
@@ -616,6 +624,52 @@ class TestReplayBuffer:
 
 
 # ------------------------------------------------------------- guard/rollback
+def recorded_episodes(count=4, segment_steps=4):
+    """A fixed recorded buffer: three tiny clusters served by a recording
+    broker, cut into segments and sampled at a fixed seed."""
+    broker = RequestBroker(tiny_agent(seed=0))
+    broker.record_experience()
+    run_rounds(broker, make_clusters(3), max_rounds=12)
+    buffer = ReplayBuffer(segment_steps=segment_steps, max_episodes=64)
+    buffer.add_steps(broker.drain_experience())
+    return buffer.sample(count, np.random.default_rng(0))
+
+
+class TestOnlineUpdate:
+    """Both trainer fronts, pinned at a learning rate that moves weights."""
+
+    @staticmethod
+    def two_updates(front):
+        episodes = recorded_episodes()
+        state = tiny_agent(seed=0).state_dict()
+        try:
+            for batch in (episodes[:2], episodes[2:]):
+                state, stats = front.update(state, batch)
+                assert stats["num_policy_terms"] > 0
+        finally:
+            front.close()
+        return [state[f"param_{index}"] for index in range(len(state))]
+
+    def test_in_process_update_is_pinned(self):
+        spec = agent_spec(tiny_agent(seed=0))
+        parameters = self.two_updates(
+            OnlineReinforceTrainer(spec, OnlineTrainerConfig(learning_rate=1e-3))
+        )
+        assert_matches_learner_pin("online", "two_updates", parameters)
+
+    def test_trainer_process_equals_the_in_process_front(self):
+        spec = agent_spec(tiny_agent(seed=0))
+        config = OnlineTrainerConfig(learning_rate=1e-3)
+        in_process = self.two_updates(OnlineReinforceTrainer(spec, config))
+        pooled = self.two_updates(OnlineTrainerPool(spec, config))
+        np.testing.assert_allclose(
+            np.array(parameter_moments(pooled)),
+            np.array(parameter_moments(in_process)),
+            rtol=1e-9,
+            atol=0,
+        )
+
+
 class TestRolloutGuard:
     def test_verdict_lifecycle(self):
         guard = RolloutGuard(min_decisions=10, max_new_breaker_opens=0)
