@@ -38,11 +38,7 @@ import tempfile
 import time
 
 from repro.core import CheckpointStore, DecimaAgent, DecimaConfig
-from repro.learning import (
-    OnlineLearningConfig,
-    OnlineLearningManager,
-    OnlineTrainerConfig,
-)
+from repro.learning import OnlineLearningConfig, OnlineLearningManager
 from repro.obs import configure_logging, summarize_snapshot
 from repro.service import (
     ControlClient,
@@ -119,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--online", action="store_true",
                         help="self-hosted target learns online while serving "
                              "(background REINFORCE + checkpoint hot-swap)")
-    parser.add_argument("--learning-rate", type=float, default=1e-3,
+    parser.add_argument("--learning-rate", type=float,
+                        default=OnlineLearningConfig.learning_rate,
                         help="online learning rate (--online)")
     parser.add_argument("--update-interval", type=float, default=0.5,
                         help="seconds between online update ticks (--online)")
@@ -179,9 +176,7 @@ def main() -> None:
             manager = OnlineLearningManager(
                 server,
                 CheckpointStore(store_tmp.name),
-                OnlineLearningConfig(
-                    trainer=OnlineTrainerConfig(learning_rate=args.learning_rate),
-                ),
+                OnlineLearningConfig(learning_rate=args.learning_rate),
             )
             manager.start(interval_seconds=args.update_interval)
             print(f"Online learning on (lr={args.learning_rate:g})")

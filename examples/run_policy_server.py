@@ -40,7 +40,7 @@ import tempfile
 import time
 
 from repro.core import CheckpointStore, DecimaAgent, DecimaConfig
-from repro.learning import OnlineLearningConfig, OnlineLearningManager, OnlineTrainerConfig
+from repro.learning import OnlineLearningConfig, OnlineLearningManager
 from repro.obs import configure_logging, sample_value, summarize_snapshot
 from repro.schedulers import scheduler_names
 from repro.service import ControlClient, ServingConfig, build_server
@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "what gets served, and --online appends versions "
                              "to it (default: an untrained agent; --online "
                              "then learns into a temporary directory)")
-    parser.add_argument("--learning-rate", type=float, default=1e-3,
+    parser.add_argument("--learning-rate", type=float,
+                        default=OnlineLearningConfig.learning_rate,
                         help="online REINFORCE learning rate (--online)")
     parser.add_argument("--update-interval", type=float, default=2.0,
                         help="seconds between online update ticks (--online)")
@@ -123,9 +124,7 @@ def attach_online_learning(server, args) -> OnlineLearningManager:
     return OnlineLearningManager(
         server,
         CheckpointStore(args.store_dir),
-        OnlineLearningConfig(
-            trainer=OnlineTrainerConfig(learning_rate=args.learning_rate),
-        ),
+        OnlineLearningConfig(learning_rate=args.learning_rate),
     )
 
 

@@ -13,6 +13,10 @@ The trainer implements the three training techniques the paper introduces:
 3. **Differential (average) rewards** — a moving average of the per-step
    reward is subtracted from every reward so the agent optimises the
    time-average penalty rather than the episode total (Appendix B).
+
+The step from rewards to advantages is :func:`policy_advantages`, a pure
+function that the online learner (:mod:`repro.learning.trainer`) calls too,
+so offline and online learning differ only in the baseline they name.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "IterationStats",
     "TrainingHistory",
     "ReinforceTrainer",
+    "policy_advantages",
     "returns_to_go",
     "apply_mean_gradients",
 ]
@@ -58,9 +63,9 @@ class TrainingConfig:
     initial_episode_time: float = 200.0
     episode_time_growth: float = 20.0
     max_episode_time: float = 5_000.0
-    # Variance-reduction switches (Fig. 14 ablations).
+    # Variance-reduction switches (Fig. 14 ablations).  The input-dependent
+    # baseline also shares one arrival sequence across an iteration's episodes.
     use_input_dependent_baseline: bool = True
-    fix_job_sequence_per_iteration: bool = True
     use_differential_reward: bool = True
     reward_baseline_momentum: float = 0.05
     # Safety bound on actions per episode for degenerate early policies.
@@ -140,6 +145,59 @@ def time_aligned_baselines(
     return baselines
 
 
+def policy_advantages(
+    rewards: list[np.ndarray],
+    baseline: str,
+    normalize: bool,
+    wall_times: Optional[list[np.ndarray]] = None,
+    momentum: Optional[float] = None,
+    reward_average: Optional[float] = None,
+) -> tuple[list[np.ndarray], Optional[float]]:
+    """One update's per-episode rewards → per-episode advantage arrays.
+
+    With a ``momentum``, each reward (episode by episode) first moves a
+    running average of the per-step reward and has it subtracted: the
+    differential transform.  ``reward_average`` carries the average between
+    calls (``None``: the first reward seeds it) and is returned with the
+    advantages.  Then returns-to-go less the named ``baseline``:
+    ``time_aligned`` over episodes that share one arrival sequence (needs
+    ``wall_times``), ``iteration_mean`` (the Fig. 14 ablation) or
+    ``episode_mean`` (online learning's replayed segments, which share none).
+    ``normalize`` scales the advantages to unit std over all episodes.
+    """
+    if momentum is not None:
+        shifted = []
+        for episode_rewards in rewards:
+            adjusted = np.empty_like(episode_rewards)
+            for index, reward in enumerate(episode_rewards):
+                if reward_average is None:
+                    reward_average = reward
+                else:
+                    reward_average = (1 - momentum) * reward_average + momentum * reward
+                adjusted[index] = reward - reward_average
+            shifted.append(adjusted)
+        rewards = shifted
+    returns = [returns_to_go(episode_rewards) for episode_rewards in rewards]
+
+    if baseline == "time_aligned":
+        baselines = time_aligned_baselines(wall_times, returns)
+    elif baseline == "iteration_mean":
+        nonempty = [r for r in returns if r.size]
+        baselines = [float(np.concatenate(nonempty).mean()) if nonempty else 0.0] * len(returns)
+    elif baseline == "episode_mean":
+        baselines = [float(r.mean()) if r.size else 0.0 for r in returns]
+    else:
+        raise ValueError(f"unknown baseline {baseline!r}")
+    advantages = [r - b for r, b in zip(returns, baselines)]
+
+    if normalize:
+        nonempty = [a for a in advantages if a.size]
+        scale = float(np.concatenate(nonempty).std()) if nonempty else 0.0
+        if scale > 1e-8:
+            advantages = [a / scale for a in advantages]
+    return advantages, reward_average
+
+
 class ReinforceTrainer:
     """Policy-gradient training loop for a :class:`DecimaAgent`.
 
@@ -166,8 +224,8 @@ class ReinforceTrainer:
         self.backend = backend or SerialRolloutBackend()
         self.optimizer = Adam(agent.parameters(), learning_rate=self.config.learning_rate)
         self.rng = np.random.default_rng(self.config.seed)
-        self._reward_average = 0.0
-        self._reward_average_initialised = False
+        # Differential reward's running average, carried across iterations.
+        self._reward_average: Optional[float] = None
         self.history = TrainingHistory()
 
     def close(self) -> None:
@@ -179,23 +237,6 @@ class ReinforceTrainer:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ----------------------------------------------------------------- reward
-    def _adjusted_rewards(self, episode: EpisodeOutcome) -> np.ndarray:
-        """Apply the differential-reward transformation (average-reward form)."""
-        rewards = episode.rewards
-        if not self.config.use_differential_reward:
-            return rewards
-        adjusted = np.empty_like(rewards)
-        momentum = self.config.reward_baseline_momentum
-        for index, reward in enumerate(rewards):
-            if not self._reward_average_initialised:
-                self._reward_average = reward
-                self._reward_average_initialised = True
-            else:
-                self._reward_average = (1 - momentum) * self._reward_average + momentum * reward
-            adjusted[index] = reward - self._reward_average
-        return adjusted
 
     # ------------------------------------------------------------------ train
     def _episode_time(self, iteration: int) -> float:
@@ -224,10 +265,8 @@ class ReinforceTrainer:
 
         # One job-arrival sequence shared by all episodes of the iteration
         # (input-dependent baseline); the ablation samples a fresh sequence per episode.
-        shared_sequence: Optional[list[JobDAG]] = None
-        if config.fix_job_sequence_per_iteration:
+        if config.use_input_dependent_baseline:
             shared_sequence = self.job_sequence_factory(self.rng)
-        if shared_sequence is not None:
             make_jobs = lambda rng: copy.deepcopy(shared_sequence)  # noqa: E731
         else:
             make_jobs = self.job_sequence_factory
@@ -246,35 +285,18 @@ class ReinforceTrainer:
     # ---------------------------------------------------------------- updates
     def _update_policy(self, episodes: list[EpisodeOutcome], entropy_weight: float) -> None:
         config = self.config
-        wall_times = [e.wall_times for e in episodes]
-        returns = []
-        for episode in episodes:
-            adjusted = self._adjusted_rewards(episode)
-            returns.append(returns_to_go(adjusted))
-
-        if config.use_input_dependent_baseline:
-            baselines = time_aligned_baselines(wall_times, returns)
-        else:
-            # Single scalar baseline: overall mean return across episodes.
-            all_returns = np.concatenate([r for r in returns if r.size]) if returns else np.zeros(1)
-            mean_return = float(all_returns.mean()) if all_returns.size else 0.0
-            baselines = [np.full(len(r), mean_return) for r in returns]
-
-        advantage_arrays = [r - b for r, b in zip(returns, baselines)]
-        if config.normalize_advantages and advantage_arrays:
-            flat = np.concatenate([a for a in advantage_arrays if a.size]) if any(
-                a.size for a in advantage_arrays
-            ) else np.zeros(1)
-            scale = float(flat.std())
-            if scale > 1e-8:
-                advantage_arrays = [a / scale for a in advantage_arrays]
-
+        advantages, self._reward_average = policy_advantages(
+            [e.rewards for e in episodes],
+            "time_aligned" if config.use_input_dependent_baseline else "iteration_mean",
+            config.normalize_advantages,
+            wall_times=[e.wall_times for e in episodes],
+            momentum=config.reward_baseline_momentum if config.use_differential_reward else None,
+            reward_average=self._reward_average,
+        )
         # The backward passes run wherever the autograd graphs live — in this
         # process for the serial backend, inside the rollout workers for the
         # parallel one.  Either way the backend returns per-parameter sums.
-        gradients = self.backend.compute_gradients(
-            self.agent, advantage_arrays, entropy_weight
-        )
+        gradients = self.backend.compute_gradients(self.agent, advantages, entropy_weight)
         apply_mean_gradients(self.agent, self.optimizer, gradients, len(episodes))
 
     @staticmethod

@@ -505,11 +505,7 @@ def figure14_ablations(
         ),
         "no_variance_reduction": lambda: (
             DecimaConfig(seed=seed),
-            TrainingConfig(
-                seed=seed,
-                use_input_dependent_baseline=False,
-                fix_job_sequence_per_iteration=False,
-            ),
+            TrainingConfig(seed=seed, use_input_dependent_baseline=False),
             False,
         ),
         "trained_on_batched": lambda: (DecimaConfig(seed=seed), TrainingConfig(seed=seed), True),

@@ -9,8 +9,9 @@ without touching its decision semantics:
   cuts the multi-session step stream into replayable episode segments;
 * :mod:`~repro.learning.trainer` — background REINFORCE over replayed
   segments (in-process for harnesses, or a worker process via the same pipe
-  machinery as parallel training), scoring recorded actions under current
-  parameters with :meth:`DecimaAgent.score_actions`;
+  machinery as parallel training): the offline trainer's
+  :func:`~repro.core.reinforce.policy_advantages` with a per-episode mean
+  baseline, then recorded actions scored under current parameters;
 * :mod:`~repro.learning.manager` — the control loop: drain experience, run
   updates, persist each result as the next
   :class:`~repro.core.checkpoints.CheckpointStore` version, hot-swap it into
@@ -28,10 +29,8 @@ from .buffer import EpisodeRecord, ExperienceCollector, ExperienceStep, ReplayBu
 from .manager import OnlineLearningConfig, OnlineLearningManager, RolloutGuard
 from .trainer import (
     OnlineReinforceTrainer,
-    OnlineTrainerConfig,
     OnlineTrainerPool,
     episode_rewards,
-    reinforce_update,
     replay_episode,
 )
 
@@ -44,9 +43,7 @@ __all__ = [
     "OnlineLearningManager",
     "RolloutGuard",
     "OnlineReinforceTrainer",
-    "OnlineTrainerConfig",
     "OnlineTrainerPool",
     "episode_rewards",
-    "reinforce_update",
     "replay_episode",
 ]

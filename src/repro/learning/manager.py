@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from ..core.checkpoints import CheckpointStore, build_agent
 from ..obs import get_logger, log_event, stat_values
 from .buffer import ReplayBuffer
-from .trainer import OnlineReinforceTrainer, OnlineTrainerConfig, OnlineTrainerPool
+from .trainer import OnlineReinforceTrainer, OnlineTrainerPool
 
 __all__ = ["OnlineLearningConfig", "OnlineLearningManager", "RolloutGuard"]
 
@@ -98,7 +98,8 @@ class OnlineLearningConfig:
     # default) or inline (deterministic harnesses/tests).
     trainer_process: bool = True
     interval_seconds: float = 2.0
-    trainer: OnlineTrainerConfig = field(default_factory=OnlineTrainerConfig)
+    # The trainer's Adam step size; 0 keeps every weight bit-identical.
+    learning_rate: float = 1e-3
 
 
 class OnlineLearningManager:
@@ -161,9 +162,9 @@ class OnlineLearningManager:
             max_new_breaker_opens=self.config.guard_max_new_breaker_opens,
         )
         if self.config.trainer_process:
-            self.trainer = OnlineTrainerPool(spec, self.config.trainer)
+            self.trainer = OnlineTrainerPool(spec, self.config.learning_rate)
         else:
-            self.trainer = OnlineReinforceTrainer(spec, self.config.trainer)
+            self.trainer = OnlineReinforceTrainer(spec, self.config.learning_rate)
         self._rng = np.random.default_rng(self.config.seed)
         self.num_updates_applied = 0
         self.num_rollbacks = 0

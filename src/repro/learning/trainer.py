@@ -16,7 +16,11 @@ the servers run) and turns every recorded action into the plain-numpy
 with every snapshot).  The records are then scored under the *current*
 parameters by the offline trainer's own chunked routine
 (:func:`~repro.core.rollout.accumulate_record_gradients`), so the trainer
-process never holds more than one chunk's autograd graph.  Only
+process never holds more than one chunk's autograd graph.  The advantages
+come from the offline trainer's own :func:`~repro.core.reinforce.policy_advantages`
+with the ``episode_mean`` baseline (the time-aligned one needs episodes that
+share an arrival sequence, which live serving traffic does not provide), no
+normalisation and no entropy term.  Only
 ``source == "policy"`` steps contribute gradient terms — fallback and noop
 answers still contribute their time deltas to the returns, but there is no
 policy choice to differentiate through.
@@ -38,42 +42,27 @@ which is what the ``frozen_vs_online`` differential pair pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from ..core.agent import DecimaAgent
 from ..core.checkpoints import AgentSpec, build_agent
 from ..core.nn import Adam
 from ..core.parallel import PipeWorkerPool
-from ..core.reinforce import apply_mean_gradients, returns_to_go
+from ..core.reinforce import apply_mean_gradients, policy_advantages, returns_to_go
 from ..core.rollout import accumulate_record_gradients
 from ..service.session import SessionState
+from ..simulator.environment import SimulatorConfig
 from .buffer import EpisodeRecord
 
 __all__ = [
     "OnlineReinforceTrainer",
-    "OnlineTrainerConfig",
     "OnlineTrainerPool",
     "episode_rewards",
-    "reinforce_update",
     "replay_episode",
 ]
 
 
-@dataclass
-class OnlineTrainerConfig:
-    """Hyper-parameters of the background update (picklable)."""
-
-    learning_rate: float = 1e-3
-    entropy_weight: float = 0.0
-    # Matches SimulatorConfig.reward_scale so online returns live on the same
-    # scale as offline training's.
-    reward_scale: float = 1e-3
-
-
-def episode_rewards(steps, reward_scale: float) -> np.ndarray:
+def episode_rewards(steps) -> np.ndarray:
     """Per-step rewards recomputed from consecutive snapshots.
 
     The last step has no successor timestamp inside the segment, so its
@@ -83,7 +72,9 @@ def episode_rewards(steps, reward_scale: float) -> np.ndarray:
     rewards = np.zeros(len(steps))
     for index in range(len(steps) - 1):
         delta = float(steps[index + 1].wall_time) - float(steps[index].wall_time)
-        rewards[index] = -delta * float(steps[index].num_jobs_in_system) * reward_scale
+        rewards[index] = (
+            -delta * float(steps[index].num_jobs_in_system) * SimulatorConfig.reward_scale
+        )
     return rewards
 
 
@@ -121,83 +112,61 @@ def replay_episode(agent: DecimaAgent, episode: EpisodeRecord) -> list:
     return records
 
 
-def reinforce_update(
-    agent: DecimaAgent,
-    optimizer: Adam,
-    episodes: list,
-    config: OnlineTrainerConfig,
-) -> dict:
-    """One REINFORCE step over replayed serving episodes; returns stats.
-
-    Shares the offline trainer's two ends (:func:`returns_to_go`,
-    :func:`apply_mean_gradients`): per-episode chunked backward passes into
-    summed gradients, then one Adam step on their per-episode mean.  The
-    baseline in between differs — it is each episode's mean return (the
-    offline time-aligned baseline needs same-arrival-sequence episode groups,
-    which live serving traffic does not provide).
-    """
-    agent.zero_grad()
-    num_terms = 0
-    total_return = 0.0
-    for episode in episodes:
-        rewards = episode_rewards(episode.steps, config.reward_scale)
-        returns = returns_to_go(rewards)
-        baseline = float(returns.mean()) if returns.size else 0.0
-        records = replay_episode(agent, episode)
-        scored = [index for index, record in enumerate(records) if record is not None]
-        accumulate_record_gradients(
-            agent,
-            [records[index] for index in scored],
-            (returns - baseline)[scored],
-            config.entropy_weight,
-        )
-        num_terms += len(scored)
-        total_return += float(returns[0]) if returns.size else 0.0
-    apply_mean_gradients(
-        agent, optimizer, [p.grad for p in agent.parameters()], len(episodes)
-    )
-    agent.reset_graph_cache()
-    return {
-        "num_episodes": len(episodes),
-        "num_policy_terms": num_terms,
-        "mean_return": total_return / max(len(episodes), 1),
-        "learning_rate": config.learning_rate,
-    }
-
-
 class OnlineReinforceTrainer:
     """In-process trainer: one shadow agent + persistent Adam moments."""
 
-    def __init__(self, spec: AgentSpec, config: Optional[OnlineTrainerConfig] = None):
-        self.config = config if config is not None else OnlineTrainerConfig()
+    def __init__(self, spec: AgentSpec, learning_rate: float):
         self.agent = build_agent(spec)
-        self.optimizer = Adam(
-            self.agent.parameters(), learning_rate=self.config.learning_rate
-        )
+        self.optimizer = Adam(self.agent.parameters(), learning_rate=learning_rate)
 
     def update(self, state: dict, episodes: list) -> tuple[dict, dict]:
-        """Refresh weights from ``state``, run one update, return new weights."""
-        self.agent.load_state_dict(state)
-        stats = reinforce_update(self.agent, self.optimizer, episodes, self.config)
-        return self.agent.state_dict(), stats
+        """Refresh weights from ``state``, run one REINFORCE step over the
+        replayed ``episodes``, return the new weights and the step's stats."""
+        agent = self.agent
+        agent.load_state_dict(state)
+        agent.zero_grad()
+        rewards = [episode_rewards(episode.steps) for episode in episodes]
+        advantages, _ = policy_advantages(rewards, "episode_mean", normalize=False)
+        num_terms = 0
+        for episode, episode_advantages in zip(episodes, advantages):
+            records = replay_episode(agent, episode)
+            scored = [index for index, record in enumerate(records) if record is not None]
+            accumulate_record_gradients(
+                agent, [records[index] for index in scored], episode_advantages[scored], 0.0
+            )
+            num_terms += len(scored)
+        apply_mean_gradients(
+            agent, self.optimizer, [p.grad for p in agent.parameters()], len(episodes)
+        )
+        agent.reset_graph_cache()
+        stats = {
+            "num_episodes": len(episodes),
+            "num_policy_terms": num_terms,
+            "mean_return": sum(float(returns_to_go(r)[0]) for r in rewards if r.size)
+            / max(len(episodes), 1),
+            "learning_rate": self.optimizer.learning_rate,
+        }
+        return agent.state_dict(), stats
 
     def close(self) -> None:  # symmetric with OnlineTrainerPool
         pass
 
 
-def _trainer_worker(spec: AgentSpec, config: OnlineTrainerConfig) -> dict:
+def _trainer_worker(spec: AgentSpec, learning_rate: float) -> dict:
     """The trainer process: an :class:`OnlineReinforceTrainer` serving
     ``update(state_dict, [EpisodeRecord])`` → ``(new_state_dict, stats)``."""
-    return {"update": OnlineReinforceTrainer(spec, config).update}
+    return {"update": OnlineReinforceTrainer(spec, learning_rate).update}
 
 
 class OnlineTrainerPool(PipeWorkerPool):
     """The background trainer process (same update, off the serving path)."""
 
-    def __init__(self, spec: AgentSpec, config: Optional[OnlineTrainerConfig] = None):
-        config = config if config is not None else OnlineTrainerConfig()
+    def __init__(self, spec: AgentSpec, learning_rate: float):
         super().__init__(
-            1, _trainer_worker, lambda index: (spec, config), description="online trainer"
+            1,
+            _trainer_worker,
+            lambda index: (spec, learning_rate),
+            description="online trainer",
         )
 
     def update(self, state: dict, episodes: list) -> tuple[dict, dict]:

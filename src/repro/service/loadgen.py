@@ -5,6 +5,9 @@ simulator episode loop through :func:`repro.service.client.drive_episode`.
 Sessions keep starting fresh episodes until the fleet has collectively made
 the requested number of decisions, so the server sees sustained concurrent
 traffic (and its broker real cross-session batches) rather than one burst.
+Each episode first reserves its share of the remaining decision budget, is
+cut off when that share is spent and hands back what it left unused, so the
+fleet makes exactly the requested number.
 
 The returned summary is JSON-ready: fleet decisions/sec, the decision-source
 breakdown (policy vs SLO fallback), and two p50/p95/p99 histograms
@@ -47,7 +50,8 @@ def run_load(
     trace_every: Optional[int] = None,
 ) -> dict:
     """Drive ``num_sessions`` concurrent sessions until the fleet has made
-    at least ``min_total_decisions`` decisions; returns the traffic summary.
+    ``min_total_decisions`` decisions; returns the traffic summary.  Fewer
+    are made only when sessions run out of ``max_episodes_per_session``.
 
     ``trace_every=N`` end-to-end traces every Nth decision of each episode;
     the minted trace ids land in the summary under ``"trace_ids"`` for
@@ -55,7 +59,10 @@ def run_load(
     """
     if num_sessions < 1:
         raise ValueError("need at least one session")
-    total = {"decisions": 0}
+    # Decisions not yet reserved by an episode; an episode reserves at most
+    # one session's share of the whole budget, so sessions run concurrently.
+    budget = {"unreserved": min_total_decisions}
+    share = -(-min_total_decisions // num_sessions)
     total_lock = threading.Lock()
     per_session: list[Optional[dict]] = [None] * num_sessions
     errors: list[str] = []
@@ -80,8 +87,10 @@ def run_load(
                 )
                 for _ in range(max_episodes_per_session):
                     with total_lock:
-                        if total["decisions"] >= min_total_decisions:
-                            break
+                        reserved = min(share, budget["unreserved"])
+                        budget["unreserved"] -= reserved
+                    if reserved <= 0:
+                        break
                     jobs = batched_arrivals(
                         sample_tpch_jobs(num_jobs, rng, sizes=(2.0, 5.0))
                     )
@@ -90,7 +99,7 @@ def run_load(
                     )
                     episode = drive_episode(
                         client, environment, jobs, seed=seed + index,
-                        trace_every=trace_every,
+                        max_decisions=reserved, trace_every=trace_every,
                     )
                     summary["episodes"] += 1
                     summary["decisions"] += episode["decisions"]
@@ -102,7 +111,7 @@ def run_load(
                             summary["sources"].get(source, 0) + count
                         )
                     with total_lock:
-                        total["decisions"] += episode["decisions"]
+                        budget["unreserved"] += reserved - episode["decisions"]
         except Exception as error:  # noqa: BLE001 - surfaced to the caller
             errors.append(f"session {index}: {error!r}")
         per_session[index] = summary

@@ -31,7 +31,6 @@ from .differential import (
     variant_names,
 )
 from .recorder import (
-    RecorderConfig,
     TraceRecorder,
     record_scenario_trace,
     scenario_workload_rng,
@@ -69,7 +68,6 @@ __all__ = [
     "rng_state_digest",
     "read_trace",
     "write_trace",
-    "RecorderConfig",
     "TraceRecorder",
     "record_scenario_trace",
     "scenario_workload_rng",

@@ -48,7 +48,7 @@ from .oracles import (
     SerialRequestBroker,
     TensorForwardAgent,
 )
-from .recorder import RecorderConfig, TraceRecorder, scenario_workload_rng
+from .recorder import TraceRecorder, scenario_workload_rng
 from .replay import DEFAULT_COMPARE_FIELDS, DivergenceReport, first_divergence
 from .trace import DecisionRecord, EpisodeTrace, TraceHeader, observation_fingerprint
 
@@ -155,7 +155,7 @@ def _record(task: DifferentialTask, scheduler, label: str) -> EpisodeTrace:
         num_executors=task.num_executors,
         max_decisions=task.max_decisions,
     )
-    return TraceRecorder(header, config=RecorderConfig()).record(
+    return TraceRecorder(header).record(
         environment, scheduler, jobs, seed=task.seed, max_decisions=task.max_decisions
     )
 
@@ -325,7 +325,6 @@ def _service_stream(
         from ..learning import (
             OnlineLearningConfig,
             OnlineLearningManager,
-            OnlineTrainerConfig,
         )
 
         store_dir = tempfile.TemporaryDirectory(prefix="online-diff-")
@@ -340,7 +339,7 @@ def _service_stream(
                 segment_steps=4,
                 trainer_process=False,
                 guard_min_decisions=1_000_000_000,
-                trainer=OnlineTrainerConfig(learning_rate=0.0),
+                learning_rate=0.0,
             ),
         )
     environments, observations, sessions, shard_of = [], [], [], []

@@ -11,7 +11,7 @@ the rest of the codebase exposes:
 * :class:`~repro.core.agent.DecimaAgent`'s ``logits_tap`` contributes a
   rounded digest of the node logits behind each learned decision;
 * the simulator's duration-model generator is checkpointed every
-  ``rng_checkpoint_interval`` decisions, catching drift in random-number
+  :data:`RNG_CHECKPOINT_INTERVAL` decisions, catching drift in random-number
   consumption that identical decision streams would hide.
 
 :func:`record_scenario_trace` is the sweep-compatible entry point: a *pure
@@ -25,7 +25,6 @@ cells are spread over workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -52,28 +51,22 @@ from .trace import (
 # lives in repro.experiments.scenarios so the sweep engine and this recorder
 # cannot drift apart.
 __all__ = [
-    "RecorderConfig",
     "TraceRecorder",
     "record_scenario_trace",
     "scenario_workload_rng",
 ]
 
 
-@dataclass
-class RecorderConfig:
-    """Knobs of a recording: checkpoint cadence and what to include."""
-
-    rng_checkpoint_interval: int = 25
-    record_events: bool = True
-    record_logits: bool = True
+# Decisions between two checkpoints of the duration model's generator.
+RNG_CHECKPOINT_INTERVAL = 25
 
 
 class TraceRecorder:
-    """Record one episode of ``scheduler`` on ``environment`` into a trace."""
+    """Record one episode of ``scheduler`` on ``environment`` into a trace:
+    every event, every decision and, for a learned scheduler, its logits."""
 
-    def __init__(self, header: TraceHeader, config: Optional[RecorderConfig] = None):
+    def __init__(self, header: TraceHeader):
         self.header = header
-        self.config = config or RecorderConfig()
 
     def record(
         self,
@@ -90,7 +83,6 @@ class TraceRecorder:
         subsequent (unrecorded) episodes.
         """
         trace = EpisodeTrace(header=self.header)
-        interval = max(1, int(self.config.rng_checkpoint_interval))
         last_logits = {"digest": None}
 
         def on_event(kind: str, time: float, detail: dict) -> None:
@@ -139,7 +131,7 @@ class TraceRecorder:
                         **fields,
                     )
                 )
-                if (step + 1) % interval == 0:
+                if (step + 1) % RNG_CHECKPOINT_INTERVAL == 0:
                     trace.rng_checkpoints.append(
                         RngCheckpoint(
                             step=step,
@@ -149,9 +141,8 @@ class TraceRecorder:
 
             return finish
 
-        taps_agent = self.config.record_logits and hasattr(scheduler, "logits_tap")
-        if self.config.record_events:
-            environment.event_listeners.append(on_event)
+        taps_agent = hasattr(scheduler, "logits_tap")
+        environment.event_listeners.append(on_event)
         if taps_agent:
             previous_tap = scheduler.logits_tap
             scheduler.logits_tap = logits_tap
@@ -165,14 +156,13 @@ class TraceRecorder:
                 decision_hook=decision_hook,
             )
         finally:
-            if self.config.record_events:
-                environment.event_listeners.remove(on_event)
+            environment.event_listeners.remove(on_event)
             if taps_agent:
                 scheduler.logits_tap = previous_tap
         # Episode-end checkpoint — skipped when the last in-loop checkpoint
         # already covered the final decision (no duplicate records in the
         # digest) and on zero-decision episodes (no step to anchor it to).
-        if trace.decisions and len(trace.decisions) % interval != 0:
+        if trace.decisions and len(trace.decisions) % RNG_CHECKPOINT_INTERVAL != 0:
             trace.rng_checkpoints.append(
                 RngCheckpoint(
                     step=len(trace.decisions) - 1,
@@ -197,7 +187,6 @@ def record_scenario_trace(
     num_jobs: Optional[int] = None,
     num_executors: Optional[int] = None,
     max_decisions: Optional[int] = None,
-    config: Optional[RecorderConfig] = None,
 ) -> EpisodeTrace:
     """Record one (scenario, scheduler, seed) episode — sweep-cell compatible.
 
@@ -230,7 +219,6 @@ def record_scenario_trace(
         num_executors=num_executors,
         max_decisions=max_decisions,
     )
-    recorder = TraceRecorder(header, config=config)
-    return recorder.record(
+    return TraceRecorder(header).record(
         environment, scheduler_instance, jobs, seed=seed, max_decisions=max_decisions
     )

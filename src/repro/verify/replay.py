@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from ..experiments.scenarios import ScenarioSpec
 from ..simulator.environment import Action, SchedulingEnvironment, run_episode
-from .recorder import RecorderConfig, record_scenario_trace, scenario_workload_rng
+from .recorder import record_scenario_trace, scenario_workload_rng
 from .trace import (
     DecisionRecord,
     EpisodeTrace,
@@ -216,11 +216,10 @@ class ReplayReport:
 class ReplayEngine:
     """Re-drive recorded episodes and diff them against their traces."""
 
-    def __init__(self, mode: str = "rerun", recorder_config: Optional[RecorderConfig] = None):
+    def __init__(self, mode: str = "rerun"):
         if mode not in ("rerun", "apply"):
             raise ValueError(f"unknown replay mode {mode!r} (use 'rerun' or 'apply')")
         self.mode = mode
-        self.recorder_config = recorder_config
 
     def replay(
         self,
@@ -256,7 +255,6 @@ class ReplayEngine:
             num_jobs=header.num_jobs,
             num_executors=header.num_executors,
             max_decisions=header.max_decisions,
-            config=self.recorder_config,
         )
         divergence = first_divergence(trace, fresh, compare_logits=True)
         if divergence is None and trace.digest != fresh.digest:

@@ -14,6 +14,7 @@ from repro.core import (
     collect_rollout,
     time_aligned_baselines,
 )
+from repro.core.reinforce import policy_advantages
 from repro.simulator import SchedulingEnvironment, SimulatorConfig, multi_resource_config
 from repro.simulator.multi_resource import assign_memory_requests
 from repro.workloads import batched_arrivals, sample_tpch_jobs
@@ -255,9 +256,7 @@ class TestReinforceTrainer:
     # of the other two variance-reduction switches off.
     PINNED = {
         "defaults": {},
-        "fig14_ablation": dict(
-            use_input_dependent_baseline=False, fix_job_sequence_per_iteration=False
-        ),
+        "fig14_ablation": dict(use_input_dependent_baseline=False),
         "no_differential_reward": dict(use_differential_reward=False),
         "no_normalisation": dict(normalize_advantages=False),
     }
@@ -297,22 +296,25 @@ class TestReinforceTrainer:
         assert np.mean(draws) < 200.0
 
     def test_differential_reward_toggle(self):
-        agent, trainer = self.make_trainer(use_differential_reward=False)
-        from repro.core.rollout import Trajectory, Transition
-        from repro.core.parallel import outcome_from_trajectory
-
-        episode = outcome_from_trajectory(
-            Trajectory(
-                transitions=[
-                    Transition(record=None, reward=-1.0, wall_time=0.0),
-                    Transition(record=None, reward=-2.0, wall_time=1.0),
-                ]
-            )
+        rewards = [np.array([-1.0, -2.0])]
+        plain, average = policy_advantages(rewards, "episode_mean", normalize=False)
+        # Returns-to-go [-3, -2] less their mean.
+        assert np.allclose(plain[0], [-0.5, 0.5])
+        assert average is None
+        shifted, average = policy_advantages(
+            rewards, "episode_mean", normalize=False, momentum=0.5
         )
-        assert np.allclose(trainer._adjusted_rewards(episode), [-1.0, -2.0])
-        trainer.config.use_differential_reward = True
-        adjusted = trainer._adjusted_rewards(episode)
-        assert adjusted[0] == pytest.approx(0.0)
+        # The first reward seeds the average (adjusted 0); the second moves
+        # it to -1.5 (adjusted -0.5): returns-to-go [-0.5, -0.5].
+        assert np.allclose(shifted[0], [0.0, 0.0])
+        assert average == pytest.approx(-1.5)
+        # The average is carried in, not re-seeded.
+        _, average = policy_advantages(
+            [np.array([-1.5])], "episode_mean", normalize=False,
+            momentum=0.5, reward_average=-1.0,
+        )
+        assert average == pytest.approx(-1.25)
+
 
     def test_history_statistics_shape(self):
         _, trainer = self.make_trainer()
@@ -321,6 +323,42 @@ class TestReinforceTrainer:
         stats = history.iterations[0]
         assert stats.mean_num_actions > 0
         assert stats.entropy_weight <= trainer.config.entropy_weight
+
+
+class TestPolicyAdvantages:
+    REWARDS = [np.array([-1.0, -4.0, -2.0]), np.array([-3.0, 0.0]), np.zeros(0)]
+    WALL_TIMES = [np.array([0.0, 1.0, 3.0]), np.array([0.0, 2.0]), np.zeros(0)]
+
+    def test_episode_mean_advantages_sum_to_zero_per_episode(self):
+        advantages, _ = policy_advantages(self.REWARDS, "episode_mean", normalize=False)
+        assert [a.size for a in advantages] == [3, 2, 0]
+        for episode_advantages in advantages:
+            assert episode_advantages.sum() == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("baseline", ["time_aligned", "iteration_mean", "episode_mean"])
+    def test_normalisation_gives_unit_std(self, baseline):
+        advantages, _ = policy_advantages(
+            self.REWARDS, baseline, normalize=True, wall_times=self.WALL_TIMES
+        )
+        assert np.concatenate(advantages).std() == pytest.approx(1.0)
+
+    def test_iteration_mean_subtracts_one_scalar(self):
+        advantages, _ = policy_advantages(self.REWARDS, "iteration_mean", normalize=False)
+        returns = np.concatenate([[-7.0, -6.0, -2.0], [-3.0, 0.0]])
+        assert np.allclose(np.concatenate(advantages), returns - returns.mean())
+
+    def test_time_aligned_matches_the_baseline_function(self):
+        advantages, _ = policy_advantages(
+            self.REWARDS, "time_aligned", normalize=False, wall_times=self.WALL_TIMES
+        )
+        returns = [np.array([-7.0, -6.0, -2.0]), np.array([-3.0, 0.0]), np.zeros(0)]
+        baselines = time_aligned_baselines(self.WALL_TIMES, returns)
+        for a, r, b in zip(advantages, returns, baselines):
+            assert np.allclose(a, r - b)
+
+    def test_unknown_baseline_is_refused(self):
+        with pytest.raises(ValueError, match="unknown baseline"):
+            policy_advantages(self.REWARDS, "no_such_baseline", normalize=False)
 
 
 class TestCheckpointsAndEvaluation:

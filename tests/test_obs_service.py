@@ -25,11 +25,7 @@ import pytest
 from test_online_learning import make_clusters, run_rounds
 
 from repro.core import CheckpointStore, DecimaAgent, DecimaConfig, FeatureConfig
-from repro.learning import (
-    OnlineLearningConfig,
-    OnlineLearningManager,
-    OnlineTrainerConfig,
-)
+from repro.learning import OnlineLearningConfig, OnlineLearningManager
 from repro.obs import sample_value
 from repro.service import (
     ControlClient,
@@ -274,7 +270,7 @@ class TestFlightRecorderDumps:
                 segment_steps=4,
                 guard_min_decisions=4,
                 trainer_process=False,
-                trainer=OnlineTrainerConfig(learning_rate=0.05),
+                learning_rate=0.05,
             ),
         )
         clusters = make_clusters(3)

@@ -301,7 +301,6 @@ class TestTrainingConfigDefaults:
         assert config.episode_time_growth == 20.0
         assert config.max_episode_time == 5_000.0
         assert config.use_input_dependent_baseline is True
-        assert config.fix_job_sequence_per_iteration is True
         assert config.use_differential_reward is True
         assert config.reward_baseline_momentum == 0.05
         assert config.max_actions_per_episode == 3_000

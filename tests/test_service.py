@@ -18,6 +18,7 @@ The broad batched-vs-serial coverage is the differential pair
 serving default.
 """
 
+import sys
 import threading
 import time
 
@@ -768,6 +769,26 @@ class TestPolicyServerEndToEnd:
         assert summary["round_trip_ms"]["count"] == summary["decisions"]
         assert summary["sources"].get("policy", 0) == summary["decisions"]
         assert summary["decisions_per_sec"] > 0
+
+    def test_run_load_makes_exactly_the_decisions_asked_for(self, server_factory):
+        """Each episode reserves its share of the remaining budget and hands
+        back what it left unused, so no session overshoots the target by the
+        rest of an episode (``--decisions 3000`` used to make 3,757).  More
+        sessions than cores and a short switch interval, so a lost update to
+        the shared budget would show."""
+        agent = DecimaAgent(total_executors=6, config=DecimaConfig(seed=0))
+        server = server_factory(agent)
+        host, port = server.address
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            summary = run_load(host, port, num_sessions=4, num_jobs=2,
+                               num_executors=6, min_total_decisions=50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert summary["decisions"] == 50
+        assert sum(s["decisions"] for s in summary["per_session"]) == 50
+        assert summary["latency_ms"]["count"] == 50
 
     def test_concurrent_load_generators_keep_their_sessions_apart(
         self, server_factory

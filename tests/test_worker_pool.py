@@ -53,7 +53,7 @@ def sweep_kind():
 def trainer_kind():
     _, agent, _ = make_training_setup(seed=0, num_executors=5)
     return SimpleNamespace(
-        pool=OnlineTrainerPool(agent_spec(agent)),
+        pool=OnlineTrainerPool(agent_spec(agent), 1e-3),
         name="online trainer",
         bad=("update", (BAD_STATE, [])),
         good=("update", (agent.state_dict(), [])),
