@@ -18,6 +18,7 @@ import numpy as np
 
 from ..autograd import (
     Tensor,
+    gather_rows,
     scatter_add_rows,
     segment_log_softmax,
     segment_sum,
@@ -33,6 +34,7 @@ from .features import (
     GraphCache,
     GraphFeatures,
     MergedStructureCache,
+    _drop_jobs,
 )
 from .gnn import GNNConfig, GraphEmbeddings, GraphNeuralNetwork
 from .kernels import Workspace
@@ -121,28 +123,54 @@ def sample_row(
 
 
 def _segments_scored(
-    logits: Tensor,
-    lengths: Sequence[int],
-    rows: Sequence[int],
-    mask: Optional[np.ndarray] = None,
+    logits: Tensor, lengths: Sequence[int], rows: Sequence[int]
 ) -> StepInfo:
     """Log-probability of the chosen entry of every consecutive segment of
-    ``logits`` under its own masked softmax, and that softmax's entropy.
+    ``logits`` under its own softmax, and that softmax's entropy.
 
     Segment ``k`` is the next ``lengths[k]`` entries and ``rows[k]`` its
     chosen entry; the result holds ``(K,)`` tensors — one segment
     log-softmax, one gather and one segment sum whatever ``K`` is.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
-    log_probs = segment_log_softmax(logits, lengths, mask)
+    log_probs = segment_log_softmax(logits, lengths)
     contrib = log_probs.exp() * log_probs
-    if mask is not None:
-        contrib = contrib * Tensor(np.asarray(mask, dtype=np.float64))
     count = len(lengths)
     chosen = np.cumsum(lengths) - lengths + np.asarray(rows, dtype=np.intp)
     return StepInfo(
         log_probs[chosen],
         -segment_sum(contrib, np.repeat(np.arange(count), lengths), count),
+    )
+
+
+def _distinct_job_states(graph: GraphFeatures) -> tuple[GraphFeatures, np.ndarray]:
+    """The sub-graph of ``graph``'s distinct job states, and each job's state.
+
+    A job's node and job embeddings are a function of its own structure and
+    feature rows alone (jobs are disconnected components), and consecutive
+    decisions of an episode mostly repeat them.  A state is keyed by the
+    job's identity and the bytes of its feature rows; the first job of each
+    key is kept (:func:`~repro.core.features._drop_jobs`), and
+    ``state_of_job[j]`` is the position of job ``j``'s state among the kept
+    jobs.
+    """
+    structure = graph.structure
+    offsets = structure.job_node_offsets
+    features = graph.node_features
+    states: dict = {}
+    state_of_job = np.empty(structure.num_jobs, dtype=np.intp)
+    keep_jobs = np.zeros(structure.num_jobs, dtype=bool)
+    for position, job in enumerate(structure.jobs):
+        key = (id(job), features[offsets[position]: offsets[position + 1]].tobytes())
+        state = states.get(key)
+        if state is None:
+            state = states[key] = len(states)
+            keep_jobs[position] = True
+        state_of_job[position] = state
+    kept, keep_nodes = _drop_jobs(structure, keep_jobs)
+    return (
+        GraphFeatures(kept, features[keep_nodes], graph.schedulable_mask[keep_nodes]),
+        state_of_job,
     )
 
 
@@ -490,29 +518,50 @@ class DecimaAgent(Module, Scheduler):
 
         The records (typically a chunk of consecutive decisions of one
         episode) merge into a single disconnected mega-graph exactly as
-        concurrent sessions do in :meth:`act_batch`, and one autograd forward
-        covers them all.  Each head is then scored once for the whole chunk:
-        one segment log-softmax over the merged node logits (a record's
-        segment is its own nodes, masked to its schedulable ones), one over
-        the stacked limit-head pass, one over the stacked class-head pass of
-        the records that carry a class choice.  The returned ``log_prob`` and
-        ``entropy`` are ``(K,)`` tensors, entry ``k`` the heads of record
-        ``k`` summed.  REINFORCE gradients flow through them; the graph
-        lives exactly as long as they do.
+        concurrent sessions do in :meth:`act_batch`.  The GNN embeds each
+        distinct job state of the chunk once (:func:`_distinct_job_states`);
+        every merged job gathers its state's embedding, and each record's
+        global embedding sums its own jobs.  Each head is then scored once for
+        the whole chunk: one segment log-softmax over the node logits of the
+        schedulable rows (a record's segment is its own schedulable nodes —
+        Eq. 2 gives every other row probability zero), one over the stacked
+        limit-head pass, one over the stacked class-head pass of the records
+        that carry a class choice.  The returned ``log_prob`` and ``entropy``
+        are ``(K,)`` tensors, entry ``k`` the heads of record ``k`` summed.
+        REINFORCE gradients flow through them; the graph lives exactly as
+        long as they do.
         """
         batch = GraphBatch.merge([record.graph for record in records])
         graph = batch.features
-        embeddings = self.gnn(graph)
-        node_logits = self.policy.node_logits(graph, embeddings)
-        node_rows = np.array([record.node_row for record in records], dtype=np.intp)
+        states, state_of_job = _distinct_job_states(graph)
+        state_nodes = self.gnn.node_embeddings(states)
+        jobs = gather_rows(self.gnn.job_embeddings(states, state_nodes), state_of_job)
+        # The node head reads the schedulable rows only; each is the row at
+        # the same offset in its job's state.
+        schedulable = np.flatnonzero(graph.schedulable_mask)
+        scored_jobs = graph.job_ids[schedulable]
+        state_rows = (
+            states.structure.job_node_offsets[state_of_job[scored_jobs]]
+            + schedulable
+            - graph.structure.job_node_offsets[scored_jobs]
+        )
+        embeddings = GraphEmbeddings(
+            node_embeddings=gather_rows(state_nodes, state_rows),
+            job_embeddings=jobs,
+            global_embedding=self.gnn.global_embedding(jobs, graph),
+        )
+        node_logits = self.policy.node_logits(graph, embeddings, schedulable)
+        starts = np.array([rows.start for rows in batch.node_slices], dtype=np.intp)
+        node_rows = starts + np.array([record.node_row for record in records], dtype=np.intp)
+        # Each record's first schedulable entry, and its chosen one, among
+        # the scored rows.
+        firsts = np.searchsorted(schedulable, starts)
         info = _segments_scored(
             node_logits,
-            [record.graph.num_nodes for record in records],
-            node_rows,
-            graph.schedulable_mask,
+            np.diff(firsts, append=schedulable.size),
+            np.searchsorted(schedulable, node_rows) - firsts,
         )
-        starts = np.array([rows.start for rows in batch.node_slices], dtype=np.intp)
-        job_rows = graph.job_ids[starts + node_rows]
+        job_rows = graph.job_ids[node_rows]
         if self.config.use_parallelism_control:
             limits = [record.limits for record in records]
             stacked_logits, _ = self._limit_logits(graph, embeddings, job_rows, limits)

@@ -24,6 +24,7 @@ oracle :func:`repro.verify.oracles.build_graph_features`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -49,6 +50,9 @@ __all__ = [
 # The one feature column every row shares: the free-executor count is written
 # into all of them each step, so row 0 tells whether any row kept its value.
 FREE_EXECUTORS_COLUMN = 3
+# Task durations are divided by this in the feature matrix; no deployment
+# varies it (checkpoints that still carry a ``duration_scale`` load).
+DURATION_SCALE = 100.0
 
 
 @dataclass
@@ -56,7 +60,6 @@ class FeatureConfig:
     """Normalisation scales and optional extra features."""
 
     task_scale: float = 200.0
-    duration_scale: float = 100.0
     executor_scale: float = 50.0
     include_interarrival_hint: bool = False
     interarrival_scale: float = 100.0
@@ -249,13 +252,11 @@ class GraphStructure:
 
         The arrays must describe ``jobs`` in row order (job by job, each
         job's nodes in ``job.nodes`` order) with edges sorted by (parent,
-        child) row; everything else — the row maps and the frontier levels —
-        is derived here.
+        child) row; the job segmentation is derived here, and the row maps
+        and the frontier levels on first use (a merged replay graph reads
+        neither).
         """
         self.jobs = list(jobs)
-        self.nodes = [node for job in self.jobs for node in job.nodes]
-        self.node_index = {id(node): row for row, node in enumerate(self.nodes)}
-        self.job_position = {id(job): pos for pos, job in enumerate(self.jobs)}
         # Row range of job k is job_node_offsets[k]:job_node_offsets[k + 1]
         # (rows are ordered job-by-job), which lets per-job columns like the
         # source-job one-hot be written as a slice instead of a comparison.
@@ -270,10 +271,6 @@ class GraphStructure:
         self.num_tasks = num_tasks
         self.task_durations = task_durations
         self.node_heights = node_heights
-        self.frontier_levels = _build_frontier_levels(
-            node_heights, edge_parent_rows, edge_child_rows
-        )
-        self._scaled_durations: dict[float, np.ndarray] = {}
         # Graph segmentation: merged structures (cross-session batching,
         # :func:`merge_structures`) assign every job the index of the
         # component graph it came from, so the GNN can keep one *per-graph*
@@ -281,27 +278,42 @@ class GraphStructure:
         self.job_graph_ids = job_graph_ids
         self.num_graphs = num_graphs
 
+    @functools.cached_property
+    def nodes(self) -> list[Node]:
+        return [node for job in self.jobs for node in job.nodes]
+
+    @functools.cached_property
+    def node_index(self) -> dict[int, int]:
+        return {id(node): row for row, node in enumerate(self.nodes)}
+
+    @functools.cached_property
+    def job_position(self) -> dict[int, int]:
+        return {id(job): pos for pos, job in enumerate(self.jobs)}
+
+    @functools.cached_property
+    def frontier_levels(self) -> list[FrontierLevel]:
+        return _build_frontier_levels(
+            self.node_heights, self.edge_parent_rows, self.edge_child_rows
+        )
+
     @property
     def num_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_heights)
 
     @property
     def num_jobs(self) -> int:
         return len(self.jobs)
 
-    def scaled_task_durations(self, config: "FeatureConfig") -> np.ndarray:
-        """``task_durations / duration_scale``, cached — it is fully static.
+    @functools.cached_property
+    def scaled_task_durations(self) -> np.ndarray:
+        """``task_durations / DURATION_SCALE``, computed once — it is fully static.
 
         The division is the one per-node scaling product whose operands never
         change between steps, so it is the only one that can be cached without
         perturbing bits (pre-dividing ``num_tasks`` would turn the dynamic
         ``(num_tasks - finished) / scale`` into a different rounding).
         """
-        cached = self._scaled_durations.get(config.duration_scale)
-        if cached is None:
-            cached = self.task_durations / config.duration_scale
-            self._scaled_durations[config.duration_scale] = cached
-        return cached
+        return self.task_durations / DURATION_SCALE
 
     def matches(self, jobs: list[JobDAG]) -> bool:
         """True when ``jobs`` is the identical (same objects, same order) job set."""
@@ -462,7 +474,7 @@ def _refresh_dynamic_features(
         np.subtract(structure.num_tasks, finished, out=out[:, 0])
         out[:, 0] /= config.task_scale
         if config.include_task_duration:
-            out[:, 1] = structure.scaled_task_durations(config)
+            out[:, 1] = structure.scaled_task_durations
         else:
             out[:, 1] = 0.0
         np.divide(running, config.executor_scale, out=out[:, 2])
@@ -636,7 +648,6 @@ class GraphCache:
         num_nodes = structure.num_nodes
         config_key = (
             config.task_scale,
-            config.duration_scale,
             config.executor_scale,
             config.include_interarrival_hint,
             config.interarrival_scale,

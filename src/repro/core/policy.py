@@ -66,21 +66,38 @@ class PolicyNetwork(Module):
         )
 
     # ------------------------------------------------------------------ nodes
-    def node_logits(self, graph: GraphFeatures, embeddings: GraphEmbeddings) -> Tensor:
-        """One logit per node row: q(x_v, e_v, y_{j(v)}, z)."""
-        num_nodes = graph.num_nodes
-        features = Tensor(graph.node_features)
+    def node_logits(
+        self,
+        graph: GraphFeatures,
+        embeddings: GraphEmbeddings,
+        rows: "np.ndarray | None" = None,
+    ) -> Tensor:
+        """One logit per node row: q(x_v, e_v, y_{j(v)}, z).
+
+        With ``rows`` the score MLP runs only over those node rows (the
+        schedulable set, as in :meth:`node_logits_data`): entry ``i`` of the
+        result is row ``rows[i]``'s logit, and ``embeddings.node_embeddings``
+        holds the embeddings of just those rows, in that order — the replay
+        gathers them from its distinct job states.
+        """
+        if rows is None:
+            features = graph.node_features
+            job_rows = graph.job_ids
+        else:
+            features = graph.node_features[rows]
+            job_rows = graph.job_ids[rows]
+        num_rows = len(job_rows)
         if self.config.use_graph_embedding:
             node_emb = embeddings.node_embeddings
-            job_emb = embeddings.job_embeddings[graph.job_ids]
+            job_emb = embeddings.job_embeddings[job_rows]
             # Each node reads the global embedding of *its* graph — row 0 for a
             # plain observation, the owning session's row in a merged batch.
-            global_emb = embeddings.global_embedding[graph.job_graph_ids[graph.job_ids]]
+            global_emb = embeddings.global_embedding[graph.job_graph_ids[job_rows]]
         else:
-            zeros = Tensor(np.zeros((num_nodes, self.config.embedding_dim)))
+            zeros = Tensor(np.zeros((num_rows, self.config.embedding_dim)))
             node_emb = job_emb = global_emb = zeros
-        inputs = concat([features, node_emb, job_emb, global_emb], axis=1)
-        return self.node_score(inputs).reshape(num_nodes)
+        inputs = concat([Tensor(features), node_emb, job_emb, global_emb], axis=1)
+        return self.node_score(inputs).reshape(num_rows)
 
     def node_logits_data(
         self,

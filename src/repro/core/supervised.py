@@ -31,7 +31,7 @@ def graph_features_from_job(job: JobDAG, config: Optional[FeatureConfig] = None)
     structure = GraphStructure([job])
     features = np.zeros((structure.num_nodes, config.num_features))
     features[:, 0] = structure.num_tasks / config.task_scale
-    features[:, 1] = structure.task_durations / config.duration_scale
+    features[:, 1] = structure.scaled_task_durations
     return GraphFeatures(
         structure=structure,
         node_features=features,

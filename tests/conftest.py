@@ -5,14 +5,30 @@ level test helpers import them directly with ``from _helpers import ...``);
 this conftest exposes them as factory fixtures for tests that prefer
 injection, plus the serving-layer lifecycle fixtures (``free_port``,
 ``server_factory``) that replace ad-hoc port binding and guarantee servers
-are stopped even when a test fails mid-body.
+are stopped even when a test fails mid-body.  ``--repin-learners`` rewrites
+``tests/golden/learner_pins.json`` from the run instead of comparing against
+it (docs/TESTING.md).
 """
 
 import socket
 
 import pytest
 
+import _helpers
 from _helpers import make_decima_agent, make_tpch_env, make_training_setup
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--repin-learners",
+        action="store_true",
+        help="write tests/golden/learner_pins.json from the moments this run "
+        "observes instead of comparing against it",
+    )
+
+
+def pytest_configure(config):
+    _helpers.REPIN_LEARNERS = config.getoption("--repin-learners")
 
 
 @pytest.fixture

@@ -89,6 +89,22 @@ class TestCheckpointErrorPaths:
         assert loaded.config == agent.config
         assert parameter_fingerprint(loaded) == info.fingerprint
 
+    def test_load_ignores_the_removed_duration_scale(self, tmp_path):
+        """Checkpoints written while ``FeatureConfig`` still had a
+        ``duration_scale`` field load; the scale is a constant now."""
+        agent = self.agent()
+        info = CheckpointStore(tmp_path).save(agent)
+        with np.load(info.path, allow_pickle=False) as archive:
+            entries = {key: archive[key] for key in archive.files}
+        meta = json.loads(str(entries["__meta__"]))
+        assert "duration_scale" not in meta["config"]["feature"]
+        meta["config"]["feature"]["duration_scale"] = 100.0
+        entries["__meta__"] = json.dumps(meta)
+        np.savez(info.path, **entries)
+        loaded = CheckpointStore(tmp_path).load()
+        assert loaded.config == agent.config
+        assert parameter_fingerprint(loaded) == info.fingerprint
+
     def test_load_rejects_weights_changed_under_recorded_fingerprint(self, tmp_path):
         """The archive vouches for itself too: weights edited in place under
         the metadata written at save time are refused, pointer or no pointer."""

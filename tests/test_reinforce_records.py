@@ -10,9 +10,14 @@ here:
   graph until one whole-episode ``backward()``, the training step this
   replaced, kept below as the reference — at every chunk boundary and across
   a chunk whose merged components have different structures;
-* scoring a chunk is scoring its records one by one (hypothesis), and its
-  autograd graph is as large for ``REPLAY_CHUNK`` records as for one — each
-  head is one segment log-softmax per chunk, not one softmax per record;
+  and under each ablation that changes what the replay computes (one-level
+  aggregation, no graph embedding, no parallelism control);
+* scoring a chunk is scoring its records one by one (hypothesis), ``K``
+  copies of a record score ``K`` times the record, and the chunk's autograd
+  graph is as large for ``REPLAY_CHUNK`` records as for one — each head is
+  one segment log-softmax per chunk, not one softmax per record;
+* the GNN embeds each distinct job state of a chunk once (keyed by the job
+  and its feature rows) and the node head scores only schedulable rows;
 * no autograd graph, and no view of the feature arena, survives a rollout,
   and nothing of an iteration survives its gradients.
 """
@@ -47,18 +52,28 @@ SCENARIOS = ("tpch_poisson", "multi_resource_packing")
 ENTROPY_WEIGHT = 0.01
 
 
-def episode(scenario: str, seed: int = 0):
+# The agent settings that change what the replay computes.
+ABLATIONS = {
+    "one_level_aggregation": dict(two_level_aggregation=False),
+    "no_graph_embedding": dict(use_graph_embedding=False),
+    "no_parallelism_control": dict(use_parallelism_control=False),
+}
+
+
+def episode(scenario: str, seed: int = 0, **settings):
     """``(environment, agent, jobs)`` of one small seeded scenario episode."""
     spec = get_scenario(scenario, num_jobs=6, num_executors=8)
     config = spec.build_config(seed)
     jobs = spec.build_jobs(scenario_workload_rng(scenario, seed))
     multi = len({cls for cls, _ in config.executor_classes or []}) > 1
-    agent = DecimaAgent(config.num_executors, DecimaConfig(seed=0, multi_resource=multi))
+    agent = DecimaAgent(
+        config.num_executors, DecimaConfig(seed=0, multi_resource=multi, **settings)
+    )
     return SchedulingEnvironment(config), agent, jobs
 
 
-def rollout(scenario: str, length: int, seed: int = 0):
-    environment, agent, jobs = episode(scenario, seed)
+def rollout(scenario: str, length: int, seed: int = 0, **settings):
+    environment, agent, jobs = episode(scenario, seed, **settings)
     trajectory = collect_rollout(
         environment, agent, jobs, rng=np.random.default_rng(1), seed=seed,
         max_actions=length,
@@ -81,9 +96,9 @@ def episode_loss(infos, advantages, entropy_weight):
     return loss
 
 
-def retained_graph_gradients(scenario: str, length: int, seed: int = 0):
+def retained_graph_gradients(scenario: str, length: int, seed: int = 0, **settings):
     """The same episode through :func:`scored_act`, one whole-episode backward."""
-    environment, agent, jobs = episode(scenario, seed)
+    environment, agent, jobs = episode(scenario, seed, **settings)
     rng = np.random.default_rng(1)
     observation = environment.reset(jobs, seed=seed)
     infos = []
@@ -98,8 +113,8 @@ def retained_graph_gradients(scenario: str, length: int, seed: int = 0):
     return [parameter.grad for parameter in agent.parameters()], len(infos)
 
 
-def chunked_replay_gradients(scenario: str, length: int, seed: int = 0):
-    agent, trajectory = rollout(scenario, length, seed)
+def chunked_replay_gradients(scenario: str, length: int, seed: int = 0, **settings):
+    agent, trajectory = rollout(scenario, length, seed, **settings)
     count = trajectory.num_actions
     gradients = accumulate_episode_gradients(
         agent, [trajectory], [advantages_for(count)], ENTROPY_WEIGHT
@@ -140,6 +155,16 @@ class TestGradientEquivalence:
         replayed, count = chunked_replay_gradients(scenario, length)
         oracle, oracle_count = retained_graph_gradients(scenario, length)
         assert count == oracle_count and count > REPLAY_CHUNK
+        assert_same_gradients(replayed, oracle)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
+    def test_ablations_match_the_retained_graph_oracle(self, scenario, ablation):
+        settings = ABLATIONS[ablation]
+        length = REPLAY_CHUNK + 1
+        replayed, count = chunked_replay_gradients(scenario, length, **settings)
+        oracle, oracle_count = retained_graph_gradients(scenario, length, **settings)
+        assert count == oracle_count == length
         assert_same_gradients(replayed, oracle)
 
     def test_multi_resource_replay_reaches_the_class_head(self):
@@ -201,6 +226,70 @@ class TestChunkScoring:
             assert single.log_prob.shape == (1,)
             assert abs(merged.log_prob.data[position] - single.log_prob.data[0]) <= 1e-10
             assert abs(merged.entropy.data[position] - single.entropy.data[0]) <= 1e-10
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_copies_of_a_record_score_as_the_record(self, scenario):
+        agent, records = recorded(scenario)
+        record = records[REPLAY_CHUNK // 2]
+        single = agent.score_actions([record])
+        copies = agent.score_actions([record] * REPLAY_CHUNK)
+        for scored, alone in ((copies.log_prob, single.log_prob), (copies.entropy, single.entropy)):
+            # atol for an entropy that is a rounding error away from zero.
+            np.testing.assert_allclose(
+                scored.data, np.full(REPLAY_CHUNK, alone.data[0]), rtol=1e-12, atol=1e-12
+            )
+        agent.zero_grad()
+        chunk_loss(agent, [record], [1.0], ENTROPY_WEIGHT).backward()
+        once = [parameter.grad for parameter in agent.parameters()]
+        agent.zero_grad()
+        chunk_loss(
+            agent, [record] * REPLAY_CHUNK, np.ones(REPLAY_CHUNK), ENTROPY_WEIGHT
+        ).backward()
+        # An entry whose terms cancel to near zero (a softmax head's output
+        # bias: exactly zero in exact arithmetic) rounds at the size of the
+        # largest gradient entry, not at its own.
+        scale = REPLAY_CHUNK * max(np.abs(grad).max() for grad in once)
+        for ours, theirs in zip((parameter.grad for parameter in agent.parameters()), once):
+            np.testing.assert_allclose(
+                ours, REPLAY_CHUNK * theirs, rtol=1e-12, atol=1e-15 * scale
+            )
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_the_gnn_embeds_each_job_state_once(self, scenario, monkeypatch):
+        agent, records = recorded(scenario)
+        # Consecutive decisions, each of them twice.
+        chunk = records[: REPLAY_CHUNK // 2] * 2
+        seen = {"prep": [], "node_score": []}
+
+        class Rows:
+            """An MLP of the agent, counting the rows it is called on."""
+
+            def __init__(self, name, mlp):
+                self.name, self.mlp = name, mlp
+
+            def __call__(self, inputs):
+                seen[self.name].append(inputs.shape[0])
+                return self.mlp(inputs)
+
+        monkeypatch.setattr(agent.gnn, "prep", Rows("prep", agent.gnn.prep))
+        monkeypatch.setattr(
+            agent.policy, "node_score", Rows("node_score", agent.policy.node_score)
+        )
+        agent.score_actions(chunk)
+        states = {}
+        for record in chunk:
+            graph = record.graph
+            offsets = graph.structure.job_node_offsets
+            for position, job in enumerate(graph.jobs):
+                rows = graph.node_features[offsets[position]: offsets[position + 1]]
+                states[id(job), rows.tobytes()] = len(rows)
+        merged_rows = sum(record.graph.num_nodes for record in chunk)
+        schedulable = sum(int(record.graph.schedulable_mask.sum()) for record in chunk)
+        assert seen["prep"] == [sum(states.values())]
+        assert seen["node_score"] == [schedulable]
+        # Not vacuous: the chunk repeats job states and has unschedulable rows.
+        assert 2 * sum(states.values()) <= merged_rows
+        assert 2 * schedulable < merged_rows
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_the_tape_does_not_grow_with_the_chunk(self, scenario):
