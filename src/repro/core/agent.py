@@ -326,16 +326,20 @@ class DecimaAgent(Module, Scheduler):
         self.config = config or DecimaConfig()
         self.total_executors = int(total_executors)
         rng = np.random.default_rng(self.config.seed)
-        self.gnn = GraphNeuralNetwork(
-            GNNConfig(
-                num_features=self.config.feature.num_features,
-                embedding_dim=self.config.embedding_dim,
-                hidden_sizes=self.config.hidden_sizes,
-                max_message_passing_depth=self.config.max_message_passing_depth,
-                two_level_aggregation=self.config.two_level_aggregation,
-            ),
-            rng,
-        )
+        # An ablation is a smaller network: without graph embeddings the
+        # agent owns no GNN and its heads read zero-width embeddings.
+        self.gnn: Optional[GraphNeuralNetwork] = None
+        if self.config.use_graph_embedding:
+            self.gnn = GraphNeuralNetwork(
+                GNNConfig(
+                    num_features=self.config.feature.num_features,
+                    embedding_dim=self.config.embedding_dim,
+                    hidden_sizes=self.config.hidden_sizes,
+                    max_message_passing_depth=self.config.max_message_passing_depth,
+                    two_level_aggregation=self.config.two_level_aggregation,
+                ),
+                rng,
+            )
         self._limit_levels = self._build_limit_levels()
         # One-hot limit encoding: the level -> column mapping is static, so it
         # is precomputed here instead of being rebuilt on every act() call.
@@ -346,14 +350,19 @@ class DecimaAgent(Module, Scheduler):
         self.policy = PolicyNetwork(
             PolicyConfig(
                 num_features=self.config.feature.num_features,
-                embedding_dim=self.config.embedding_dim,
+                embedding_dim=self.config.embedding_dim if self.gnn is not None else 0,
                 hidden_sizes=self.config.hidden_sizes,
-                use_graph_embedding=self.config.use_graph_embedding,
                 use_executor_class_head=self.config.multi_resource,
                 limit_input_dim=limit_input_dim,
             ),
             rng,
         )
+        if not self.config.use_parallelism_control:
+            # Nothing scores a limit.  Drawn above all the same, so the class
+            # head keeps its weights.
+            self.policy.limit_score = None
+        # Inference-only arena of the heads (:meth:`_forward`, :meth:`_select`).
+        self.workspace = Workspace()
         self.interarrival_hint: Optional[float] = None
         self._eval_rng = np.random.default_rng(self.config.seed + 1)
         # Per-episode incremental cache of the static graph structure; rebuilt
@@ -521,7 +530,8 @@ class DecimaAgent(Module, Scheduler):
         concurrent sessions do in :meth:`act_batch`.  The GNN embeds each
         distinct job state of the chunk once (:func:`_distinct_job_states`);
         every merged job gathers its state's embedding, and each record's
-        global embedding sums its own jobs.  Each head is then scored once for
+        global embedding sums its own jobs (an agent without a GNN hands the
+        heads zero-width embeddings).  Each head is then scored once for
         the whole chunk: one segment log-softmax over the node logits of the
         schedulable rows (a record's segment is its own schedulable nodes —
         Eq. 2 gives every other row probability zero), one over the stacked
@@ -533,23 +543,26 @@ class DecimaAgent(Module, Scheduler):
         """
         batch = GraphBatch.merge([record.graph for record in records])
         graph = batch.features
-        states, state_of_job = _distinct_job_states(graph)
-        state_nodes = self.gnn.node_embeddings(states)
-        jobs = gather_rows(self.gnn.job_embeddings(states, state_nodes), state_of_job)
         # The node head reads the schedulable rows only; each is the row at
         # the same offset in its job's state.
         schedulable = np.flatnonzero(graph.schedulable_mask)
-        scored_jobs = graph.job_ids[schedulable]
-        state_rows = (
-            states.structure.job_node_offsets[state_of_job[scored_jobs]]
-            + schedulable
-            - graph.structure.job_node_offsets[scored_jobs]
-        )
-        embeddings = GraphEmbeddings(
-            node_embeddings=gather_rows(state_nodes, state_rows),
-            job_embeddings=jobs,
-            global_embedding=self.gnn.global_embedding(jobs, graph),
-        )
+        if self.gnn is None:
+            embeddings = GraphEmbeddings.zero_width(graph, schedulable.size)
+        else:
+            states, state_of_job = _distinct_job_states(graph)
+            state_nodes = self.gnn.node_embeddings(states)
+            jobs = gather_rows(self.gnn.job_embeddings(states, state_nodes), state_of_job)
+            scored_jobs = graph.job_ids[schedulable]
+            state_rows = (
+                states.structure.job_node_offsets[state_of_job[scored_jobs]]
+                + schedulable
+                - graph.structure.job_node_offsets[scored_jobs]
+            )
+            embeddings = GraphEmbeddings(
+                node_embeddings=gather_rows(state_nodes, state_rows),
+                job_embeddings=jobs,
+                global_embedding=self.gnn.global_embedding(jobs, graph),
+            )
         node_logits = self.policy.node_logits(graph, embeddings, schedulable)
         starts = np.array([rows.start for rows in batch.node_slices], dtype=np.intp)
         node_rows = starts + np.array([record.node_row for record in records], dtype=np.intp)
@@ -692,14 +705,13 @@ class DecimaAgent(Module, Scheduler):
 
         The arena-buffered data path, whose numbers — and therefore
         decisions — match the autograd ops REINFORCE trains on (differential
-        pair ``inference_kernels_vs_tensor``).
+        pair ``inference_kernels_vs_tensor``).  An agent without a GNN hands
+        the heads zero-width embeddings.
         """
-        node_emb, job_emb, global_emb = self.gnn.forward_data(graph)
-        embeddings = GraphEmbeddings(
-            node_embeddings=Tensor(node_emb),
-            job_embeddings=Tensor(job_emb),
-            global_embedding=Tensor(global_emb),
-        )
+        if self.gnn is None:
+            embeddings = GraphEmbeddings.zero_width(graph)
+        else:
+            embeddings = GraphEmbeddings(*map(Tensor, self.gnn.forward_data(graph)))
         clock.mark()
         # A trace recorder's tap digests each observation's full logit slice,
         # so only the untapped hot path restricts scoring to the schedulable
@@ -711,7 +723,12 @@ class DecimaAgent(Module, Scheduler):
         )
         node_logits = Tensor(
             self.policy.node_logits_data(
-                graph, node_emb, job_emb, global_emb, self.gnn.workspace, rows=rows
+                graph,
+                embeddings.node_embeddings.data,
+                embeddings.job_embeddings.data,
+                embeddings.global_embedding.data,
+                self.workspace,
+                rows=rows,
             )
         )
         clock.mark()
@@ -775,8 +792,8 @@ class DecimaAgent(Module, Scheduler):
         exactly the rows a forward pass over that observation alone would
         have produced, and its rng is drawn from in the fixed order stage,
         limit, class — which is what makes a decision independent of the
-        batch it was taken in.  The heads run on the data path (the arena of
-        ``self.gnn.workspace``), so no tape is recorded.  With
+        batch it was taken in.  The heads run on the data path (the arena
+        ``self.workspace``), so no tape is recorded.  With
         ``components`` (observation ``k``'s own :class:`GraphFeatures`) each
         decision comes with its :class:`ActionRecord`.
         """
@@ -785,7 +802,7 @@ class DecimaAgent(Module, Scheduler):
         job_rows = [0] * count  # global job row of each chosen node
         limits = [self.total_executors] * count
         records: list[Optional[ActionRecord]] = [None] * count
-        workspace = self.gnn.workspace
+        workspace = self.workspace
         stage_logits = node_logits.data
 
         # Phase 1: per-observation stage selection (masked softmax over the

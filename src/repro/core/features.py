@@ -786,10 +786,6 @@ class GraphBatch:
         self.node_slices = node_slices
         self.job_slices = job_slices
 
-    @property
-    def num_components(self) -> int:
-        return len(self.components)
-
     @classmethod
     def merge(
         cls,

@@ -78,6 +78,14 @@ class GraphEmbeddings:
     job_embeddings: Tensor    # (J, D)
     global_embedding: Tensor  # (G, D); G = 1 for a single observation
 
+    @classmethod
+    def zero_width(cls, graph: GraphFeatures, num_nodes: Optional[int] = None):
+        """Width-0 embeddings of ``graph`` (``num_nodes`` node rows, default all):
+        what the heads of an agent without a GNN read (Fig. 14's ablation)."""
+        nodes = graph.num_nodes if num_nodes is None else num_nodes
+        counts = (nodes, graph.num_jobs, graph.num_graphs)
+        return cls(*(Tensor(np.empty((count, 0))) for count in counts))
+
 
 class GraphNeuralNetwork(Module):
     """Per-node, per-job and global embeddings via message passing."""
@@ -105,6 +113,11 @@ class GraphNeuralNetwork(Module):
         # Global summary transforms (inputs: job embeddings).
         self.global_f = MLP(dim, dim, rng, hidden_sizes=hidden)
         self.global_g = MLP(dim, dim, rng, hidden_sizes=hidden)
+        if not config.two_level_aggregation:
+            # One-level aggregation reads no g.  The three are drawn above all
+            # the same, so every kept weight (and the rng a caller goes on
+            # drawing from) is what two-level aggregation gets.
+            self.node_g = self.job_g = self.global_g = None
         # Inference-only arena of the data path (:meth:`forward_data`).
         self.workspace = Workspace()
         # What the data path remembers between calls, per structure (weakly:
@@ -116,6 +129,7 @@ class GraphNeuralNetwork(Module):
         self._node_parameters = [
             parameter
             for mlp in (self.prep, self.node_f, self.node_g, self.job_f)
+            if mlp is not None
             for parameter in mlp.parameters()
         ]
         self._weights: list = [None] * len(self._node_parameters)

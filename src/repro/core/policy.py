@@ -33,11 +33,11 @@ class PolicyConfig:
     """Sizes and switches of the policy network."""
 
     num_features: int = 5
+    # Width of each embedding the heads read.  0 is "Decima w/o graph
+    # embedding" (Fig. 14): the heads read raw features and their own inputs
+    # only, and the agent owns no graph neural network.
     embedding_dim: int = 8
     hidden_sizes: tuple[int, ...] = (32, 16)
-    # Ablation: bypass the graph embeddings and score nodes from raw features only
-    # ("Decima w/o graph embedding" in Fig. 14).
-    use_graph_embedding: bool = True
     # Multi-resource executor-class head (§7.3).
     use_executor_class_head: bool = False
     # Width of the parallelism-limit input: 1 = the limit value is a scalar
@@ -87,15 +87,11 @@ class PolicyNetwork(Module):
             features = graph.node_features[rows]
             job_rows = graph.job_ids[rows]
         num_rows = len(job_rows)
-        if self.config.use_graph_embedding:
-            node_emb = embeddings.node_embeddings
-            job_emb = embeddings.job_embeddings[job_rows]
-            # Each node reads the global embedding of *its* graph — row 0 for a
-            # plain observation, the owning session's row in a merged batch.
-            global_emb = embeddings.global_embedding[graph.job_graph_ids[job_rows]]
-        else:
-            zeros = Tensor(np.zeros((num_rows, self.config.embedding_dim)))
-            node_emb = job_emb = global_emb = zeros
+        node_emb = embeddings.node_embeddings
+        job_emb = embeddings.job_embeddings[job_rows]
+        # Each node reads the global embedding of *its* graph — row 0 for a
+        # plain observation, the owning session's row in a merged batch.
+        global_emb = embeddings.global_embedding[graph.job_graph_ids[job_rows]]
         inputs = concat([Tensor(features), node_emb, job_emb, global_emb], axis=1)
         return self.node_score(inputs).reshape(num_rows)
 
@@ -118,32 +114,18 @@ class PolicyNetwork(Module):
         probability).  The returned buffer is workspace-owned and valid until
         the next call.
         """
-        config = self.config
-        features = graph.node_features
-        num_features = features.shape[1]
-        dim = config.embedding_dim
+        dim = self.config.embedding_dim
         logits = workspace.get("node_logits", (graph.num_nodes,))
-        if rows is None:
-            num_rows = graph.num_nodes
-            inputs = workspace.get("score_in", (num_rows, num_features + 3 * dim))
-            inputs[:, :num_features] = features
-            job_rows = graph.job_ids
-            row_nodes = node_emb
-        else:
-            num_rows = rows.size
-            inputs = workspace.get("score_in", (num_rows, num_features + 3 * dim))
-            inputs[:, :num_features] = features[rows]
-            job_rows = graph.job_ids[rows]
-            row_nodes = node_emb[rows]
+        features, job_rows, row_nodes = graph.node_features, graph.job_ids, node_emb
+        if rows is not None:
+            features, job_rows, row_nodes = features[rows], job_rows[rows], row_nodes[rows]
             logits[:] = 0.0
-        if config.use_graph_embedding:
-            inputs[:, num_features: num_features + dim] = row_nodes
-            inputs[:, num_features + dim: num_features + 2 * dim] = job_emb[job_rows]
-            inputs[:, num_features + 2 * dim:] = global_emb[
-                graph.job_graph_ids[job_rows]
-            ]
-        else:
-            inputs[:, num_features:] = 0.0
+        num_features = features.shape[1]
+        inputs = workspace.get("score_in", (len(job_rows), num_features + 3 * dim))
+        inputs[:, :num_features] = features
+        inputs[:, num_features: num_features + dim] = row_nodes
+        inputs[:, num_features + dim: num_features + 2 * dim] = job_emb[job_rows]
+        inputs[:, num_features + 2 * dim:] = global_emb[graph.job_graph_ids[job_rows]]
         scores = mlp_forward(self.node_score, inputs, workspace, "node_score")
         if rows is None:
             logits[:] = scores[:, 0]
@@ -210,15 +192,10 @@ class PolicyNetwork(Module):
             return self._job_row_logits_data(
                 score, tag, graph, embeddings, job_rows, extra_inputs, workspace
             )
-        num_rows = len(job_rows)
-        if self.config.use_graph_embedding:
-            job_emb = embeddings.job_embeddings[job_rows]
-            global_emb = embeddings.global_embedding[graph.job_graph_ids[job_rows]]
-        else:
-            zeros = Tensor(np.zeros((num_rows, self.config.embedding_dim)))
-            job_emb = global_emb = zeros
+        job_emb = embeddings.job_embeddings[job_rows]
+        global_emb = embeddings.global_embedding[graph.job_graph_ids[job_rows]]
         inputs = concat([job_emb, global_emb, Tensor(extra_inputs)], axis=1)
-        return score(inputs).reshape(num_rows)
+        return score(inputs).reshape(len(job_rows))
 
     def _job_row_logits_data(
         self,
@@ -239,13 +216,8 @@ class PolicyNetwork(Module):
         """
         dim = self.config.embedding_dim
         inputs = workspace.get(f"{tag}:in", (len(job_rows), 2 * dim + extra_inputs.shape[1]))
-        if self.config.use_graph_embedding:
-            inputs[:, :dim] = embeddings.job_embeddings.data[job_rows]
-            inputs[:, dim: 2 * dim] = embeddings.global_embedding.data[
-                graph.job_graph_ids[job_rows]
-            ]
-        else:
-            inputs[:, : 2 * dim] = 0.0
+        inputs[:, :dim] = embeddings.job_embeddings.data[job_rows]
+        inputs[:, dim: 2 * dim] = embeddings.global_embedding.data[graph.job_graph_ids[job_rows]]
         inputs[:, 2 * dim:] = extra_inputs
         return mlp_forward(score, inputs, workspace, tag)[:, 0]
 

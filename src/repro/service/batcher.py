@@ -583,7 +583,8 @@ class RequestBroker:
         The broker's own rows, the recent-latency histogram, and the rows of
         what it drives: where decision time goes inside the agent
         (``stage_timing``), how much propagation work was reused
-        (``embedding_reuse``), the batch merge cache and the breaker.
+        (``embedding_reuse``, ``None`` for an agent without a GNN), the
+        batch merge cache and the breaker.
         """
         return {
             **stat_values(self),
@@ -593,7 +594,7 @@ class RequestBroker:
                 [seconds * 1000.0 for seconds in tuple(self.latencies)]
             ),
             "stage_timing": stat_values(self.agent.stage_timings),
-            "embedding_reuse": stat_values(self.agent.gnn),
+            "embedding_reuse": None if self.agent.gnn is None else stat_values(self.agent.gnn),
             "merge_cache": stat_values(self.merge_cache),
             "breaker": None if self.breaker is None else stat_values(self.breaker),
         }

@@ -130,7 +130,8 @@ class PolicyServer:
             self.flight,
             self.spans,
         ):
-            self.metrics.expose(owner)
+            if owner is not None:  # no GNN without graph embeddings
+                self.metrics.expose(owner)
         if breaker is not None:
             self.metrics.expose(breaker)
             breaker.on_open = self._on_breaker_open

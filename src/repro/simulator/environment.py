@@ -122,9 +122,6 @@ class Observation:
     executor_classes: list[ExecutorClass]
     num_jobs_in_system: int
 
-    def executors_of_job(self, job: JobDAG) -> int:
-        return job.num_executors
-
     def free_executors_for(self, node: Node) -> int:
         """Number of free executors whose class can run tasks of ``node``."""
         return sum(

@@ -45,7 +45,7 @@ from ..core.features import (
     _refresh_dynamic_features,
     _refresh_schedulable_mask,
 )
-from ..core.gnn import GraphNeuralNetwork
+from ..core.gnn import GraphEmbeddings, GraphNeuralNetwork
 from ..service.batcher import RequestBroker
 from ..simulator.environment import Action, Observation
 
@@ -150,10 +150,11 @@ class DenseGNNAgent(DecimaAgent):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.gnn = DenseGraphNeuralNetwork.sharing(self.gnn)
+        if self.gnn is not None:
+            self.gnn = DenseGraphNeuralNetwork.sharing(self.gnn)
 
     def _forward(self, graph, clock):
-        embeddings = self.gnn(graph)
+        embeddings = self.gnn(graph) if self.gnn is not None else GraphEmbeddings.zero_width(graph)
         clock.mark()
         node_logits = self.policy.node_logits(graph, embeddings)
         clock.mark()
@@ -181,8 +182,8 @@ def scored_act(
 ) -> tuple[Optional[Action], Optional[StepInfo]]:
     """One decision of ``agent`` through the autograd ops, and its score.
 
-    Fresh feature arrays, the tensor forward (``agent.gnn(graph)`` and
-    ``agent.policy.node_logits``), then stage → limit → class, each head
+    Fresh feature arrays, the tensor forward (``agent.gnn(graph)``, skipped
+    by an agent without one, and ``agent.policy.node_logits``), then stage → limit → class, each head
     scored on its own: :func:`sample_row` on the head's tensor data draws
     from ``rng`` (``agent``'s evaluation stream when ``None``) in that order,
     and :func:`_scored` puts the drawn row's log-probability and the
@@ -197,7 +198,7 @@ def scored_act(
         return None, None
     rng = rng if rng is not None else agent._eval_rng
     graph = agent.build_features(observation)
-    embeddings = agent.gnn(graph)
+    embeddings = agent.gnn(graph) if agent.gnn is not None else GraphEmbeddings.zero_width(graph)
     node_logits = agent.policy.node_logits(graph, embeddings)
     if agent.logits_tap is not None:
         agent.logits_tap(node_logits.data)

@@ -10,7 +10,6 @@ the sweet spot (wider shuffles slow individual tasks down, §6.2 item 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,9 +40,6 @@ class ScalingProfile:
         """Task-duration multiplier at the given job parallelism (>= 1)."""
         excess = max(0.0, parallelism - self.sweet_spot)
         return 1.0 + self.inflation_rate * excess / max(self.sweet_spot, 1.0)
-
-    def as_callable(self) -> Callable[[int], float]:
-        return self.work_inflation
 
     def scaled(self, size_gb: float, reference_gb: float = 100.0) -> "ScalingProfile":
         """Sweet spot shrinks with input size (Q9 needs 40 tasks at 100 GB but 5 at 2 GB)."""

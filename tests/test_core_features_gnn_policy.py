@@ -234,13 +234,3 @@ class TestPolicyNetwork:
         gnn = GraphNeuralNetwork(GNNConfig(), np.random.default_rng(0))
         logits = policy.class_logits(graph, gnn(graph), 0, multi_resource_classes())
         assert logits.shape == (4,)
-
-    def test_no_graph_embedding_ignores_embeddings(self):
-        _, observation = live_observation()
-        graph = build_graph_features(observation)
-        gnn_a = GraphNeuralNetwork(GNNConfig(), np.random.default_rng(0))
-        gnn_b = GraphNeuralNetwork(GNNConfig(), np.random.default_rng(7))
-        policy = PolicyNetwork(PolicyConfig(use_graph_embedding=False), np.random.default_rng(1))
-        logits_a = policy.node_logits(graph, gnn_a(graph))
-        logits_b = policy.node_logits(graph, gnn_b(graph))
-        assert np.allclose(logits_a.data, logits_b.data)

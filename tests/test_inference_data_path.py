@@ -222,9 +222,14 @@ class TestDataHeads:
         graph = GraphBatch.merge(
             [agent.build_features(obs, graph_cache=GraphCache()) for obs in found]
         ).features
-        embeddings = GraphEmbeddings(
-            *(Tensor(array.copy()) for array in agent.gnn.forward_data(graph))
-        )
+        if agent.gnn is None:
+            # Without graph embeddings the heads read zero-width embeddings.
+            embeddings = GraphEmbeddings.zero_width(graph)
+            assert agent.policy.class_score.layers[0].in_features == 2
+        else:
+            embeddings = GraphEmbeddings(
+                *(Tensor(array.copy()) for array in agent.gnn.forward_data(graph))
+            )
         candidates = [agent.candidate_limits(job) for job in graph.jobs]
         limit_rows = np.repeat(np.arange(graph.num_jobs), [len(c) for c in candidates])
         limit_inputs = np.vstack([agent._limit_inputs(c) for c in candidates])

@@ -98,9 +98,8 @@ def assert_embeddings_and_gradients_match(graph, sparse, dense):
         loss = (out.node_embeddings * weights).sum() + out.global_embedding.sum()
         loss.backward()
     for p_sparse, p_dense in zip(sparse.parameters(), dense.parameters()):
-        # Parameters unused under the current config (e.g. node_g with
-        # single-level aggregation, node_f at depth 0) have no gradient in
-        # either model; everything used must match.
+        # A parameter the graph never reaches (node_f at depth 0) has no
+        # gradient in either model; everything used must match.
         assert (p_sparse.grad is None) == (p_dense.grad is None)
         if p_sparse.grad is not None:
             np.testing.assert_allclose(p_sparse.grad, p_dense.grad, atol=TOL, rtol=0)

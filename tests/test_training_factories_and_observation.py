@@ -65,7 +65,7 @@ class TestObservationHelpers:
         assert fitting < observation.num_free_executors
         assert fitting > 0
 
-    def test_executors_of_job_tracks_bindings(self):
+    def test_action_binds_executors_to_the_job(self):
         env, observation = self.make_observation()
         node = observation.schedulable_nodes[0]
         expected = min(2, node.remaining_tasks)
