@@ -27,12 +27,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ..simulator.environment import Observation
 from ..simulator.jobdag import JobDAG, Node
+from .kernels import SegmentPlan
 
 __all__ = [
     "FeatureConfig",
@@ -94,6 +95,11 @@ class FrontierLevel:
     @property
     def num_targets(self) -> int:
         return int(len(self.target_rows))
+
+    @functools.cached_property
+    def sum_plan(self) -> SegmentPlan:
+        """How a whole-level forward sums the edge messages into the targets."""
+        return SegmentPlan(self.target_segments, self.num_targets, self.message_rows)
 
     def restricted_to(self, keep_rows: np.ndarray) -> "FrontierLevel":
         """This level over the node rows the boolean mask ``keep_rows`` selects.
@@ -277,6 +283,9 @@ class GraphStructure:
         # global embedding instead of mixing sessions.
         self.job_graph_ids = job_graph_ids
         self.num_graphs = num_graphs
+        # Set by :func:`_drop_jobs` on the structure it derives, and consumed
+        # by the first GNN forward over it (which reads the state it left).
+        self.predecessor: Optional[Predecessor] = None
 
     @functools.cached_property
     def nodes(self) -> list[Node]:
@@ -305,6 +314,11 @@ class GraphStructure:
         return len(self.jobs)
 
     @functools.cached_property
+    def job_sum_plan(self) -> SegmentPlan:
+        """How a whole-graph forward sums node rows into per-job rows."""
+        return SegmentPlan(self.job_ids, self.num_jobs)
+
+    @functools.cached_property
     def scaled_task_durations(self) -> np.ndarray:
         """``task_durations / DURATION_SCALE``, computed once — it is fully static.
 
@@ -316,10 +330,25 @@ class GraphStructure:
         return self.task_durations / DURATION_SCALE
 
     def matches(self, jobs: list[JobDAG]) -> bool:
-        """True when ``jobs`` is the identical (same objects, same order) job set."""
-        return len(jobs) == len(self.jobs) and all(
-            cached is live for cached, live in zip(self.jobs, jobs)
-        )
+        """True when ``jobs`` is the identical (same objects, same order) job set.
+
+        ``JobDAG`` compares by identity, so this is list equality.
+        """
+        return jobs == self.jobs
+
+
+class Predecessor(NamedTuple):
+    """The structure an edit was derived from, and what of it was kept.
+
+    ``keep_nodes`` / ``keep_jobs`` are boolean masks over the predecessor's
+    node rows and jobs.  Held strongly: the graph cache drops its own
+    reference when it edits, and the state the GNN keeps of the predecessor
+    lives only as long as the predecessor does.
+    """
+
+    structure: GraphStructure
+    keep_nodes: np.ndarray
+    keep_jobs: np.ndarray
 
 
 def _surviving_jobs(cached: list[JobDAG], jobs: list[JobDAG]) -> Optional[np.ndarray]:
@@ -349,8 +378,16 @@ def _drop_jobs(
     rebuilt: edges never cross jobs and heights are component-local, so the
     per-node arrays just lose rows and the surviving edges are re-indexed
     through a cumulative sum of the row mask (monotone, so they stay in the
-    sorted order a fresh build gives them).  The result equals
-    ``GraphStructure(kept jobs)`` array for array.
+    sorted order a fresh build gives them).  When ``structure`` already has
+    its frontier levels, the edit's are theirs cut down to the kept rows
+    (:meth:`FrontierLevel.restricted_to`) and renumbered the same way.  The
+    result equals ``GraphStructure(kept jobs)`` array for array.
+
+    The result names ``structure`` as its :class:`Predecessor`, so the GNN's
+    first forward over it can keep the survivors' embeddings.  Links never
+    chain: a structure whose own link no forward has consumed yet has no
+    state to carry, so its edit gets no link, and at most one predecessor
+    is alive per graph cache.
     """
     keep_nodes = keep_jobs[structure.job_ids]
     new_rows = np.cumsum(keep_nodes, dtype=np.intp) - 1
@@ -365,6 +402,23 @@ def _drop_jobs(
         node_heights=structure.node_heights[keep_nodes],
         job_graph_ids=np.zeros(len(kept_jobs), dtype=np.intp),
     )
+    levels = structure.__dict__.get("frontier_levels")
+    if levels is not None:
+        # Heights above the survivors' tallest job lose every target, and
+        # only those: a job has a node at each height up to its own.
+        edited.frontier_levels = [
+            FrontierLevel(
+                height=level.height,
+                target_rows=new_rows[level.target_rows],
+                child_rows=new_rows[level.child_rows],
+                message_rows=level.message_rows,
+                target_segments=level.target_segments,
+            )
+            for level in (level.restricted_to(keep_nodes) for level in levels)
+            if level.num_targets
+        ]
+    if structure.predecessor is None:
+        edited.predecessor = Predecessor(structure, keep_nodes, keep_jobs)
     return edited, keep_nodes
 
 
@@ -618,6 +672,8 @@ class GraphCache:
             mark = marks.get(id(job))
             if mark is None or mark[0] != job.feature_epoch:
                 return None
+            if mark[1] == job.num_feature_touches:
+                continue
             position, touched = job.drain_feature_touches(mark[1])
             updates.append((id(job), job.feature_epoch, position))
             for node in touched:

@@ -17,13 +17,13 @@ from __future__ import annotations
 import operator
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ..autograd import Tensor, concat, gather_rows, scatter_add_rows, segment_sum
-from .features import FREE_EXECUTORS_COLUMN, GraphFeatures, GraphStructure
-from .kernels import Workspace, gather_segment_sum, mlp_forward
+from .features import FREE_EXECUTORS_COLUMN, GraphFeatures, GraphStructure, Predecessor
+from .kernels import Workspace, gather_segment_sum, mlp_forward, ordered_segment_sum
 from .nn import MLP, Module
 
 __all__ = ["GNNConfig", "GraphEmbeddings", "GraphNeuralNetwork"]
@@ -52,15 +52,12 @@ REUSE_MIN_NODES = 256
 REUSE_MAX_STALE_SHARE = 0.5
 
 
-class _EmbeddingState:
+class _EmbeddingState(NamedTuple):
     """What ``forward_data`` keeps of its last pass over one structure."""
 
-    __slots__ = ("features", "node_embeddings", "job_sums")
-
-    def __init__(self, features_shape: tuple, num_jobs: int, dim: int):
-        self.features = np.empty(features_shape)
-        self.node_embeddings = np.empty((features_shape[0], dim))
-        self.job_sums = np.empty((num_jobs, dim))
+    features: np.ndarray
+    node_embeddings: np.ndarray
+    job_sums: np.ndarray
 
 
 @dataclass
@@ -225,17 +222,27 @@ class GraphNeuralNetwork(Module):
         differ (:meth:`_recall`).  Jobs are disconnected components and a
         job's embeddings are a function of the structure, the weights and its
         own feature rows alone, so nothing else can make a remembered row
-        wrong.  ``prep``, the frontier levels and ``job_f`` then run over the
-        stale jobs' rows, with each level cut down to them
+        wrong.  That also holds across a departure: a structure the graph
+        cache derived by dropping jobs starts from its predecessor's state,
+        cut down to the surviving rows and jobs, so its first forward
+        re-embeds what changed rather than everything.  ``prep``, the
+        frontier levels and ``job_f`` then run over the stale jobs' rows,
+        with each level cut down to them
         (:meth:`FrontierLevel.restricted_to`); the ``J x D`` job transform
         and the global summary always run in full.
 
         With every row stale this is the whole forward, bit-identical to
-        ``self(graph)``: every step is the same numpy operation the tensor
-        ops perform (gemm + broadcast add, leaky-ReLU multiplier, gather,
-        zero + ``np.add.at`` segment sum), merely writing into preallocated
-        buffers; the differential pair ``inference_kernels_vs_tensor`` pins
-        the two to each other end to end.  A partly stale forward agrees to
+        ``self(graph)``: every step computes what the tensor ops compute
+        (gemm + broadcast add, leaky-ReLU multiplier, gather, segment sums
+        whose terms add in order onto zero), merely writing into
+        preallocated buffers.  On a graph that keeps a state, the segment
+        sums run on plans cached with the structure
+        (:func:`~repro.core.kernels.ordered_segment_sum`), which make the
+        additions ``np.add.at`` makes, in its order, without its per-element
+        cost.  The differential pair ``inference_kernels_vs_tensor`` pins
+        the two paths to each other end to end on its tasks' small graphs;
+        ``TestWholeForwardIsTheTensorForward`` holds the planned sums to the
+        tensor forward bit for bit.  A partly stale forward agrees to
         rounding, not to the bit (a gemm's row results depend on how many
         rows it has), and decides the same — ``incremental_vs_full_gnn``.
         """
@@ -267,6 +274,12 @@ class GraphNeuralNetwork(Module):
             embeddings[rows] = mlp_forward(self.prep, features, workspace, "prep")
             job_sums[job_ids] = 0.0
         self.rows_recomputed += len(features)
+        # A whole forward over a graph large enough to keep a state sums on
+        # the plans cached with the structure and scatters with a fancy-
+        # indexed add.  Small graphs and partly stale forwards handle few
+        # rows, where np.add.at costs less than the per-call overhead of
+        # either.
+        planned = state is not None and rows is None
         for index, level in enumerate(levels):
             # A job with no node at this height has none above it either.
             if level.height > config.max_message_passing_depth or not level.num_targets:
@@ -280,21 +293,37 @@ class GraphNeuralNetwork(Module):
             scratch = workspace.get(
                 f"lvl{index}:edges", (len(level.message_rows), dim)
             )
-            gather_segment_sum(
-                messages, level.message_rows, level.target_segments, aggregated, scratch
-            )
+            if planned:
+                ordered_segment_sum(
+                    messages, level.sum_plan, aggregated, scratch,
+                    workspace.get(f"lvl{index}:ranked", aggregated.shape),
+                )
+            else:
+                gather_segment_sum(
+                    messages, level.message_rows, level.target_segments, aggregated, scratch
+                )
             if config.two_level_aggregation:
                 update = mlp_forward(self.node_g, aggregated, workspace, f"lvl{index}:g")
             else:
                 update = aggregated
-            # Frontier rows are unique, so in-place accumulation matches the
+            # Frontier rows are unique, so a fancy-indexed add matches the
             # tensor path's copy-then-add.at scatter exactly.
-            np.add.at(embeddings, level.target_rows, update)
+            if planned:
+                embeddings[level.target_rows] += update
+            else:
+                np.add.at(embeddings, level.target_rows, update)
         job_inputs = workspace.get("job_in", (len(features), num_features + dim))
         job_inputs[:, :num_features] = features
         job_inputs[:, num_features:] = embeddings if rows is None else embeddings[rows]
         transformed = mlp_forward(self.job_f, job_inputs, workspace, "job_f")
-        np.add.at(job_sums, job_ids, transformed)
+        if planned:
+            ordered_segment_sum(
+                transformed, graph.structure.job_sum_plan, job_sums,
+                workspace.get("job_terms", transformed.shape),
+                workspace.get("job_ranked", job_sums.shape),
+            )
+        else:
+            np.add.at(job_sums, job_ids, transformed)
         if state is not None:
             # Filed only now: a forward that raised half way leaves nothing.
             if rows is None:
@@ -308,11 +337,18 @@ class GraphNeuralNetwork(Module):
             job_embeddings = job_sums
         transformed = mlp_forward(self.global_f, job_embeddings, workspace, "global_f")
         global_sums = workspace.get("global_sum", (graph.num_graphs, dim))
-        global_sums[:] = 0.0
-        # np.add.at even for the single-graph case: its sequential row-order
-        # accumulation is what segment_sum does on the tensor path (a pairwise
-        # .sum(axis=0) would round differently).
-        np.add.at(global_sums, graph.job_graph_ids, transformed)
+        if state is not None and graph.num_graphs == 1:
+            # segment_sum's sequential row-order accumulation, as a running
+            # sum (a pairwise .sum(axis=0) would round differently); + 0.0
+            # turns the -0.0 that a sum of -0.0 rows ends on into the +0.0
+            # of a sum that starts at zero.
+            running = np.cumsum(
+                transformed, axis=0, out=workspace.get("global_running", transformed.shape)
+            )
+            global_sums[0] = running[-1] + 0.0 if len(running) else 0.0
+        else:
+            global_sums[:] = 0.0
+            np.add.at(global_sums, graph.job_graph_ids, transformed)
         if config.two_level_aggregation:
             global_embedding = mlp_forward(self.global_g, global_sums, workspace, "global_g")
         else:
@@ -323,6 +359,12 @@ class GraphNeuralNetwork(Module):
         self, graph: GraphFeatures
     ) -> "tuple[Optional[_EmbeddingState], Optional[np.ndarray]]":
         """What :meth:`forward_data` may keep of its last pass over this structure.
+
+        Without a state of its own, a structure that an edit derived from a
+        predecessor (:class:`~repro.core.features.Predecessor`) starts from
+        the predecessor's: the surviving rows of its features and node
+        embeddings and the surviving jobs' sums.  The link is consumed here,
+        found or not, which lets the predecessor go.
 
         Returns ``(state, stale_rows)``.  ``state`` is ``None`` for a graph
         under ``REUSE_MIN_NODES`` rows: nothing is kept and the forward runs
@@ -336,6 +378,8 @@ class GraphNeuralNetwork(Module):
         than ``REUSE_MAX_STALE_SHARE`` of the rows.  The state is taken out
         of the network here and filed again by the forward that completes.
         """
+        structure = graph.structure
+        link, structure.predecessor = structure.predecessor, None
         features = graph.node_features
         num_nodes = features.shape[0]
         self.rows_seen += num_nodes
@@ -345,9 +389,14 @@ class GraphNeuralNetwork(Module):
         if not all(map(operator.is_, weights, self._weights)):
             self._states.clear()
             self._weights = weights
-        state = self._states.pop(graph.structure, None)
+        state = self._states.pop(structure, None)
+        if state is None and link is not None:
+            state = self._carried(link)
         if state is None or state.features.shape != features.shape:
-            return _EmbeddingState(features.shape, graph.num_jobs, self.config.embedding_dim), None
+            dim = self.config.embedding_dim
+            return _EmbeddingState(
+                np.empty(features.shape), np.empty((num_nodes, dim)), np.empty((graph.num_jobs, dim))
+            ), None
         remembered = state.features
         if features[0, FREE_EXECUTORS_COLUMN] != remembered[0, FREE_EXECUTORS_COLUMN]:
             return state, None
@@ -360,6 +409,18 @@ class GraphNeuralNetwork(Module):
         if np.count_nonzero(stale_rows) > REUSE_MAX_STALE_SHARE * num_nodes:
             return state, None
         return state, stale_rows
+
+    def _carried(self, link: Predecessor) -> Optional[_EmbeddingState]:
+        """The predecessor's state cut down to what the edit kept; taken out
+        of the network, as nothing forwards the predecessor again."""
+        state = self._states.pop(link.structure, None)
+        if state is None:
+            return None
+        return _EmbeddingState(
+            state.features[link.keep_nodes],
+            state.node_embeddings[link.keep_nodes],
+            state.job_sums[link.keep_jobs],
+        )
 
     def forget_embeddings(self) -> None:
         """Drop everything :meth:`forward_data` remembers; the next forward over

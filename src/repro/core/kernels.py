@@ -16,7 +16,10 @@ inference data path:
   preallocated outputs);
 * :func:`gather_segment_sum` — the sparse GNN's per-level frontier
   aggregation (gather per-edge messages, segment-sum into the frontier) on
-  arena buffers.
+  arena buffers;
+* :class:`SegmentPlan` / :func:`ordered_segment_sum` — the same segment sums
+  without ``np.add.at``, on a plan built once per structure: each segment's
+  terms are added in order onto zero, so the result is bit-equal to it.
 
 The differential pair ``inference_kernels_vs_tensor`` pins this path to the
 training forward on every registry scenario.
@@ -26,7 +29,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Workspace", "mlp_forward", "leaky_relu_inplace", "gather_segment_sum"]
+__all__ = [
+    "Workspace",
+    "mlp_forward",
+    "leaky_relu_inplace",
+    "gather_segment_sum",
+    "SegmentPlan",
+    "ordered_segment_sum",
+]
 
 
 class Workspace:
@@ -159,9 +169,91 @@ def gather_segment_sum(
 
     ``out`` is zeroed first; ``scratch`` is a ``(len(message_rows), width)``
     buffer for the gathered per-edge messages.  ``np.add.at`` accumulates in
-    ascending edge order, exactly like the autograd ``segment_sum``.
+    ascending edge order, exactly like the autograd ``segment_sum``.  The
+    levels of small graphs and those cut down to a few stale jobs are summed
+    here, where a :class:`SegmentPlan` would cost more than it saves; a
+    whole level of a larger graph is summed by :func:`ordered_segment_sum`
+    on the level's cached plan.
     """
     out[:] = 0.0
     np.take(messages, message_rows, axis=0, out=scratch)
     np.add.at(out, target_segments, scratch)
+    return out
+
+
+class SegmentPlan:
+    """The order in which :func:`ordered_segment_sum` adds up segments.
+
+    ``np.add.at(out, segments, values[rows])`` onto a zero ``out`` adds each
+    segment's terms one at a time, in term order.  The plan makes the same
+    additions round by round: round ``r`` adds every segment's ``r``-th term.
+    Segments are ranked by descending term count (ties in segment order), so
+    the segments still adding in round ``r`` are a leading block of that
+    ranking and a round is one contiguous vectorised add.  ``rows`` lists
+    the terms round by round, ``rounds`` holds each round's (ranked
+    segments, listed terms) slices, and ``rank`` maps a segment to its place
+    in the ranking.
+
+    Every sum is the sequence of additions ``np.add.at`` performs, so the
+    result is bit-equal to it.  ``np.add.reduceat`` is not: it differs in
+    the last bits.  Built once per structure and cached with it
+    (:attr:`~repro.core.features.FrontierLevel.sum_plan`,
+    :attr:`~repro.core.features.GraphStructure.job_sum_plan`).
+    """
+
+    __slots__ = ("rows", "rounds", "rank")
+
+    def __init__(
+        self,
+        segments: np.ndarray,
+        num_segments: int,
+        rows: "np.ndarray | None" = None,
+    ):
+        segments = np.asarray(segments, dtype=np.intp)
+        terms = (
+            np.arange(segments.size, dtype=np.intp)
+            if rows is None
+            else np.asarray(rows, dtype=np.intp)
+        )
+        if np.any(segments[1:] < segments[:-1]):
+            grouped = np.argsort(segments, kind="stable")
+            segments, terms = segments[grouped], terms[grouped]
+        counts = np.bincount(segments, minlength=num_segments)
+        by_count = np.argsort(-counts, kind="stable")
+        self.rank = np.empty(num_segments, dtype=np.intp)
+        self.rank[by_count] = np.arange(num_segments, dtype=np.intp)
+        # Round r adds the segments with more than r terms.
+        round_sizes = num_segments - np.cumsum(np.bincount(counts))[:-1]
+        round_starts = np.cumsum(round_sizes) - round_sizes
+        self.rounds = [
+            (slice(0, size), slice(start, start + size))
+            for size, start in zip(round_sizes.tolist(), round_starts.tolist())
+        ]
+        # Term k of the listing is term ``round`` of the ``place``-th segment.
+        place = np.arange(segments.size, dtype=np.intp) - np.repeat(round_starts, round_sizes)
+        round_of = np.repeat(np.arange(round_sizes.size, dtype=np.intp), round_sizes)
+        first_term = (np.cumsum(counts) - counts)[by_count]
+        self.rows = terms[first_term[place] + round_of]
+
+
+def ordered_segment_sum(
+    values: np.ndarray,
+    plan: SegmentPlan,
+    out: np.ndarray,
+    terms: np.ndarray,
+    ranked: np.ndarray,
+) -> np.ndarray:
+    """Each segment's terms summed in order onto zero, into ``out``.
+
+    Bit-equal to zeroing ``out`` and ``np.add.at(out, segments,
+    values[rows])`` for the ``segments`` and ``rows`` the plan was built
+    from, without ``np.add.at``'s per-element cost.  ``terms`` is a
+    ``(len(plan.rows), width)`` buffer and ``ranked`` one shaped like
+    ``out``; the contents of all three are overwritten.
+    """
+    np.take(values, plan.rows, axis=0, out=terms)
+    ranked[:] = 0.0
+    for segments, listed in plan.rounds:
+        ranked[segments] += terms[listed]
+    np.take(ranked, plan.rank, axis=0, out=out)
     return out

@@ -148,6 +148,7 @@ class _LiveJob:
     unfinished_parents: dict[Node, int]  # stage -> parent edges not yet completed
     unfinished_stages: int  # == sum(not node.completed for node in job.nodes)
     position: dict[Node, int]  # stage -> index in job.nodes
+    fits_every_stage: frozenset  # executor classes that fit all of job.nodes
 
 
 class SchedulingEnvironment:
@@ -254,6 +255,9 @@ class SchedulingEnvironment:
         """Runnable stages for which at least one free executor class fits."""
         free_classes = {self.executors[i].executor_class for i in self.free_executor_ids}
         for live in self._frontier.values():
+            if not live.fits_every_stage.isdisjoint(free_classes):
+                yield from live.runnable
+                continue
             for node in live.runnable:
                 for cls in free_classes:
                     if cls.fits(node):
@@ -484,6 +488,11 @@ class SchedulingEnvironment:
             },
             unfinished_stages=sum(not node.completed for node in job.nodes),
             position={node: index for index, node in enumerate(job.nodes)},
+            fits_every_stage=frozenset(
+                cls
+                for cls in self.executor_classes
+                if all(cls.fits(node) for node in job.nodes)
+            ),
         )
 
     def _on_executor_added(self, event: ExecutorChurnEvent) -> None:

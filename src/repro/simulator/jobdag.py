@@ -283,6 +283,11 @@ class JobDAG:
         else:
             self._touched_nodes.append(node)
 
+    @property
+    def num_feature_touches(self) -> int:
+        """Length of the touch log: a position equal to it has nothing to drain."""
+        return len(self._touched_nodes)
+
     def drain_feature_touches(self, log_position: int) -> tuple[int, list[Node]]:
         """Return ``(new_position, nodes touched since log_position)``."""
         touched = self._touched_nodes

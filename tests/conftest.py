@@ -59,19 +59,23 @@ def reuse_everywhere(monkeypatch):
 @pytest.fixture
 def level_cuts(reuse_everywhere, monkeypatch):
     """The list that grows by one entry — the number of stale rows — each time
-    a frontier level is cut down to the stale jobs (a partly stale forward)."""
+    ``forward_data`` runs partly stale, its frontier levels cut down to the
+    stale jobs.  Counted where the GNN decides it (``_recall``), not in
+    ``FrontierLevel.restricted_to``, which a departure's edit also calls."""
     import numpy as np
 
-    from repro.core.features import FrontierLevel
+    from repro.core.gnn import GraphNeuralNetwork
 
     cuts = []
-    original = FrontierLevel.restricted_to
+    original = GraphNeuralNetwork._recall
 
-    def counted(level, keep_rows):
-        cuts.append(int(np.count_nonzero(keep_rows)))
-        return original(level, keep_rows)
+    def counted(gnn, graph):
+        state, stale_rows = original(gnn, graph)
+        if stale_rows is not None:
+            cuts.append(int(np.count_nonzero(stale_rows)))
+        return state, stale_rows
 
-    monkeypatch.setattr(FrontierLevel, "restricted_to", counted)
+    monkeypatch.setattr(GraphNeuralNetwork, "_recall", counted)
     return cuts
 
 

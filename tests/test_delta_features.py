@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from _helpers import make_decima_agent, make_tpch_env
 from repro.autograd import Tensor
 from repro.core.features import FeatureConfig, GraphCache
-from repro.core.kernels import Workspace, gather_segment_sum, leaky_relu_inplace, mlp_forward
+from repro.core.kernels import (
+    SegmentPlan,
+    Workspace,
+    gather_segment_sum,
+    leaky_relu_inplace,
+    mlp_forward,
+    ordered_segment_sum,
+)
 from repro.core.nn import MLP
 from repro.service.session import SessionState
 from repro.simulator.environment import Action
@@ -250,6 +257,52 @@ class TestKernels:
         got = gather_segment_sum(messages, rows, segments, out, np.empty((12, 5)))
         assert got is out
         assert np.array_equal(got, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # Terms per segment: 0 is an empty segment, 1 a single-edge target.
+        counts=st.lists(st.integers(0, 6), max_size=12),
+        shuffled=st.randoms(use_true_random=False),
+        num_values=st.integers(1, 6),
+        indexed=st.booleans(),
+        data=st.data(),
+    )
+    def test_ordered_segment_sum_is_bitwise_add_at(
+        self, counts, shuffled, num_values, indexed, data
+    ):
+        """Bit for bit ``np.add.at`` onto zeros, compared as integers so that
+        -0.0 against 0.0 counts: each segment's terms in order, whatever the
+        order segments interleave in, with repeated value rows (a child
+        feeding several targets) and magnitudes from subnormal to 1e300."""
+        segments = [segment for segment, count in enumerate(counts) for _ in range(count)]
+        shuffled.shuffle(segments)
+        segments = np.array(segments, dtype=np.intp)
+        if indexed:
+            rows = np.array(
+                data.draw(st.lists(
+                    st.integers(0, num_values - 1),
+                    min_size=len(segments), max_size=len(segments),
+                )),
+                dtype=np.intp,
+            )
+        else:
+            rows, num_values = None, len(segments)
+        width = 2
+        magnitudes = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+        values = np.array(
+            data.draw(st.lists(magnitudes, min_size=num_values * width,
+                               max_size=num_values * width)),
+            dtype=np.float64,
+        ).reshape(num_values, width)
+        expected = np.zeros((len(counts), width))
+        np.add.at(expected, segments, values if rows is None else values[rows])
+        out = np.full_like(expected, np.nan)
+        got = ordered_segment_sum(
+            values, SegmentPlan(segments, len(counts), rows), out,
+            np.empty((len(segments), width)), np.full_like(expected, np.nan),
+        )
+        assert got is out
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_mlp_forward_bit_identical_to_tensor_mlp(self):
         rng = np.random.default_rng(2)

@@ -18,6 +18,7 @@ import weakref
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,179 @@ class TestReuseEqualsFullForward:
             agent.act(observation, greedy=True)
         assert len(agent.gnn._states) == 0
         assert agent.gnn.rows_recomputed == agent.gnn.rows_seen > 0
+
+
+def hide(observation, hidden):
+    """``observation`` as a scheduler would see it once the jobs in
+    ``hidden`` (ids) had left: what the graph cache edits on."""
+    source = observation.source_job
+    return dataclasses.replace(
+        observation,
+        job_dags=[job for job in observation.job_dags if id(job) not in hidden],
+        schedulable_nodes=[
+            node for node in observation.schedulable_nodes if id(node.job) not in hidden
+        ],
+        source_job=None if source is None or id(source) in hidden else source,
+    )
+
+
+def drive_departures(seed, steps, num_jobs=8, num_executors=6):
+    """Step a seeded episode in which jobs also leave at chosen decisions.
+
+    A step is ``(choice, drop)``.  ``drop`` 0 takes action ``choice`` and
+    steps the simulator; otherwise ``drop``'s bits pick visible jobs that
+    leave (at least one stays), and the same observation is decided again
+    without them.  At every decision the reusing network must match the
+    memory-less forward and decide what the forgetful agent decides; the
+    first forward after a leave, which changed nothing but the job set,
+    must recompute fewer rows than the graph holds.  Returns the number of
+    such forwards and how many rows they recomputed.
+    """
+    env, observation = make_tpch_env(
+        num_jobs=num_jobs, num_executors=num_executors, seed=seed
+    )
+    agent, forgetful = hinted_agents(num_executors)
+    left = []  # the departed jobs, pinned so their ids stay theirs
+    hidden = set()
+    leaves = recomputed = 0
+    drop_pending = False
+    for choice, drop in steps:
+        seen = hide(observation, hidden)
+        if not seen.schedulable_nodes:
+            break
+        before = agent.graph_cache._structure
+        graph = agent.build_features(seen, reuse_buffers=True)
+        rows_before = agent.gnn.rows_recomputed
+        assert_matches_full(agent.gnn, graph)
+        if graph.structure is not before and drop_pending:
+            leaves += 1
+            recomputed += agent.gnn.rows_recomputed - rows_before
+            assert agent.gnn.rows_recomputed - rows_before < graph.num_nodes
+        mine, _ = agent.act(seen, greedy=True)
+        reference, _ = forgetful.act(seen, greedy=True)
+        assert same_action(mine, reference)
+        visible = seen.job_dags
+        drop_pending = bool(drop % (1 << len(visible)))
+        if drop_pending:
+            going = [job for k, job in enumerate(visible) if drop >> k & 1][: len(visible) - 1]
+            left += going
+            hidden.update(map(id, going))
+            continue
+        nodes = seen.schedulable_nodes
+        action = Action(node=nodes[choice % len(nodes)], parallelism_limit=1 + choice % 4)
+        observation, _, done = env.step(action)
+        if done:
+            break
+    return leaves, recomputed
+
+
+class TestStateCarriedAcrossDepartures:
+    """A structure the graph cache derives by dropping jobs starts from its
+    predecessor's state, cut down to the surviving rows and jobs."""
+
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        seed=st.integers(0, 50),
+        steps=st.lists(
+            st.tuples(st.integers(0, 1_000), st.just(0) | st.integers(1, 255)),
+            min_size=5, max_size=30,
+        ),
+    )
+    def test_over_random_departure_sequences(self, seed, steps):
+        with reuse_on_any_graph():
+            drive_departures(seed, steps)
+
+    def test_a_departure_recomputes_nothing_that_survived(self, reuse_everywhere):
+        """The property above is not vacuous: its leaves happen, and their
+        first forwards re-embed no row at all."""
+        steps = [(5 * k, (0, 0, 4, 0, 1, 0, 0, 16)[k % 8]) for k in range(40)]
+        leaves, recomputed = drive_departures(2, steps)
+        assert leaves >= 4 and recomputed == 0
+
+    def test_a_departure_with_a_changed_survivor_re_embeds_that_job(self, reuse_everywhere):
+        _, observation = make_tpch_env(num_jobs=5, seed=6)
+        agent = make_decima_agent()
+        full = agent.build_features(observation, reuse_buffers=True)
+        agent.gnn.forward_data(full)
+        jobs = observation.job_dags
+        changed = jobs[3]
+        node = changed.nodes[0]
+        node.num_running_tasks += 1
+        changed.log_feature_touch(node)
+        graph = agent.build_features(hide(observation, {id(jobs[1])}), reuse_buffers=True)
+        assert graph.structure.predecessor is not None
+        assert recomputed_by(agent.gnn, graph) == changed.num_nodes
+        assert graph.structure.predecessor is None
+        np.testing.assert_allclose(
+            agent.gnn.forward_data(graph)[0], full_forward(agent.gnn, graph)[0],
+            rtol=0.0, atol=TOL,
+        )
+
+    def test_at_most_one_predecessor_is_alive(self, reuse_everywhere):
+        """The link holds its predecessor strongly until the first forward
+        over the edit consumes it; an edit of an edit nobody forwarded gets
+        no link, so links never chain."""
+        _, observation = make_tpch_env(num_jobs=8, seed=3)
+        agent = make_decima_agent()
+        hidden = set()
+        structures = []
+        # After each edit: forward it (True) or edit again first (False).
+        for forward in (True, False, False, True, False, True, True):
+            graph = agent.build_features(hide(observation, hidden), reuse_buffers=True)
+            structures.append(weakref.ref(graph.structure))
+            if forward:
+                agent.gnn.forward_data(graph)
+            del graph
+            gc.collect()
+            alive = [ref for ref in structures[:-1] if ref() is not None]
+            assert len(alive) <= (0 if forward else 1)
+            hidden.add(id(observation.job_dags[len(hidden)]))
+        assert agent.graph_cache.num_rebuilds == len(structures)
+
+class TestWholeForwardIsTheTensorForward:
+    """A whole forward over a graph that keeps a state sums on cached plans,
+    scatters with a fancy-indexed add and sums the global row as a running
+    sum; each is bit-equal to the ``np.add.at`` the tensor ops run.  (The
+    differential pair ``inference_kernels_vs_tensor`` runs graphs under
+    ``REUSE_MIN_NODES``, which sum with ``np.add.at`` itself.)"""
+
+    @staticmethod
+    def assert_bitwise(got, graph, gnn):
+        expected = gnn(graph)
+        for mine, reference in zip(got, (
+            expected.node_embeddings, expected.job_embeddings, expected.global_embedding
+        )):
+            assert np.array_equal(mine.view(np.int64), reference.data.view(np.int64))
+
+    @pytest.mark.parametrize("two_level_aggregation", [True, False])
+    def test_on_a_graph_over_the_shipped_constant(self, two_level_aggregation):
+        _, observation = make_tpch_env(num_jobs=30, num_executors=10, seed=1)
+        agent = make_decima_agent(two_level_aggregation=two_level_aggregation)
+        graph = agent.build_features(observation, reuse_buffers=True)
+        assert graph.num_nodes >= gnn_module.REUSE_MIN_NODES
+        self.assert_bitwise(agent.gnn.forward_data(graph), graph, agent.gnn)
+
+    @pytest.mark.parametrize("seed", [0, 5, 9])
+    def test_after_a_departure_that_moved_every_row(self, seed, reuse_everywhere):
+        """A new free-executor count makes the carried state wholly stale,
+        so the edit's first forward is whole, on levels derived from its
+        predecessor's."""
+        _, observation = make_tpch_env(num_jobs=8, num_executors=6, seed=seed)
+        agent = make_decima_agent()
+        agent.gnn.forward_data(agent.build_features(observation, reuse_buffers=True))
+        left = dataclasses.replace(
+            hide(observation, {id(observation.job_dags[2])}),
+            num_free_executors=observation.num_free_executors - 1,
+        )
+        graph = agent.build_features(left, reuse_buffers=True)
+        assert graph.structure.predecessor is not None
+        before = agent.gnn.rows_recomputed
+        got = agent.gnn.forward_data(graph)
+        assert agent.gnn.rows_recomputed - before == graph.num_nodes
+        self.assert_bitwise(got, graph, agent.gnn)
 
 
 class TestRestrictedLevels:
