@@ -316,7 +316,7 @@ class GraphStructure:
     @functools.cached_property
     def job_sum_plan(self) -> SegmentPlan:
         """How a whole-graph forward sums node rows into per-job rows."""
-        return SegmentPlan(self.job_ids, self.num_jobs)
+        return SegmentPlan(self.job_ids, self.num_jobs, np.arange(self.num_nodes))
 
     @functools.cached_property
     def scaled_task_durations(self) -> np.ndarray:

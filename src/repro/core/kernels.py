@@ -189,8 +189,8 @@ class SegmentPlan:
     additions round by round: round ``r`` adds every segment's ``r``-th term.
     Segments are ranked by descending term count (ties in segment order), so
     the segments still adding in round ``r`` are a leading block of that
-    ranking and a round is one contiguous vectorised add.  ``rows`` lists
-    the terms round by round, ``rounds`` holds each round's (ranked
+    ranking and a round is one contiguous vectorised add.  The attribute
+    ``rows`` lists the terms' value rows round by round, ``rounds`` holds each round's (ranked
     segments, listed terms) slices, and ``rank`` maps a segment to its place
     in the ranking.
 
@@ -203,18 +203,9 @@ class SegmentPlan:
 
     __slots__ = ("rows", "rounds", "rank")
 
-    def __init__(
-        self,
-        segments: np.ndarray,
-        num_segments: int,
-        rows: "np.ndarray | None" = None,
-    ):
+    def __init__(self, segments: np.ndarray, num_segments: int, rows: np.ndarray):
         segments = np.asarray(segments, dtype=np.intp)
-        terms = (
-            np.arange(segments.size, dtype=np.intp)
-            if rows is None
-            else np.asarray(rows, dtype=np.intp)
-        )
+        terms = np.asarray(rows, dtype=np.intp)
         if np.any(segments[1:] < segments[:-1]):
             grouped = np.argsort(segments, kind="stable")
             segments, terms = segments[grouped], terms[grouped]

@@ -286,7 +286,8 @@ class TestKernels:
                 dtype=np.intp,
             )
         else:
-            rows, num_values = None, len(segments)
+            num_values = len(segments)
+            rows = np.arange(num_values)
         width = 2
         magnitudes = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
         values = np.array(
@@ -295,7 +296,7 @@ class TestKernels:
             dtype=np.float64,
         ).reshape(num_values, width)
         expected = np.zeros((len(counts), width))
-        np.add.at(expected, segments, values if rows is None else values[rows])
+        np.add.at(expected, segments, values[rows])
         out = np.full_like(expected, np.nan)
         got = ordered_segment_sum(
             values, SegmentPlan(segments, len(counts), rows), out,
